@@ -236,20 +236,32 @@ def _header(job: Job) -> str:
             f"module={job.module.describe()} engine={job.engine} seed={job.seed}")
 
 
-def _parse_flip(job: Job, flip: str):
+def _flipped_realization(job: Job, flip: str) -> Realization:
+    """Realization with one operator term negated (the GEN:MODE:IDX spec).
+
+    The flipped operator is built here, so an index outside the operator's
+    terms is rejected before any sweep; the cache then serves it to the sweep.
+    """
     try:
         gen, mode, idx = flip.split(":")
         elem = parse_generator(job.pd, gen)
         mode, idx = int(mode), int(idx)
     except (ValueError, ParseError) as exc:
         raise ParseError(f"bad --flip spec {flip!r}: {exc}") from exc
+    if elem is CENTRAL:
+        raise SemanticError("the central element has no operator terms to flip")
 
     def hook(a, m, op):
         if a == elem and m == mode:
             return op.with_flipped_term(idx)
         return op
 
-    return hook
+    real = make_realization(job, operator_hook=hook)
+    try:
+        real.operator(elem, mode)
+    except ValueError as exc:
+        raise SemanticError(f"bad --flip spec {flip!r}: {exc}") from exc
+    return real
 
 
 # --- commands ---------------------------------------------------------------------
@@ -275,8 +287,7 @@ def cmd_dump(job: Job, generator: str, mode: int, out_path: str | None) -> int:
 
 
 def cmd_check_bracket(job: Job, records_path: str | None, flip: str | None) -> int:
-    hook = _parse_flip(job, flip) if flip else None
-    real = make_realization(job, operator_hook=hook)
+    real = _flipped_realization(job, flip) if flip else make_realization(job)
     smp = Sampler(job.seed)
     states = smp.fock_states(job.module, job.samples, job.max_degree, job.max_mode)
     basis = job.pd.homogeneous_basis

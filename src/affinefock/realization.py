@@ -25,14 +25,22 @@ Normal ordering is fixed as "annihilators act first"; the D-part creator mode
 is m plus the sum of the annihilator modes, the Levi head acts on the V-factor
 at that same combined mode, and the central part constrains the annihilator
 modes to sum to -m with a linear weight on the differentiated slot.
+
+Each operator is compiled once, on its first application, to integer
+numerators over the LCM of its denominators plus per-term slot families, head
+and base mode; `apply_operator` sums integer contributions over that LCM times
+the state's common denominator and divides once at the end, so results are
+exact, and both the output order and the sequence of module calls follow term
+order, then slot-assignment order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 from .fock import FockState, mono_from_pairs, mono_mul_var
 from .formal_dist import LaurentPoly
@@ -254,8 +262,36 @@ class NormalOrderedOperator:
     def render(self) -> str:
         return "\n".join(t.render() for t in self.terms)
 
+    @cached_property
+    def compiled(self) -> tuple:
+        """Integer form that `apply_operator` runs on, built on first use.
+
+        (D, families, terms): D is the LCM of the term denominators; families
+        lists the distinct slot-family tuples; each term becomes (index into
+        families, D * coeff as an int, head kind, head alpha or Levi element,
+        base mode, mode-factor slot, constraint sum).  The head mode is the
+        base plus the sum of all slot modes, as `_canonical_terms` asserts.
+        """
+        denom = lcm(*[t.coeff.denominator for t in self.terms])
+        families: dict[tuple[int, ...], int] = {}
+        terms = []
+        for t in self.terms:
+            base = 0
+            if t.head_mode is not None:
+                if t.head_mode.slots != tuple(range(len(t.annihilators))):
+                    raise ValueError("head modes must cover every slot")
+                base = t.head_mode.base
+            head = t.head_alpha if t.head_kind == "create" else t.head_elem
+            terms.append((families.setdefault(t.annihilators, len(families)),
+                          t.coeff.numerator * (denom // t.coeff.denominator),
+                          t.head_kind, head, base, t.mode_factor,
+                          t.constraint_sum))
+        return denom, tuple(families), tuple(terms)
+
     def with_flipped_term(self, index: int) -> "NormalOrderedOperator":
         """Negative-control helper: negate one term's coefficient."""
+        if not 0 <= index < len(self.terms):
+            raise ValueError(f"term index {index} outside 0..{len(self.terms) - 1}")
         terms = list(self.terms)
         terms[index] = replace(terms[index], coeff=-terms[index].coeff)
         return NormalOrderedOperator(tuple(terms), self.provenance + "+flip")
@@ -429,6 +465,32 @@ def _block_unit_minus_trace(n: int, j: int, i: int) -> LieElement:
 
 # --- applying operators to states ------------------------------------------------
 
+def _matches(families: tuple[int, ...], mono, positions) -> list[tuple]:
+    """Ordered assignments of annihilator slots to the variables of `mono`.
+
+    Slot i runs over the positions of family `families[i]` in monomial order,
+    so the assignments come in the order of nested loops over the slots.  Each
+    slot contributes minus the exponent it finds, which it then lowers by one.
+    Returns (multiplicity, slot modes, mode sum, remaining monomial) tuples.
+    """
+    if not families:
+        return [(1, (), 0, mono)]
+    out = []
+    for combo in product(*[positions.get(a, ()) for a in families]):
+        rem = list(mono)
+        mult = 1
+        for p in combo:
+            a, n, e = rem[p]
+            if not e:
+                break
+            mult *= -e
+            rem[p] = (a, n, e - 1)
+        else:
+            modes = tuple([mono[p][1] for p in combo])
+            out.append((mult, modes, sum(modes), tuple([v for v in rem if v[2]])))
+    return out
+
+
 def apply_operator(op: NormalOrderedOperator, state: FockState, module,
                    ) -> FockState:
     """Evaluate a normal-ordered operator on a state, exactly and finitely.
@@ -437,87 +499,56 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
     variables actually present (ordered assignments, each contributing a
     factor of minus the running exponent), the central constraint filters the
     mode tuple, and the head then acts: create a variable, act on the V-factor
-    through the inducing module, or scale by the level.
+    through the inducing module, or scale by the level.  Contributions are
+    summed as integers over the operator's and the state's common
+    denominators, and divided once at the end.
     """
-    out: dict = {}
+    denom, families, terms = op.compiled
     kappa = module.level
-    for (mono, vidx), cstate in state.terms.items():
-        var_exp: dict[tuple[int, int], int] = {(a, n): e for a, n, e in mono}
-        fam: dict[int, list[int]] = {}
-        for a, n, _e in mono:
-            fam.setdefault(a, []).append(n)
-        for term in op.terms:
-            _eval_term(term, var_exp, fam, vidx, cstate, kappa, module, out, mono)
-    st = FockState.__new__(FockState)
-    st.terms = out
-    return st
-
-
-def _eval_term(term: Term, var_exp, fam, vidx, cstate, kappa, module, out, mono):
-    slots = term.annihilators
-    r = len(slots)
-    modes = [0] * r
-
-    def emit(acc: int):
-        if term.constraint_sum is not None and sum(modes) != term.constraint_sum:
-            return
-        if term.mode_factor is not None:
-            nf = modes[term.mode_factor]
-            if nf == 0:
-                return
-            acc *= nf
-        f = term.coeff * acc
-        rem = mono if r == 0 else tuple(
-            sorted((a, n, e) for (a, n), e in var_exp.items() if e > 0))
-        kind = term.head_kind
-        if kind == "create":
-            mode = term.head_mode.resolve(modes)
-            key = (mono_mul_var(rem, term.head_alpha, mode), vidx)
-            s = out.get(key, Q(0)) + f * cstate
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        elif kind == "levi":
-            mode = term.head_mode.resolve(modes)
-            for w, d in module.act(term.head_elem, mode, vidx).items():
-                key = (rem, w)
-                s = out.get(key, Q(0)) + f * cstate * d
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        elif kind == "central":
-            if kappa != 0:
-                key = (rem, vidx)
-                s = out.get(key, Q(0)) + f * cstate * kappa
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        else:
-            key = (rem, vidx)
-            s = out.get(key, Q(0)) + f * cstate
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-
-    def rec(i: int, acc: int):
-        if i == r:
-            emit(acc)
-            return
-        alpha = slots[i]
-        for nmode in fam.get(alpha, ()):
-            e = var_exp[(alpha, nmode)]
-            if e == 0:
+    skip_central = kappa == 0
+    scale = lcm(*[c.denominator for c in state.terms.values()])
+    out: dict = {}
+    for (mono, vidx), c in state.terms.items():
+        cnum = c.numerator * (scale // c.denominator)
+        positions: dict[int, list[int]] = {}
+        for p, (a, _n, _e) in enumerate(mono):
+            positions.setdefault(a, []).append(p)
+        found: list = [None] * len(families)
+        for fi, num, kind, head, base, mode_factor, constraint in terms:
+            if kind == "central" and skip_central:
                 continue
-            modes[i] = nmode
-            var_exp[(alpha, nmode)] = e - 1
-            rec(i + 1, acc * -e)
-            var_exp[(alpha, nmode)] = e
-
-    rec(0, 1)
+            matches = found[fi]
+            if matches is None:
+                matches = found[fi] = _matches(families[fi], mono, positions)
+            for mult, modes, msum, rem in matches:
+                if constraint is not None and msum != constraint:
+                    continue
+                if mode_factor is not None:
+                    mult *= modes[mode_factor]
+                    if not mult:
+                        continue
+                new_mono = rem
+                if kind == "create":
+                    new_mono = mono_mul_var(rem, head, base + msum)
+                    vecs = ((vidx, 1),)
+                elif kind == "levi":
+                    vecs = module.act(head, base + msum, vidx).items()
+                elif kind == "central":
+                    vecs = ((vidx, kappa),)
+                else:
+                    vecs = ((vidx, 1),)
+                f = num * mult * cnum
+                for w, d in vecs:
+                    key = (new_mono, w)
+                    s = out.get(key, 0) + f * d
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
+    total = denom * scale
+    st = FockState.__new__(FockState)
+    st.terms = {k: Q(v, total) for k, v in out.items()}
+    return st
 
 
 def instantiate_operator(op: NormalOrderedOperator, window: int,
@@ -564,8 +595,9 @@ class Realization:
 
     Operators depend only on (element, mode, parabolic, engine); the cache is
     a value-immutable memo table, so duplicate construction under concurrency
-    would be harmless.  `operator_hook` post-processes built operators and is
-    meant for negative controls; it bypasses the cache.
+    would be harmless.  `operator_hook(a, m, op)` post-processes built
+    operators and is meant for negative controls; it must be a pure function
+    of its arguments, because its result is cached like any other operator.
     """
 
     def __init__(self, pd: ParabolicData, module, engine: str = "general",
@@ -592,7 +624,7 @@ class Realization:
         else:
             op = build_operator_explicit_sl(self.pd, a, m)
         if self.operator_hook is not None:
-            return self.operator_hook(a, m, op)
+            op = self.operator_hook(a, m, op)
         self._cache[key] = op
         return op
 
@@ -662,14 +694,25 @@ def _mono_degree(mono) -> int:
 
 
 def _axpy(acc: dict, state: FockState, c: Fraction):
+    """acc += c * state, dropping zeros; c = +-1 skips the multiplication."""
     if c == 0:
         return
+    neg = c == -1
+    unit = neg or c == 1
     for key, v in state.terms.items():
-        s = acc.get(key, 0) + c * v
-        if s == 0:
-            acc.pop(key, None)
+        if not unit:
+            v = c * v
+        elif neg:
+            v = -v
+        prev = acc.get(key)
+        if prev is None:
+            acc[key] = v
         else:
-            acc[key] = s
+            s = prev + v
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
 
 
 def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):

@@ -170,6 +170,46 @@ def test_check_bracket_flip_fails_with_witness(tmp_path, capsys):
     assert "witness:" in out
 
 
+def test_check_bracket_flip_witness_is_pinned(tmp_path, capsys):
+    # Heisenberg vectors are numbered in the order module.act first sees them,
+    # so this line also pins the order in which operators call the module.
+    cfg = write_config(tmp_path, SL2_HEIS)
+    rc = main(["check-bracket", "--config", cfg, "--flip", "e1:1:1"])
+    assert rc == 1
+    witness = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("witness:")]
+    assert witness == [
+        'witness: {"terms":[{"coeff":"4","monomial":[[0,0,1]],"v":1},'
+        '{"coeff":"-4","monomial":[[0,1,1]],"v":10},'
+        '{"coeff":"8","monomial":[[0,2,1]],"v":7}],'
+        '"vbasis":{"1":[[0,2,1]],"10":[[0,1,1],[0,2,1]],"7":[[0,3,1]]}}']
+
+
+def test_check_bracket_flip_index_past_last_term(tmp_path, capsys):
+    cfg = write_config(tmp_path, SL2_HEIS)
+    rc = main(["check-bracket", "--config", cfg, "--flip", "f1:1:99"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_check_bracket_flip_negative_index(tmp_path, capsys):
+    cfg = write_config(tmp_path, SL2_HEIS)
+    rc = main(["check-bracket", "--config", cfg, "--flip", "e1:1:-1"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_check_bracket_flip_central_element(tmp_path, capsys):
+    cfg = write_config(tmp_path, SL2_HEIS)
+    rc = main(["check-bracket", "--config", cfg, "--flip", "c:1:0"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_check_bracket_sl3_evaluation(tmp_path, capsys):
     cfg = write_config(tmp_path, SL3_EVAL)
     rc = main(["check-bracket", "--config", cfg])

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affinefock.fock import FockState, mono_from_pairs
+from affinefock.fock import (
+    FockState,
+    apply_annihilation,
+    apply_creation,
+    mono_from_pairs,
+)
 from affinefock.formal_dist import LaurentPoly
 from affinefock.inducing import (
     character_module,
@@ -27,6 +35,7 @@ from affinefock.realization import (
     Realization,
     Term,
     _canonical_terms,
+    apply_operator,
     bernoulli,
     build_operator_explicit_sl,
     build_operator_general,
@@ -288,6 +297,97 @@ def test_double_annihilator_multiplicity():
     got = real.act(E_SL2, 1, mono_state([(0, 2, 2)]))
     # ordered slot assignments (2,2) give factor 2, creator mode 2+2+1
     assert got.terms[(mono_from_pairs([(0, 5, 1)]), 0)] == Q(2)
+
+
+# --- apply_operator against an independent reference -----------------------------------
+
+def reference_apply(op, state, module):
+    """op(state) from `instantiate_operator` over the state's mode window:
+    each (annihilators, head) key is applied with the plain Fock ladder
+    operators, the module's own action or the level."""
+    window = max((abs(n) for (mono, _v) in state.terms for _a, n, _e in mono),
+                 default=0)
+    elems = {t.head_elem.key(): t.head_elem for t in op.terms if t.head_kind == "levi"}
+    out = FockState.zero()
+    for (annih, head), coeff in instantiate_operator(op, window).items():
+        part = state
+        for alpha, mode in annih:
+            part = apply_annihilation(part, alpha, mode)
+        if head[0] == "create":
+            part = apply_creation(part, head[1], head[2])
+        elif head[0] == "levi":
+            acted = FockState.zero()
+            for (mono, v), c in part.items():
+                acted = acted + FockState({(mono, w): c * d for w, d in
+                                           module.act(elems[head[1]], head[2], v).items()})
+            part = acted
+        elif head[0] == "central":
+            part = part.scale(module.level)
+        out = out + part.scale(coeff)
+    return out
+
+
+@cache
+def reference_case(name):
+    """(realization, V indices to draw from) for each property-test setting."""
+    if name in ("sl2-heisenberg", "sl2-heisenberg-explicit"):
+        mod = sl2_heis(Q(2, 3), Q(-3, 2))
+        vs = [mod.intern(vm) for vm in ((), ((0, 1, 1),), ((0, 1, 2),), ((0, 2, 1),))]
+        engine = "explicit" if name.endswith("explicit") else "general"
+        return Realization(PD_SL2, mod, engine), vs
+    if name in ("sl3-evaluation", "sl3-evaluation-explicit"):
+        mod = evaluation_module(PD_SL3_MAX, natural_block_rep(PD_SL3_MAX, 1), Q(2))
+        engine = "explicit" if name.endswith("explicit") else "general"
+        return Realization(PD_SL3_MAX, mod, engine), list(range(mod.dim))
+    pd = parabolic_decompose(3, {2, 3})
+    w1 = pd.center_basis[0]
+    mod = character_module(pd, [(w1, 0, Q(7, 3)), (w1, 2, Q(-1))])
+    return Realization(pd, mod), [0]
+
+
+@pytest.mark.parametrize("name", ["sl2-heisenberg", "sl2-heisenberg-explicit",
+                                  "sl3-evaluation", "sl3-evaluation-explicit",
+                                  "sl4-character"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_apply_operator_matches_reference(name, data):
+    real, vs = reference_case(name)
+    pd = real.pd
+    _, elem, _ = data.draw(st.sampled_from(pd.homogeneous_basis))
+    op = real.operator(elem, data.draw(st.integers(-2, 2)))
+    # few families and modes, exponents up to 3: slots of one family meet the
+    # same variable repeatedly, and the central constraint sum is reachable
+    monomial = st.dictionaries(
+        st.tuples(st.integers(0, pd.num_alpha - 1), st.integers(-2, 2)),
+        st.integers(1, 3), max_size=3,
+    ).map(lambda d: mono_from_pairs((a, n, e) for (a, n), e in d.items()))
+    coeff = st.builds(Q, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    terms = data.draw(st.dictionaries(st.tuples(monomial, st.sampled_from(vs)),
+                                      coeff, min_size=1, max_size=3))
+    state = FockState(terms)
+    assert apply_operator(op, state, real.module) == reference_apply(op, state, real.module)
+
+
+def test_operator_hook_runs_once_per_key():
+    calls = []
+
+    def hook(a, m, op):
+        calls.append((a, m))
+        return op.with_flipped_term(0)
+
+    real = Realization(PD_SL2, sl2_char(Q(1)), operator_hook=hook)
+    state = mono_state([(0, 1, 2)])
+    for _ in range(3):
+        real.act(E_SL2, 1, state)
+        real.act(F_SL2, 0, state)
+    assert calls == [(E_SL2, 1), (F_SL2, 0)]
+
+
+def test_flipped_term_index_out_of_range():
+    op = build_operator_general(PD_SL2, E_SL2, 1)
+    for idx in (-1, len(op.terms)):
+        with pytest.raises(ValueError):
+            op.with_flipped_term(idx)
 
 
 # --- act: central element and vacuum property -----------------------------------------
