@@ -52,13 +52,7 @@ from .inducing import (
     natural_block_rep,
 )
 from .lie import ParabolicData, as_scalar, cartan_h, matrix_unit, parabolic_decompose
-from .realization import (
-    CENTRAL,
-    Realization,
-    bracket_sweep,
-    build_operator_explicit_sl,
-    build_operator_general,
-)
+from .realization import CENTRAL, Realization, bracket_sweep
 from .sampling import Sampler
 
 Q = Fraction
@@ -127,6 +121,19 @@ def _scalar(text, where: str) -> Fraction:
         raise ParseError(f"bad rational in {where}: {text!r}") from exc
 
 
+def _int(value, where: str) -> int:
+    """A JSON integer; bools, floats and strings are parse errors."""
+    if type(value) is not int:
+        raise ParseError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where} must be a list, got {value!r}")
+    return value
+
+
 def build_module(pd: ParabolicData, desc: dict):
     kind = _require(desc, "kind", "module descriptor")
     level = _scalar(desc.get("level", "0"), "module level")
@@ -137,7 +144,8 @@ def build_module(pd: ParabolicData, desc: dict):
                 elem = parse_generator(pd, _require(rec, "element", "assignment"))
                 if elem is CENTRAL:
                     raise ParseError("assign the level through 'level', not 'c'")
-                assignments.append((elem, int(_require(rec, "mode", "assignment")),
+                assignments.append((elem, _int(_require(rec, "mode", "assignment"),
+                                               "assignment mode"),
                                     _scalar(_require(rec, "value", "assignment"),
                                             "assignment")))
             return character_module(pd, assignments, level)
@@ -145,18 +153,19 @@ def build_module(pd: ParabolicData, desc: dict):
             s = _scalar(_require(desc, "s", "evaluation module"), "evaluation point")
             rep = desc.get("rep", "block")
             if rep == "block":
-                block = int(desc.get("block", 0))
+                block = _int(desc.get("block", 0), "evaluation block")
                 if not 0 <= block < len(levi_blocks(pd)):
                     raise SemanticError(f"no Levi block {block} for this parabolic")
                 rho = natural_block_rep(pd, block)
             elif rep == "trivial":
-                dim = int(desc.get("dim", 1))
+                dim = _int(desc.get("dim", 1), "evaluation dim")
                 rho = [[[Q(0)] * dim for _ in range(dim)] for _ in pd.levi_basis]
             else:
                 raise ParseError(f"unknown evaluation rep {rep!r}")
             return evaluation_module(pd, rho, s, level)
         if kind == "heisenberg_fock":
-            lam = [_scalar(v, "highest weight") for v in _require(desc, "lam", "module")]
+            lam = [_scalar(v, "highest weight")
+                   for v in _list(_require(desc, "lam", "module"), "lam")]
             return heisenberg_fock(pd, lam, level)
     except ValueError as exc:
         raise SemanticError(str(exc)) from exc
@@ -173,8 +182,9 @@ def load_config(path: str) -> Job:
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     alg = _require(obj, "algebra", "config")
     try:
-        pd = parabolic_decompose(int(_require(alg, "n", "algebra")),
-                                 [int(s) for s in alg.get("sigma", [])])
+        pd = parabolic_decompose(_int(_require(alg, "n", "algebra"), "n"),
+                                 [_int(s, "sigma entry")
+                                  for s in _list(alg.get("sigma", []), "sigma")])
     except ValueError as exc:
         raise SemanticError(str(exc)) from exc
     module = build_module(pd, _require(obj, "module", "config"))
@@ -182,9 +192,9 @@ def load_config(path: str) -> Job:
     if engine not in ("general", "explicit"):
         raise ParseError(f"unknown engine {engine!r}")
     window = obj.get("window", {})
-    max_mode = int(window.get("max_mode", 3))
-    max_degree = int(window.get("max_degree", 3))
-    samples = int(window.get("samples", 20))
+    max_mode = _int(window.get("max_mode", 3), "max_mode")
+    max_degree = _int(window.get("max_degree", 3), "max_degree")
+    samples = _int(window.get("samples", 20), "samples")
     if max_mode < 0 or max_degree < 0 or samples < 1:
         raise SemanticError("window parameters must be nonnegative (samples >= 1)")
     output = obj.get("output", "text")
@@ -192,7 +202,7 @@ def load_config(path: str) -> Job:
         raise ParseError(f"unknown output mode {output!r}")
     return Job(pd=pd, module=module, engine=engine, max_mode=max_mode,
                max_degree=max_degree, samples=samples,
-               seed=int(obj.get("seed", 0)), output=output)
+               seed=_int(obj.get("seed", 0), "seed"), output=output)
 
 
 def make_realization(job: Job, operator_hook=None) -> Realization:
@@ -337,10 +347,8 @@ def cmd_compare_engines(job: Job) -> int:
     lines = [_header(job)]
     bad = 0
     for name, elem, _ in job.pd.homogeneous_basis:
-        structural = all(
-            build_operator_general(job.pd, elem, m).terms
-            == build_operator_explicit_sl(job.pd, elem, m).terms
-            for m in range(-job.max_mode, job.max_mode + 1))
+        structural = all(gen.operator(elem, m).terms == exp.operator(elem, m).terms
+                         for m in range(-job.max_mode, job.max_mode + 1))
         action = all(gen.act(elem, m, s) == exp.act(elem, m, s)
                      for m in range(-job.max_mode, job.max_mode + 1)
                      for s in states)

@@ -426,6 +426,9 @@ class ParabolicData:
             (name, el, self.height_of(el)) for name, el in zip(names, elems))
 
         self._center_cache: dict[LieElement, tuple[Fraction, ...]] = {}
+        # adjoint word tree of each element reached by the series expansion,
+        # filled lazily by `realization._ad_levels`
+        self.ad_levels_cache: dict[LieElement, tuple] = {}
 
     # -- identity ----------------------------------------------------------
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import factorial, lcm
 
@@ -94,15 +94,18 @@ def _binom(a: int, b: int) -> Fraction:
     return Q(factorial(a), factorial(b) * factorial(a - b))
 
 
+@cache
 def _coeff_flow(j: int) -> Fraction:
     """Coefficient of x^j in x e^x / (e^x - 1), i.e. (-1)^j B_j / j!."""
     return Q((-1) ** j) * bernoulli(j) / factorial(j)
 
 
+@cache
 def _coeff_exp_neg(j: int) -> Fraction:
     return Q((-1) ** j, factorial(j))
 
 
+@cache
 def _coeff_g(j: int) -> Fraction:
     """Coefficient of x^j in (e^x - 1)/x."""
     return Q(1, factorial(j + 1))
@@ -117,26 +120,44 @@ class SeriesTerm:
     coeff: Fraction
 
 
-def _ad_levels(pd: ParabolicData, base: LieElement) -> list[list[tuple[tuple[int, ...], LieElement]]]:
+AdLevels = tuple[tuple[tuple[tuple[int, ...], LieElement], ...], ...]
+
+
+def _ad_levels(pd: ParabolicData, base: LieElement) -> AdLevels:
     """Iterated adjoint words of the f-basis applied to base, by word length.
 
-    Terminates by grading nilpotency; the hard cap 2*depth_k + 2 is asserted
-    never to be reached with surviving terms.
+    Level k lists the surviving words of length k in lexicographic order, each
+    with (ad f_{w_k} o ... o ad f_{w_1})(base); the last level is empty.  All
+    calls on one parabolic share a single memoized word tree in
+    `pd.ad_levels_cache`: the words starting with beta are beta followed by
+    the words of [f_beta, base], so each distinct element is bracketed with
+    each f_beta only once per parabolic.  Terminates by grading nilpotency; a
+    surviving word of length 2*depth_k + 2 raises AssertionError.
     """
+    return _ad_tree(pd, base, 0)
+
+
+def _ad_tree(pd: ParabolicData, base: LieElement, depth: int) -> AdLevels:
+    """`_ad_levels` of base, where base is reached by a word of length depth,
+    so the truncation cap counts that prefix too."""
     cap = 2 * pd.depth_k + 2
-    levels: list[list[tuple[tuple[int, ...], LieElement]]] = []
-    current = [((), base)] if not base.is_zero() else []
-    levels.append(current)
-    while levels[-1]:
-        if len(levels) > cap:
-            raise AssertionError("adjoint series failed to truncate (grading bug)")
-        nxt = []
-        for word, x in levels[-1]:
-            for beta, f in enumerate(pd.f_basis):
-                y = bracket(f, x)
-                if not y.is_zero():
-                    nxt.append((word + (beta,), y))
-        levels.append(nxt)
+    levels = pd.ad_levels_cache.get(base)
+    if levels is None:
+        if base.is_zero():
+            levels = ((),)
+        else:
+            if depth >= cap:
+                raise AssertionError("adjoint series failed to truncate (grading bug)")
+            subs = [_ad_tree(pd, bracket(f, base), depth + 1) for f in pd.f_basis]
+            root_level = (((), base),)
+            levels = (root_level,) + tuple(
+                tuple(((beta,) + word, x)
+                      for beta, sub in enumerate(subs) if k < len(sub)
+                      for word, x in sub[k])
+                for k in range(max(map(len, subs), default=1)))
+        pd.ad_levels_cache[base] = levels
+    if depth + len(levels) - 2 >= cap:
+        raise AssertionError("adjoint series failed to truncate (grading bug)")
     return levels
 
 

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+import affinefock.cli as cli
+import affinefock.realization as rz
 from affinefock.cli import main
+from affinefock.lie import parabolic_decompose
 
 SL2_HEIS = {
     "algebra": {"n": 1, "sigma": []},
@@ -104,6 +108,41 @@ def test_parse_error_bad_config(tmp_path):
     rc = main(["act", "--config", str(path), "--generator", "f1",
                "--mode", "0", "--state", "vacuum"])
     assert rc == 2
+
+
+def act_on_vacuum(tmp_path, cfg):
+    return main(["act", "--config", write_config(tmp_path, cfg), "--generator",
+                 "f1", "--mode", "0", "--state", "vacuum"])
+
+
+def test_parse_error_max_mode_string(tmp_path, capsys):
+    cfg = dict(SL2_CHAR, window={"max_mode": "abc", "max_degree": 2, "samples": 3})
+    assert act_on_vacuum(tmp_path, cfg) == 2
+    assert "max_mode" in capsys.readouterr().err
+
+
+def test_parse_error_max_mode_float(tmp_path, capsys):
+    cfg = dict(SL2_CHAR, window={"max_mode": 1.7, "max_degree": 2, "samples": 3})
+    assert act_on_vacuum(tmp_path, cfg) == 2
+    assert "max_mode" in capsys.readouterr().err
+
+
+def test_parse_error_seed_bool(tmp_path, capsys):
+    cfg = dict(SL2_CHAR, seed=True)
+    assert act_on_vacuum(tmp_path, cfg) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_parse_error_lam_string(tmp_path, capsys):
+    cfg = dict(SL2_HEIS, module={"kind": "heisenberg_fock", "level": "1", "lam": "12"})
+    assert act_on_vacuum(tmp_path, cfg) == 2
+    assert "lam" in capsys.readouterr().err
+
+
+def test_parse_error_rank_string(tmp_path, capsys):
+    cfg = dict(SL2_CHAR, algebra={"n": "1.5", "sigma": []})
+    assert act_on_vacuum(tmp_path, cfg) == 2
+    assert "n must be an integer" in capsys.readouterr().err
 
 
 def test_semantic_error_nonzero_level_character(tmp_path):
@@ -242,6 +281,23 @@ def test_compare_engines_sl3(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS all 8 generators agree" in out
+
+
+def test_compare_engines_builds_each_operator_once(tmp_path, capsys, monkeypatch):
+    builds = Counter()
+    build = rz.build_operator_general
+
+    def counting_build(pd, a, m):
+        builds[(a, m)] += 1
+        return build(pd, a, m)
+
+    monkeypatch.setattr(rz, "build_operator_general", counting_build)
+    monkeypatch.setattr(cli, "build_operator_general", counting_build, raising=False)
+    rc = main(["compare-engines", "--config", write_config(tmp_path, SL3_EVAL)])
+    assert rc == 0
+    pd = parabolic_decompose(2, [2])
+    assert builds == Counter({(elem, m): 1 for _, elem, _ in pd.homogeneous_basis
+                              for m in (-1, 0, 1)})
 
 
 def test_compare_engines_rejects_borel_sl3(tmp_path):

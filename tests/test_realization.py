@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -34,6 +35,7 @@ from affinefock.realization import (
     NormalOrderedOperator,
     Realization,
     Term,
+    _ad_levels,
     _canonical_terms,
     apply_operator,
     bernoulli,
@@ -151,6 +153,35 @@ def test_series_bernoulli_correction_sl3_borel():
 def test_series_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         series_expand(PD_SL2, E_SL2 + F_SL2, "D")
+
+
+def test_series_truncation_guard_on_non_nilpotent_f_basis():
+    pd = parabolic_decompose(2, ())
+    pd.f_basis = (matrix_unit(2, 1, 2) + matrix_unit(2, 2, 1),)
+    with pytest.raises(AssertionError, match="failed to truncate"):
+        series_expand(pd, cartan_h(2, 1), "D")
+
+
+def breadth_first_ad_levels(pd, base):
+    """Reference word levels: extend every surviving word by every f-basis
+    letter, one word length at a time."""
+    levels = [[((), base)] if not base.is_zero() else []]
+    while levels[-1]:
+        levels.append([(word + (beta,), y)
+                       for word, x in levels[-1]
+                       for beta, f in enumerate(pd.f_basis)
+                       if not (y := bracket(f, x)).is_zero()])
+    return levels
+
+
+@pytest.mark.parametrize("n, sigma", [(4, ()), (3, (2, 3)), (2, (2,))])
+def test_ad_levels_match_breadth_first_reference(n, sigma):
+    pd = parabolic_decompose(n, sigma)
+    bases = [elem for _, elem, _ in pd.homogeneous_basis] + list(pd.f_basis)
+    for _ in range(2):  # cold misses first, then cache hits
+        for base in bases:
+            levels = [list(level) for level in _ad_levels(pd, base)]
+            assert levels == breadth_first_ad_levels(pd, base)
 
 
 # --- operator assembly: closed forms ----------------------------------------------
@@ -381,6 +412,18 @@ def test_operator_hook_runs_once_per_key():
         real.act(E_SL2, 1, state)
         real.act(F_SL2, 0, state)
     assert calls == [(E_SL2, 1), (F_SL2, 0)]
+
+
+def test_sl5_borel_operators_golden_digest():
+    """All 24 sl(5) Borel basis operators at mode 1, rendered and hashed as the
+    construction benchmark (perfbench/child.py, run_build) does."""
+    pd = parabolic_decompose(4, ())
+    real = Realization(pd, character_module(pd))
+    text = "".join(f"{name} 1\n{real.operator(elem, 1).render()}\n"
+                   for name, elem, _ in pd.homogeneous_basis)
+    assert len(pd.homogeneous_basis) == 24
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f28cbae0a47bb26e32de8ae0ec2150a2e7c9fc0210d13e528ba353302d1f1f81")
 
 
 def test_flipped_term_index_out_of_range():
