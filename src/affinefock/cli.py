@@ -23,7 +23,8 @@ Module descriptors:
 
 Generator names: `c` (central), `hI` (Cartan coroot), `wR` (center of the
 Levi), `fK` / `eK` (1-based nilradical enumeration), `EI.J` (matrix unit).
-Rationals are always "p/q" strings; state files use the canonical Fock format.
+Rationals are "p/q" strings or JSON integers; state files use the canonical
+Fock format.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ class Job:
 
 
 def parse_generator(pd: ParabolicData, name: str):
+    if not isinstance(name, str):
+        raise ParseError(f"generator names are strings, got {name!r}")
     if name == "c":
         return CENTRAL
     m = re.fullmatch(r"h(\d+)", name)
@@ -115,9 +118,10 @@ def _require(obj: dict, key: str, where: str):
 
 
 def _scalar(text, where: str) -> Fraction:
+    """A "p/q" string or a JSON integer; floats and bools are parse errors."""
     try:
-        return as_scalar(text if isinstance(text, str) else int(text))
-    except (TypeError, ValueError) as exc:
+        return as_scalar(text)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational in {where}: {text!r}") from exc
 
 
@@ -134,13 +138,20 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _obj(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def build_module(pd: ParabolicData, desc: dict):
     kind = _require(desc, "kind", "module descriptor")
     level = _scalar(desc.get("level", "0"), "module level")
     try:
         if kind == "character":
             assignments = []
-            for rec in desc.get("assignments", []):
+            for rec in _list(desc.get("assignments", []), "assignments"):
+                rec = _obj(rec, "assignment")
                 elem = parse_generator(pd, _require(rec, "element", "assignment"))
                 if elem is CENTRAL:
                     raise ParseError("assign the level through 'level', not 'c'")
@@ -180,18 +191,19 @@ def load_config(path: str) -> Job:
         raise ParseError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc}") from exc
-    alg = _require(obj, "algebra", "config")
+    obj = _obj(obj, "config")
+    alg = _obj(_require(obj, "algebra", "config"), "algebra")
     try:
         pd = parabolic_decompose(_int(_require(alg, "n", "algebra"), "n"),
                                  [_int(s, "sigma entry")
                                   for s in _list(alg.get("sigma", []), "sigma")])
     except ValueError as exc:
         raise SemanticError(str(exc)) from exc
-    module = build_module(pd, _require(obj, "module", "config"))
+    module = build_module(pd, _obj(_require(obj, "module", "config"), "module"))
     engine = obj.get("engine", "general")
     if engine not in ("general", "explicit"):
         raise ParseError(f"unknown engine {engine!r}")
-    window = obj.get("window", {})
+    window = _obj(obj.get("window", {}), "window")
     max_mode = _int(window.get("max_mode", 3), "max_mode")
     max_degree = _int(window.get("max_degree", 3), "max_degree")
     samples = _int(window.get("samples", 20), "samples")
@@ -214,7 +226,10 @@ def make_realization(job: Job, operator_hook=None) -> Realization:
 
 def load_state(job: Job, spec: str) -> FockState:
     if spec == "vacuum" or spec.startswith("vacuum:"):
-        v = int(spec.split(":", 1)[1]) if ":" in spec else 0
+        index = "0" if spec == "vacuum" else spec[len("vacuum:"):]
+        if not re.fullmatch(r"-?[0-9]+", index):
+            raise ParseError(f"bad vacuum index in --state {spec!r}")
+        v = int(index)
         try:
             job.module.check_v_index(v)
         except ValueError as exc:
@@ -274,6 +289,14 @@ def _flipped_realization(job: Job, flip: str) -> Realization:
     return real
 
 
+def _require_negative_modes(job: Job):
+    """Sweeps act in every mode down to -max_mode, and an evaluation module
+    at s = 0 defines no negative mode."""
+    if job.max_mode > 0 and job.module.kind == "evaluation" and job.module.s == 0:
+        raise SemanticError("an evaluation module at s = 0 leaves negative modes "
+                            "undefined; use s != 0 or max_mode 0")
+
+
 # --- commands ---------------------------------------------------------------------
 
 def cmd_act(job: Job, generator: str, mode: int, state_spec: str,
@@ -297,6 +320,7 @@ def cmd_dump(job: Job, generator: str, mode: int, out_path: str | None) -> int:
 
 
 def cmd_check_bracket(job: Job, records_path: str | None, flip: str | None) -> int:
+    _require_negative_modes(job)
     real = _flipped_realization(job, flip) if flip else make_realization(job)
     smp = Sampler(job.seed)
     states = smp.fock_states(job.module, job.samples, job.max_degree, job.max_mode)
@@ -337,6 +361,7 @@ def _finish(lines, records, records_path):
 
 
 def cmd_compare_engines(job: Job) -> int:
+    _require_negative_modes(job)
     try:
         gen = Realization(job.pd, job.module, "general")
         exp = Realization(job.pd, job.module, "explicit")

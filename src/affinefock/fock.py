@@ -18,10 +18,11 @@ by (alpha, mode), which makes serialization bit-exact.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .lie import LieElement, ParabolicData, as_scalar
+from .lie import LieElement, ParabolicData, add_to, as_scalar
 
 Q = Fraction
 
@@ -29,6 +30,15 @@ Q = Fraction
 Monomial = tuple
 
 EMPTY_MONOMIAL: Monomial = ()
+
+
+def int_triples(obj) -> list[tuple[int, int, int]]:
+    """A JSON list of [int, int, int] triples, as tuples; TypeError otherwise."""
+    if not isinstance(obj, list) or not all(
+            isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)
+            for t in obj):
+        raise TypeError(f"expected a list of integer triples, got {obj!r}")
+    return [tuple(t) for t in obj]
 
 
 def mono_from_pairs(pairs: Iterable[tuple[int, int, int]]) -> Monomial:
@@ -91,6 +101,13 @@ class FockState:
                 self.terms[key] = c
 
     @classmethod
+    def of(cls, terms: dict[tuple[Monomial, int], Fraction]) -> "FockState":
+        """Wrap a dict that holds no zero coefficient, without copying it."""
+        st = cls.__new__(cls)
+        st.terms = terms
+        return st
+
+    @classmethod
     def vacuum(cls, v_index: int = 0) -> "FockState":
         return cls({(EMPTY_MONOMIAL, v_index): Q(1)})
 
@@ -120,19 +137,11 @@ class FockState:
     def __add__(self, other: "FockState") -> "FockState":
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, Q(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        st = FockState.__new__(FockState)
-        st.terms = out
-        return st
+            add_to(out, key, c)
+        return FockState.of(out)
 
     def __neg__(self) -> "FockState":
-        st = FockState.__new__(FockState)
-        st.terms = {k: -c for k, c in self.terms.items()}
-        return st
+        return FockState.of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -141,19 +150,13 @@ class FockState:
         c = as_scalar(c)
         if c == 0:
             return FockState.zero()
-        st = FockState.__new__(FockState)
-        st.terms = {k: c * v for k, v in self.terms.items()}
-        return st
+        return FockState.of({k: c * v for k, v in self.terms.items()})
 
 
 def apply_creation(state: FockState, alpha: int, mode: int) -> FockState:
     """Multiplication by b(alpha, mode); raises the polynomial degree by one."""
-    out: dict = {}
-    for (mono, v), c in state.terms.items():
-        out[(mono_mul_var(mono, alpha, mode), v)] = c
-    st = FockState.__new__(FockState)
-    st.terms = out
-    return st
+    return FockState.of({(mono_mul_var(mono, alpha, mode), v): c
+                         for (mono, v), c in state.terms.items()})
 
 
 def apply_annihilation(state: FockState, alpha: int, mode: int) -> FockState:
@@ -164,15 +167,8 @@ def apply_annihilation(state: FockState, alpha: int, mode: int) -> FockState:
         if hit is None:
             continue
         exp, reduced = hit
-        key = (reduced, v)
-        s = out.get(key, Q(0)) - exp * c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    st = FockState.__new__(FockState)
-    st.terms = out
-    return st
+        add_to(out, (reduced, v), -exp * c)
+    return FockState.of(out)
 
 
 def pbw_degree(state: FockState) -> int:
@@ -256,14 +252,25 @@ def state_to_obj(state: FockState, module=None) -> dict:
 
 
 def state_from_obj(obj: dict, module=None) -> FockState:
+    """Inverse of `state_to_obj`.  A malformed object raises TypeError or
+    KeyError; one that does not fit the module raises ValueError."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"a state is a JSON object, got {obj!r}")
     remap: dict[int, int] = {}
     if module is not None and getattr(module, "needs_vbasis", False):
-        for key, desc in (obj.get("vbasis") or {}).items():
+        vbasis = obj.get("vbasis") or {}
+        if not isinstance(vbasis, dict):
+            raise TypeError(f"vbasis must be a JSON object, got {vbasis!r}")
+        for key, desc in vbasis.items():
+            if not re.fullmatch(r"[0-9]+", key):
+                raise TypeError(f"vbasis key {key!r} is not a vector index")
             remap[int(key)] = module.v_from_obj(desc)
     terms: dict = {}
     for rec in obj.get("terms", []):
-        mono = mono_from_pairs((int(a), int(n), int(e)) for a, n, e in rec["monomial"])
-        v = int(rec["v"])
+        mono = mono_from_pairs(int_triples(rec["monomial"]))
+        v = rec["v"]
+        if type(v) is not int:
+            raise TypeError(f"vector index must be an integer, got {v!r}")
         v = remap.get(v, v)
         if module is not None:
             module.check_v_index(v)
@@ -271,8 +278,12 @@ def state_from_obj(obj: dict, module=None) -> FockState:
                 if not 0 <= a < module.pd.num_alpha:
                     raise ValueError(f"variable family {a} outside the "
                                      f"nilradical enumeration")
+        try:
+            coeff = as_scalar(rec["coeff"])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise TypeError(f"bad coefficient {rec['coeff']!r}") from exc
         key = (mono, v)
-        terms[key] = terms.get(key, Q(0)) + as_scalar(rec["coeff"])
+        terms[key] = terms.get(key, Q(0)) + coeff
     return FockState(terms)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .lie import as_scalar
+from .lie import add_to, as_scalar
 
 Q = Fraction
 
@@ -62,11 +62,7 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            s = out.get(m, Q(0)) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            add_to(out, m, c)
         return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -83,12 +79,7 @@ class LaurentPoly:
         out: dict[int, Fraction] = {}
         for m, a in self.coeffs.items():
             for k, b in other.coeffs.items():
-                key = m + k
-                s = out.get(key, Q(0)) + a * b
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                add_to(out, m + k, a * b)
         return LaurentPoly(out)
 
     def derivative(self, order: int = 1) -> "LaurentPoly":
@@ -274,13 +265,5 @@ def bilateral_coefficients(kernel: DeltaKernel, z_window: int, w_window: int,
                 q = j - p - 1 - d
                 if abs(q) > w_window:
                     continue
-                val = c * fall
-                if val == 0:
-                    continue
-                key = (p, q)
-                s = out.get(key, Q(0)) + val
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                add_to(out, (p, q), c * fall)
     return out

@@ -21,12 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .fock import int_triples, mono_d_var, mono_mul_var
 from .lie import (
     LieElement,
     ParabolicData,
     _solve_exact,
+    add_to,
     as_scalar,
     bracket,
+    bracket_residual,
     form,
 )
 
@@ -62,11 +65,7 @@ class InducingModule:
         out: dict[int, Fraction] = {}
         for v, c in vec.items():
             for w, d in self.act(x, mode, v).items():
-                s = out.get(w, Q(0)) + c * d
-                if s == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                add_to(out, w, c * d)
         return out
 
     def v_weight(self, v_index: int, h: LieElement) -> Fraction | None:
@@ -340,13 +339,7 @@ class HeisenbergFockModule(InducingModule):
             for i, c in enumerate(coords):
                 if c == 0:
                     continue
-                new = _vmono_mul(mono, i, r)
-                idx = self.intern(new)
-                s = out.get(idx, Q(0)) + c
-                if s == 0:
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
+                add_to(out, self.intern(mono_mul_var(mono, i, r)), c)
         else:
             kappa = self.level
             if kappa != 0:
@@ -357,16 +350,11 @@ class HeisenbergFockModule(InducingModule):
                         g = self.gram[i][j]
                         if g == 0:
                             continue
-                        hit = _vmono_d(mono, j, mode)
+                        hit = mono_d_var(mono, j, mode)
                         if hit is None:
                             continue
                         exp, reduced = hit
-                        idx = self.intern(reduced)
-                        s = out.get(idx, Q(0)) + c * kappa * mode * g * exp
-                        if s == 0:
-                            out.pop(idx, None)
-                        else:
-                            out[idx] = s
+                        add_to(out, self.intern(reduced), c * kappa * mode * g * exp)
         return out
 
     def v_weight(self, v_index: int, h: LieElement) -> Fraction:
@@ -387,7 +375,7 @@ class HeisenbergFockModule(InducingModule):
         for _ in range(deg):
             i = sampler.randint(0, self.pd.n - 1)
             r = sampler.randint(1, 2)
-            mono = _vmono_mul(mono, i, r)
+            mono = mono_mul_var(mono, i, r)
         return self.intern(mono)
 
     def v_to_obj(self, v_index: int):
@@ -395,30 +383,15 @@ class HeisenbergFockModule(InducingModule):
 
     def v_from_obj(self, obj) -> int:
         acc: dict[tuple[int, int], int] = {}
-        for i, r, e in obj:
+        for i, r, e in int_triples(obj):
             if r < 1 or e < 1:
                 raise ValueError("invalid V-monomial entry")
-            acc[(int(i), int(r))] = acc.get((int(i), int(r)), 0) + int(e)
+            acc[(i, r)] = acc.get((i, r), 0) + e
         return self.intern(tuple(sorted((i, r, e) for (i, r), e in acc.items())))
 
     def describe(self) -> str:
         lam = ",".join(str(v) for v in self.lam)
         return f"heisenberg_fock(lam=[{lam}], level={self.level})"
-
-
-def _vmono_mul(mono: tuple, i: int, r: int) -> tuple:
-    out = dict(((a, b), e) for a, b, e in mono)
-    out[(i, r)] = out.get((i, r), 0) + 1
-    return tuple(sorted((a, b, e) for (a, b), e in out.items()))
-
-
-def _vmono_d(mono: tuple, i: int, r: int):
-    for idx, (a, b, e) in enumerate(mono):
-        if (a, b) == (i, r):
-            reduced = mono[:idx] + mono[idx + 1:] if e == 1 else \
-                mono[:idx] + ((a, b, e - 1),) + mono[idx + 1:]
-            return e, reduced
-    return None
 
 
 def _mat_zero(dim):
@@ -495,38 +468,22 @@ def axiom_check(module: InducingModule, window: int,
     """Verify the mode-level bracket relations on the given V-vectors.
 
     For every ordered pair (x, y) of Levi basis elements and |m|, |n| within
-    the window, compares sigma([x_m, y_n]) including the central term against
-    the commutator of the separate actions.
+    the window, the commutator of the separate actions must equal
+    sigma([x_m, y_n]) including the central term (`lie.bracket_residual`).
     """
     pd = module.pd
     checks = 0
     for x in pd.levi_basis:
         for y in pd.levi_basis:
-            xy = bracket(x, y)
-            pairing = form(x, y)
             for m in range(-window, window + 1):
                 for n in range(-window, window + 1):
                     for si, vec in enumerate(states):
                         checks += 1
-                        lhs = module.act_vec(xy, m + n, vec)
-                        if m == -n and m != 0 and pairing != 0:
-                            extra = m * pairing * module.level
-                            for v, c in vec.items():
-                                s = lhs.get(v, Q(0)) + extra * c
-                                if s == 0:
-                                    lhs.pop(v, None)
-                                else:
-                                    lhs[v] = s
-                        rhs = module.act_vec(x, m, module.act_vec(y, n, vec))
-                        for v, c in module.act_vec(y, n, module.act_vec(x, m, vec)).items():
-                            s = rhs.get(v, Q(0)) - c
-                            if s == 0:
-                                rhs.pop(v, None)
-                            else:
-                                rhs[v] = s
-                        if lhs != rhs:
+                        res = bracket_residual(module.act_vec, x, m, y, n, vec,
+                                               module.level)
+                        if res:
                             return AxiomReport(
                                 False, checks,
                                 f"x={x!r} y={y!r} m={m} n={n} state#{si}: "
-                                f"sigma([x_m,y_n]) = {lhs} but commutator = {rhs}")
+                                f"[sigma(x_m), sigma(y_n)] - sigma([x_m,y_n]) = {res}")
     return AxiomReport(True, checks)

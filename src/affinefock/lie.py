@@ -30,14 +30,24 @@ MAX_RANK = 12
 
 
 def as_scalar(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact scalar."""
+    """Coerce ints, Fractions and 'p/q' strings to an exact scalar; bools
+    and floats are rejected."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
+
+
+def add_to(acc: dict, key, c) -> None:
+    """acc[key] += c on a sparse dict, dropping the key when the sum is zero."""
+    s = acc.get(key, 0) + c
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
 
 
 class LieElement:
@@ -102,11 +112,7 @@ class LieElement:
         self._check_rank(other)
         out = dict(self.entries)
         for k, c in other.entries.items():
-            s = out.get(k, Fraction(0)) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
+            add_to(out, k, c)
         return _raw(self.n, out)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
@@ -137,12 +143,7 @@ class LieElement:
         out: dict[tuple[int, int], Fraction] = {}
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
-                key = (i, j)
-                s = out.get(key, Fraction(0)) + a * b
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                add_to(out, (i, j), a * b)
         return out
 
 
@@ -185,11 +186,7 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     a._check_rank(b)
     out = a.matmul_entries(b)
     for k, c in b.matmul_entries(a).items():
-        s = out.get(k, Fraction(0)) - c
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
+        add_to(out, k, -c)
     return _raw(a.n, out)
 
 
@@ -614,6 +611,13 @@ def loop_central(n: int, kappa) -> LoopElement:
     return LoopElement(n, {}, as_scalar(kappa))
 
 
+def central_coeff(a: LieElement, b: LieElement, m: int, n: int) -> Fraction:
+    """The central coefficient m (a,b) delta_{m,-n} of [a_m, b_n]."""
+    if m != -n or m == 0:
+        return Fraction(0)
+    return Fraction(m) * form(a, b)
+
+
 def loop_bracket(x: LoopElement, y: LoopElement) -> LoopElement:
     """[a_m, b_n] = [a,b]_{m+n} + m (a,b) delta_{m,-n} c, extended bilinearly."""
     if x.n != y.n:
@@ -622,6 +626,28 @@ def loop_bracket(x: LoopElement, y: LoopElement) -> LoopElement:
     for m, a in x.terms.items():
         for n_, b in y.terms.items():
             out = out + loop(bracket(a, b), m + n_)
-            if m == -n_ and m != 0:
-                out = out + loop_central(x.n, Fraction(m) * form(a, b))
+            central = central_coeff(a, b, m, n_)
+            if central:
+                out = out + loop_central(x.n, central)
     return out
+
+
+def bracket_residual(act, a: LieElement, m: int, b: LieElement, n: int,
+                     vec: dict, level) -> dict:
+    """a_m(b_n v) - b_n(a_m v) - [a,b]_{m+n} v - m (a,b) delta_{m,-n} level v.
+
+    The affine bracket relation on one vector, as a sparse dict that is empty
+    exactly when the relation holds.  `act(x, mode, vec) -> dict` is any
+    representation on sparse vectors; it is called in the order of the
+    formula, which fixes the order in which modules first meet new vectors.
+    """
+    res = dict(act(a, m, act(b, n, vec)))
+    for key, c in act(b, n, act(a, m, vec)).items():
+        add_to(res, key, -c)
+    for key, c in act(bracket(a, b), m + n, vec).items():
+        add_to(res, key, -c)
+    central = central_coeff(a, b, m, n) * level
+    if central:
+        for key, c in vec.items():
+            add_to(res, key, -central * c)
+    return res

@@ -42,13 +42,15 @@ from functools import cache, cached_property
 from itertools import product
 from math import factorial, lcm
 
-from .fock import FockState, mono_from_pairs, mono_mul_var
+from .fock import FockState, degree_component, mono_mul_var
 from .formal_dist import LaurentPoly
 from .lie import (
     LieElement,
     ParabolicData,
-    as_scalar,
+    add_to,
     bracket,
+    bracket_residual,
+    central_coeff,
     coords_in_basis,
     form,
 )
@@ -567,9 +569,7 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
                     else:
                         out.pop(key, None)
     total = denom * scale
-    st = FockState.__new__(FockState)
-    st.terms = {k: Q(v, total) for k, v in out.items()}
-    return st
+    return FockState.of({k: Q(v, total) for k, v in out.items()})
 
 
 def instantiate_operator(op: NormalOrderedOperator, window: int,
@@ -600,12 +600,7 @@ def instantiate_operator(op: NormalOrderedOperator, window: int,
                 head = ("central",)
             else:
                 head = ("id",)
-            key = (annih, head)
-            s = out.get(key, Q(0)) + coeff
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_to(out, (annih, head), coeff)
     return out
 
 
@@ -667,18 +662,17 @@ class Realization:
     def check_bracket(self, a, b, m: int, n: int, state: FockState,
                       ) -> tuple[bool, FockState]:
         """Residual of the bracket relation on a state; (passed, witness)."""
-        left = (self.act(a, m, self.act(b, n, state))
-                - self.act(b, n, self.act(a, m, state)))
         if a is CENTRAL or b is CENTRAL:
-            residual = left
+            residual = (self.act(a, m, self.act(b, n, state))
+                        - self.act(b, n, self.act(a, m, state)))
         else:
-            residual = left - self.act(bracket(a, b), m + n, state)
-            if m == -n and m != 0:
-                pairing = form(a, b)
-                if pairing != 0:
-                    residual = residual - state.scale(
-                        Q(m) * pairing * self.module.level)
+            residual = FockState.of(bracket_residual(
+                self._act_terms, a, m, b, n, state.terms, self.module.level))
         return residual.is_zero(), residual
+
+    def _act_terms(self, a: LieElement, m: int, terms: dict) -> dict:
+        """`act` on the term dict of a state, for `lie.bracket_residual`."""
+        return self.act(a, m, FockState.of(terms)).terms
 
     def vacuum_expected(self, a: LieElement, m: int, v_index: int = 0) -> FockState:
         """1 (x) sigma(a_m) v, the required value of pi(a_m) on the vacuum."""
@@ -698,20 +692,9 @@ class Realization:
             nxt: dict = {}
             for (mono, v), c in expected.items():
                 for mode, gc in g.coeffs.items():
-                    key = (mono_mul_var(mono, alpha, mode), v)
-                    s = nxt.get(key, Q(0)) + c * gc
-                    if s == 0:
-                        nxt.pop(key, None)
-                    else:
-                        nxt[key] = s
+                    add_to(nxt, (mono_mul_var(mono, alpha, mode), v), c * gc)
             expected = nxt
-        top = FockState({k: c for k, c in state.terms.items()
-                         if _mono_degree(k[0]) == len(seq)})
-        return top == FockState(expected)
-
-
-def _mono_degree(mono) -> int:
-    return sum(e for _, _, e in mono)
+        return degree_component(state, len(seq)) == FockState(expected)
 
 
 def _axpy(acc: dict, state: FockState, c: Fraction):
@@ -759,25 +742,20 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
         return P[i][m + wide][si]
 
     idx_of = {name: i for i, (name, _, _) in enumerate(basis)}
-    btab = []
-    ftab = []
-    for _, a, _ in basis:
-        brow = []
-        frow = []
-        for _, b, _ in basis:
-            coords = coords_in_basis(bracket(a, b))
-            brow.append(tuple((idx_of[nm], c) for nm, c in sorted(coords.items())))
-            frow.append(form(a, b))
-        btab.append(brow)
-        ftab.append(frow)
+    btab = [[tuple((idx_of[nm], c)
+                   for nm, c in sorted(coords_in_basis(bracket(a, b)).items()))
+             for _, b, _ in basis]
+            for _, a, _ in basis]
 
     checks = 0
     for i, (aname, a, _) in enumerate(basis):
         for j, (bname, b, _) in enumerate(basis):
             coords = btab[i][j]
-            pairing = ftab[i][j]
             for m in range(-max_mode, max_mode + 1):
                 for n in range(-max_mode, max_mode + 1):
+                    central = 0
+                    if kappa != 0 and m == -n:
+                        central = -central_coeff(a, b, m, n) * kappa
                     for si, s in enumerate(states):
                         checks += 1
                         acc: dict = {}
@@ -785,8 +763,8 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
                         _axpy(acc, real.act(b, n, p_at(i, m, si)), Q(-1))
                         for k, c in coords:
                             _axpy(acc, p_at(k, m + n, si), -c)
-                        if m == -n and m != 0 and pairing != 0 and kappa != 0:
-                            _axpy(acc, s, -Q(m) * pairing * kappa)
+                        if central:
+                            _axpy(acc, s, central)
                         ok = not acc
                         if on_check is not None:
                             on_check(aname, bname, m, n, si, ok)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fock import FockState, mono_from_pairs
+from .lie import add_to
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
@@ -78,13 +79,8 @@ class Sampler:
         for _ in range(count):
             vec: dict[int, Fraction] = {}
             for _ in range(2):
-                v = module.sample_v(self)
-                c = self.rational()
-                s = vec.get(v, Fraction(0)) + c
-                if s == 0:
-                    vec.pop(v, None)
-                else:
-                    vec[v] = s
+                v = module.sample_v(self)  # drawn before the coefficient
+                add_to(vec, v, self.rational())
             if not vec:
                 vec = {module.sample_v(self): Fraction(1)}
             out.append(vec)

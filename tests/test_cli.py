@@ -375,3 +375,114 @@ def test_state_files_byte_identical(tmp_path):
               "--state", "vacuum", "--out", str(out)])
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# --- strict config shapes and scalars ---------------------------------------------------
+
+def test_parse_error_level_float(tmp_path, capsys):
+    cfg = dict(SL2_HEIS, module={"kind": "heisenberg_fock", "level": 1.7, "lam": ["1"]})
+    assert main(["check-bracket", "--config", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "level" in captured.err
+    assert captured.out == ""
+
+
+def test_parse_error_level_bool(tmp_path, capsys):
+    cfg = dict(SL2_HEIS, module={"kind": "heisenberg_fock", "level": True, "lam": ["1"]})
+    assert main(["check-bracket", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "level" in capsys.readouterr().err
+
+
+def test_parse_error_window_list(tmp_path, capsys):
+    assert act_on_vacuum(tmp_path, dict(SL2_CHAR, window=[1])) == 2
+    assert "window must be a JSON object" in capsys.readouterr().err
+
+
+def test_parse_error_algebra_integer(tmp_path, capsys):
+    assert act_on_vacuum(tmp_path, dict(SL2_CHAR, algebra=3)) == 2
+    assert "algebra must be a JSON object" in capsys.readouterr().err
+
+
+def test_parse_error_config_top_level_list(tmp_path, capsys):
+    assert act_on_vacuum(tmp_path, [SL2_CHAR]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def test_parse_error_module_string(tmp_path, capsys):
+    assert act_on_vacuum(tmp_path, dict(SL2_CHAR, module="x")) == 2
+    assert "module must be a JSON object" in capsys.readouterr().err
+
+
+def test_parse_error_assignment_not_object(tmp_path, capsys):
+    cfg = dict(SL2_CHAR, module={"kind": "character", "level": "0", "assignments": ["h1"]})
+    assert act_on_vacuum(tmp_path, cfg) == 2
+    assert "assignment must be a JSON object" in capsys.readouterr().err
+
+
+# --- strict state inputs --------------------------------------------------------------------
+
+def act_on_state(tmp_path, state):
+    spec = state
+    if not isinstance(state, str):
+        spec = str(tmp_path / "state.json")
+        (tmp_path / "state.json").write_text(json.dumps(state), encoding="utf-8")
+    return main(["act", "--config", write_config(tmp_path, SL2_HEIS), "--generator",
+                 "f1", "--mode", "0", "--state", spec])
+
+
+def test_parse_error_vacuum_index_not_integer(tmp_path, capsys):
+    assert act_on_state(tmp_path, "vacuum:abc") == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_parse_error_state_mode_float(tmp_path, capsys):
+    state = {"terms": [{"coeff": "1", "monomial": [[0, 1.9, 1]], "v": 0}]}
+    assert act_on_state(tmp_path, state) == 2
+    assert "malformed state file" in capsys.readouterr().err
+
+
+def test_parse_error_state_monomial_pair(tmp_path, capsys):
+    state = {"terms": [{"coeff": "1", "monomial": [[0, 1]], "v": 0}]}
+    assert act_on_state(tmp_path, state) == 2
+    assert "malformed state file" in capsys.readouterr().err
+
+
+def test_parse_error_state_vbasis_key(tmp_path, capsys):
+    state = {"terms": [{"coeff": "1", "monomial": [], "v": 0}], "vbasis": {"x": []}}
+    assert act_on_state(tmp_path, state) == 2
+    assert "malformed state file" in capsys.readouterr().err
+
+
+# --- evaluation module at s = 0 --------------------------------------------------------------
+
+SL3_EVAL_AT_ZERO = dict(SL3_EVAL, module={"kind": "evaluation", "level": "0",
+                                          "rep": "block", "block": 1, "s": "0"})
+
+
+def test_check_bracket_rejects_evaluation_at_zero(tmp_path, capsys):
+    rc = main(["check-bracket", "--config", write_config(tmp_path, SL3_EVAL_AT_ZERO)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error:") and "s = 0" in captured.err
+    assert captured.out == ""
+
+
+def test_compare_engines_rejects_evaluation_at_zero(tmp_path, capsys):
+    rc = main(["compare-engines", "--config", write_config(tmp_path, SL3_EVAL_AT_ZERO)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error:") and "s = 0" in captured.err
+    assert captured.out == ""
+
+
+def test_parse_error_level_zero_denominator(tmp_path, capsys):
+    cfg = dict(SL2_HEIS, module={"kind": "heisenberg_fock", "level": "1/0", "lam": ["1"]})
+    assert act_on_vacuum(tmp_path, cfg) == 2
+    assert "level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeff", [True, "1/0"])
+def test_parse_error_state_coefficient(tmp_path, capsys, coeff):
+    state = {"terms": [{"coeff": coeff, "monomial": [], "v": 0}]}
+    assert act_on_state(tmp_path, state) == 2
+    assert "malformed state file" in capsys.readouterr().err

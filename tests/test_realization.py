@@ -39,6 +39,7 @@ from affinefock.realization import (
     _canonical_terms,
     apply_operator,
     bernoulli,
+    bracket_sweep,
     build_operator_explicit_sl,
     build_operator_general,
     instantiate_operator,
@@ -654,3 +655,24 @@ def test_operator_build_is_deterministic():
     b = build_operator_general(PD_SL3_BOREL, matrix_unit(2, 1, 3), 1)
     assert a.terms == b.terms
     assert a.render() == b.render()
+
+
+def test_bracket_sweep_witness_matches_check_bracket_residual():
+    # The sweep's hoisted tables and the generic residual are two routes to
+    # the same identity; on a planted fault they must report the same vector.
+    mod = sl2_heis(Q(1), Q(1))
+    f1 = PD_SL2.f_basis[0]
+
+    def hook(a, m, op):
+        return op.with_flipped_term(0) if (a == f1 and m == 1) else op
+
+    real = Realization(PD_SL2, mod, operator_hook=hook)
+    states = Sampler(2024).fock_states(mod, 4, 2, 1)
+    checks, failure = bracket_sweep(real, 1, states)
+    assert checks == 81
+    assert (failure["a"], failure["b"], failure["m"], failure["n"],
+            failure["state"]) == ("H1", "E2.1", -1, 1, 0)
+    a = PD_SL2.homogeneous_basis[0][1]
+    ok, residual = real.check_bracket(a, f1, -1, 1, states[0])
+    assert not ok
+    assert residual == failure["residual"]
