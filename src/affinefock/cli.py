@@ -304,7 +304,10 @@ def cmd_act(job: Job, generator: str, mode: int, state_spec: str,
     elem = parse_generator(job.pd, generator)
     state = load_state(job, state_spec)
     real = make_realization(job)
-    result = real.act(elem, mode, state)
+    try:
+        result = real.act(elem, mode, state)
+    except ValueError as exc:
+        raise SemanticError(str(exc)) from exc
     _emit(state_to_text(result, job.module), out_path)
     return 0
 

@@ -386,6 +386,8 @@ class HeisenbergFockModule(InducingModule):
         for i, r, e in int_triples(obj):
             if r < 1 or e < 1:
                 raise ValueError("invalid V-monomial entry")
+            if not 0 <= i < len(self.pd.cartan):
+                raise ValueError(f"Cartan direction {i} out of range")
             acc[(i, r)] = acc.get((i, r), 0) + e
         return self.intern(tuple(sorted((i, r, e) for (i, r), e in acc.items())))
 

@@ -724,22 +724,33 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
 
     Checks pi([a_m, b_n]) = [pi(a_m), pi(b_n)] on every state for all modes
     |m|, |n| <= max_mode.  Actions of basis elements on the input states are
-    hoisted out of the quadruple loop, and bracket values are resolved through
-    their basis coordinates, so each check costs two fresh operator
-    applications.  Returns (checks_done, failure), failure being None or a
-    dict with the witness residual; stops at the first failure.
+    hoisted out of the loops, and bracket values are resolved through their
+    basis coordinates.
+
+    Checks are evaluated in pair order: for each basis index i and each
+    j >= i, the two products X = pi(a_m) pi(b_n) s and Y = pi(b_n) pi(a_m) s
+    are applied once per (m, n, s) and serve both the check (a, b, m, n, s)
+    and its mirror (b, a, n, m, s), so a sweep makes one operator application
+    per check.  Each of the two still builds and tests its own residual, with
+    its own bracket coordinates and central term.  On the diagonal only
+    n >= m is visited, and Y is X when n = m.  A mirror's verdict is kept
+    until its row is reported: None if it passed, its residual if it failed.
+
+    Reporting (on_check, the check count and the first failure) follows row
+    order, (a, b, m, n, state) nested in basis and mode order.  Returns
+    (checks_done, failure), failure being None or a dict with the witness
+    residual of the first failing check in that order.
     """
     pd = real.pd
     basis = pd.homogeneous_basis
     kappa = real.module.level
     wide = 2 * max_mode
+    modes = range(-max_mode, max_mode + 1)
+    one, minus_one = Q(1), Q(-1)
 
     P = [[[real.act(elem, m, s) for s in states]
           for m in range(-wide, wide + 1)]
          for _name, elem, _h in basis]
-
-    def p_at(i, m, si):
-        return P[i][m + wide][si]
 
     idx_of = {name: i for i, (name, _, _) in enumerate(basis)}
     btab = [[tuple((idx_of[nm], c)
@@ -747,29 +758,75 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
              for _, b, _ in basis]
             for _, a, _ in basis]
 
+    def residual(x, y, coords, p, si, s, central):
+        """x - y - [a,b]_{m+n} s - central s as a dict, or None when zero."""
+        acc: dict = {}
+        _axpy(acc, x, one)
+        _axpy(acc, y, minus_one)
+        for k, c in coords:
+            _axpy(acc, P[k][p][si], -c)
+        if central:
+            _axpy(acc, s, central)
+        return acc or None
+
     checks = 0
+
+    def report(aname, bname, block):
+        """Count and announce one (a, b) block of verdicts; the first failure."""
+        nonlocal checks
+        for m in modes:
+            for n in modes:
+                for si, res in enumerate(block[m, n]):
+                    checks += 1
+                    if on_check is not None:
+                        on_check(aname, bname, m, n, si, res is None)
+                    if res is not None:
+                        return {"a": aname, "b": bname, "m": m, "n": n,
+                                "state": si, "residual": FockState(res)}
+        return None
+
+    # mirrored[j] holds the verdict blocks (j, i) for i < j, in order of i,
+    # until row j has reported them
+    mirrored: list[list] = [[] for _ in basis]
     for i, (aname, a, _) in enumerate(basis):
-        for j, (bname, b, _) in enumerate(basis):
-            coords = btab[i][j]
-            for m in range(-max_mode, max_mode + 1):
-                for n in range(-max_mode, max_mode + 1):
-                    central = 0
+        for i2, block in enumerate(mirrored[i]):
+            failure = report(aname, basis[i2][0], block)
+            if failure is not None:
+                return checks, failure
+        mirrored[i] = None
+        for j in range(i, len(basis)):
+            bname, b, _ = basis[j]
+            diagonal = j == i
+            coords, mirror_coords = btab[i][j], btab[j][i]
+            here: dict = {}
+            there = here if diagonal else {}
+            for m in modes:
+                pa = P[i][m + wide]
+                for n in modes:
+                    if diagonal and n < m:
+                        continue
+                    mirror = not diagonal or n != m
+                    central = mirror_central = 0
                     if kappa != 0 and m == -n:
                         central = -central_coeff(a, b, m, n) * kappa
+                        if mirror:
+                            mirror_central = -central_coeff(b, a, n, m) * kappa
+                    pb = P[j][n + wide]
+                    p = m + n + wide
+                    row, mirror_row = [], []
                     for si, s in enumerate(states):
-                        checks += 1
-                        acc: dict = {}
-                        _axpy(acc, real.act(a, m, p_at(j, n, si)), Q(1))
-                        _axpy(acc, real.act(b, n, p_at(i, m, si)), Q(-1))
-                        for k, c in coords:
-                            _axpy(acc, p_at(k, m + n, si), -c)
-                        if central:
-                            _axpy(acc, s, central)
-                        ok = not acc
-                        if on_check is not None:
-                            on_check(aname, bname, m, n, si, ok)
-                        if not ok:
-                            return checks, {"a": aname, "b": bname, "m": m,
-                                            "n": n, "state": si,
-                                            "residual": FockState(acc)}
+                        x = real.act(a, m, pb[si])
+                        y = real.act(b, n, pa[si]) if mirror else x
+                        row.append(residual(x, y, coords, p, si, s, central))
+                        if mirror:
+                            mirror_row.append(residual(y, x, mirror_coords, p,
+                                                       si, s, mirror_central))
+                    here[m, n] = row
+                    if mirror:
+                        there[n, m] = mirror_row
+            if not diagonal:
+                mirrored[j].append(there)
+            failure = report(aname, bname, here)
+            if failure is not None:
+                return checks, failure
     return checks, None

@@ -486,3 +486,21 @@ def test_parse_error_state_coefficient(tmp_path, capsys, coeff):
     state = {"terms": [{"coeff": coeff, "monomial": [], "v": 0}]}
     assert act_on_state(tmp_path, state) == 2
     assert "malformed state file" in capsys.readouterr().err
+
+
+def test_act_rejects_negative_mode_on_evaluation_at_zero(tmp_path, capsys):
+    rc = main(["act", "--config", write_config(tmp_path, SL3_EVAL_AT_ZERO),
+               "--generator", "h1", "--mode", "-1", "--state", "vacuum"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error:") and "evaluation point 0" in captured.err
+    assert captured.out == ""
+
+
+def test_state_vbasis_cartan_direction_out_of_range(tmp_path, capsys):
+    state = {"terms": [{"coeff": "1", "monomial": [], "v": 0}],
+             "vbasis": {"0": [[5, 1, 1]]}}
+    assert act_on_state(tmp_path, state) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Cartan direction 5" in captured.err
+    assert captured.out == ""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -674,5 +675,61 @@ def test_bracket_sweep_witness_matches_check_bracket_residual():
             failure["state"]) == ("H1", "E2.1", -1, 1, 0)
     a = PD_SL2.homogeneous_basis[0][1]
     ok, residual = real.check_bracket(a, f1, -1, 1, states[0])
+    assert not ok
+    assert residual == failure["residual"]
+
+
+def test_bracket_sweep_reports_in_row_order_with_one_application_per_check():
+    # Checks are evaluated pair by pair but reported row by row; each operator
+    # product serves a check and its mirror, so the sweep applies B*(4M+1)*S
+    # hoisted actions plus one product per check.
+    mod = sl2_heis(Q(1), Q(1))
+    real = Realization(PD_SL2, mod)
+    calls = 0
+    act = real.act
+
+    def counting_act(a, m, state):
+        nonlocal calls
+        calls += 1
+        return act(a, m, state)
+
+    real.act = counting_act
+    states = Sampler(2024).fock_states(mod, 2, 2, 1)
+    seen = []
+    checks, failure = bracket_sweep(real, 1, states,
+                                    lambda *args: seen.append(args))
+    assert failure is None
+    names = [name for name, _, _ in PD_SL2.homogeneous_basis]
+    modes = range(-1, 2)
+    assert seen == [(a, b, m, n, si, True) for a, b, m, n, si
+                    in itertools.product(names, names, modes, modes, range(2))]
+    assert checks == len(seen) == 162
+    assert calls == 3 * 5 * 2 + (3 * 3) ** 2 * 2 == 192
+
+
+def test_bracket_sweep_witness_after_mirrored_blocks():
+    # pi(H1_2) with its first term flipped is met only through [E, F] = H, so
+    # the first failure is in row E1.2, after the block (E1.2, H1) whose
+    # verdicts were evaluated as mirrors in row H1.  Every reported verdict
+    # before it must agree with check_bracket, and the witness with its
+    # residual.
+    mod = sl2_heis(Q(1), Q(1))
+
+    def hook(a, m, op):
+        return op.with_flipped_term(0) if (a == H1 and m == 2) else op
+
+    real = Realization(PD_SL2, mod, operator_hook=hook)
+    states = Sampler(2024).fock_states(mod, 4, 2, 1)
+    seen = []
+    checks, failure = bracket_sweep(real, 1, states,
+                                    lambda *args: seen.append(args))
+    assert checks == len(seen) == 213
+    assert (failure["a"], failure["b"], failure["m"], failure["n"],
+            failure["state"]) == ("E1.2", "E2.1", 1, 1, 0)
+    assert failure["residual"] == FockState({(((0, 1, 2),), 0): Q(-8)})
+    elem = {name: e for name, e, _ in PD_SL2.homogeneous_basis}
+    for a, b, m, n, si, ok in seen:
+        assert real.check_bracket(elem[a], elem[b], m, n, states[si])[0] == ok
+    ok, residual = real.check_bracket(E_SL2, F_SL2, 1, 1, states[0])
     assert not ok
     assert residual == failure["residual"]
