@@ -1,7 +1,8 @@
 """Command-line driver: act on states, run verification sweeps, emit tables.
 
 Exit codes: 0 all checks passed, 1 an algebraic identity failed, 2 input could
-not be parsed, 3 inputs parse but are semantically incompatible.
+not be parsed or an output file could not be written, 3 inputs parse but are
+semantically incompatible.
 
 The config file is JSON:
 
@@ -248,12 +249,27 @@ def load_state(job: Job, spec: str) -> FockState:
         raise SemanticError(str(exc)) from exc
 
 
+def _open_output(path: str, what: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {what}: {exc}") from exc
+
+
+def _write_output(fh, text: str, what: str):
+    """Write text to an open output file and close it."""
+    try:
+        with fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {what}: {exc}") from exc
+
+
 def _emit(text: str, out_path: str | None):
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_output(_open_output(out_path, "output"), text, "output")
 
 
 def _header(job: Job) -> str:
@@ -325,6 +341,8 @@ def cmd_dump(job: Job, generator: str, mode: int, out_path: str | None) -> int:
 def cmd_check_bracket(job: Job, records_path: str | None, flip: str | None) -> int:
     _require_negative_modes(job)
     real = _flipped_realization(job, flip) if flip else make_realization(job)
+    # opened before sampling, so an unwritable path fails before the sweep
+    records_file = _open_output(records_path, "records") if records_path else None
     smp = Sampler(job.seed)
     states = smp.fock_states(job.module, job.samples, job.max_degree, job.max_mode)
     basis = job.pd.homogeneous_basis
@@ -333,7 +351,7 @@ def cmd_check_bracket(job: Job, records_path: str | None, flip: str | None) -> i
     lines = [_header(job)]
 
     on_check = None
-    if records_path or job.output == "records":
+    if records_file is not None or job.output == "records":
         def on_check(a, b, m, n, si, ok):
             records.append({"check": "bracket", "a": a, "b": b, "m": m, "n": n,
                             "state": si, "status": "pass" if ok else "fail"})
@@ -347,19 +365,19 @@ def cmd_check_bracket(job: Job, records_path: str | None, flip: str | None) -> i
                      f"m={failure['m']} n={failure['n']} state={failure['state']}")
         lines.append("witness: "
                      + state_to_text(failure["residual"], job.module).strip())
-        _finish(lines, records, records_path)
+        _finish(lines, records, records_file)
         return 1
     lines.append(f"PASS {len(basis) ** 2} basis pairs x {n_modes * n_modes} mode "
                  f"pairs x {len(states)} states ({checks} checks)")
-    _finish(lines, records, records_path)
+    _finish(lines, records, records_file)
     return 0
 
 
-def _finish(lines, records, records_path):
-    if records_path:
-        with open(records_path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+def _finish(lines, records, records_file):
+    if records_file is not None:
+        _write_output(records_file, "".join(
+            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+            for rec in records), "records")
     sys.stdout.write("\n".join(lines) + "\n")
 
 

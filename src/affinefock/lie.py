@@ -426,6 +426,9 @@ class ParabolicData:
         # adjoint word tree of each element reached by the series expansion,
         # filled lazily by `realization._ad_levels`
         self.ad_levels_cache: dict[LieElement, tuple] = {}
+        # the same levels summed per letter multiset, filled lazily by
+        # `realization._ad_multisets`
+        self.ad_multisets_cache: dict[LieElement, tuple] = {}
 
     # -- identity ----------------------------------------------------------
 

@@ -115,7 +115,8 @@ def _coeff_g(j: int) -> Fraction:
 
 @dataclass(frozen=True)
 class SeriesTerm:
-    """coefficient * x_{w_1} ... x_{w_r} * (ad f_{w_r} o ... o ad f_{w_1})(base)."""
+    """coefficient * x_{w_1} ... x_{w_r} * base: one series summand, with its
+    annihilator letters w and the Lie-algebra value base that they carry."""
 
     word: tuple[int, ...]
     base: LieElement
@@ -133,8 +134,10 @@ def _ad_levels(pd: ParabolicData, base: LieElement) -> AdLevels:
     calls on one parabolic share a single memoized word tree in
     `pd.ad_levels_cache`: the words starting with beta are beta followed by
     the words of [f_beta, base], so each distinct element is bracketed with
-    each f_beta only once per parabolic.  Terminates by grading nilpotency; a
-    surviving word of length 2*depth_k + 2 raises AssertionError.
+    each f_beta only once per parabolic.  This tree is the only place where
+    the series computes brackets; `_ad_multisets` sums its levels.
+    Terminates by grading nilpotency; a surviving word of length
+    2*depth_k + 2 raises AssertionError.
     """
     return _ad_tree(pd, base, 0)
 
@@ -163,6 +166,32 @@ def _ad_tree(pd: ParabolicData, base: LieElement, depth: int) -> AdLevels:
     return levels
 
 
+def _ad_multisets(pd: ParabolicData, base: LieElement) -> AdLevels:
+    """`_ad_levels` of base summed per multiset of letters.
+
+    Level k maps each sorted k-multiset S of f-letters to W(S), the sum of the
+    level-k word elements whose letters are S.  Zero sums are dropped and the
+    keys come in increasing order; there are as many levels as in
+    `_ad_levels`.  The annihilators of one term commute, so every word with
+    letters S lands on the same canonical operator term, and summing W(S)
+    first changes no term.  Memoized per element in `pd.ad_multisets_cache`.
+    """
+    levels = pd.ad_multisets_cache.get(base)
+    if levels is None:
+        levels = tuple(_sum_by_multiset(pd.n, level) for level in _ad_levels(pd, base))
+        pd.ad_multisets_cache[base] = levels
+    return levels
+
+
+def _sum_by_multiset(n: int, level) -> tuple:
+    sums: dict[tuple[int, ...], dict] = {}
+    for word, x in level:
+        acc = sums.setdefault(tuple(sorted(word)), {})
+        for key, c in x.entries.items():
+            add_to(acc, key, c)
+    return tuple((s, LieElement(n, acc)) for s, acc in sorted(sums.items()) if acc)
+
+
 def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[SeriesTerm]:
     """Exact finite expansion of the D / A / C summand for homogeneous a.
 
@@ -170,6 +199,14 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[SeriesTer
     overall minus sign of the assembled operator; A returns the p-projected
     exponential series; C returns the scalar-paired central series, with the
     differentiated slot first in each word.
+
+    The series is summed per multiset of letters (`_ad_multisets`), not per
+    word: the annihilators of a term commute and every coefficient depends
+    only on word length, so D and A words are sorted multisets and C words
+    are the differentiated letter followed by a sorted multiset.  The D part
+    is linear in (exp(-ad u) a)_ubar: a's words with letters S1 are grouped
+    by that element e, and each distinct e, counted k times, contributes
+    k * W_e(S2) at the multiset S1 + S2, from e's own memoized levels.
     """
     if a.n != pd.n:
         raise ValueError("rank mismatch")
@@ -179,35 +216,39 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[SeriesTer
     if kind == "D":
         for i, level in enumerate(_ad_levels(pd, a)):
             c1 = _coeff_exp_neg(i)
+            groups: dict[tuple[int, ...], dict[LieElement, int]] = {}
             for word1, x in level:
                 x_ubar = pd.project(x, "ubar")
-                if x_ubar.is_zero():
-                    continue
-                for j, level2 in enumerate(_ad_levels(pd, x_ubar)):
-                    c2 = _coeff_flow(j)
-                    if c2 == 0:
-                        continue
-                    for word2, y in level2:
-                        out.append(SeriesTerm(word1 + word2, y, c1 * c2))
+                if not x_ubar.is_zero():
+                    add_to(groups.setdefault(tuple(sorted(word1)), {}), x_ubar, 1)
+            for s1, counts in groups.items():
+                for e, k in counts.items():
+                    for j, level2 in enumerate(_ad_multisets(pd, e)):
+                        c2 = _coeff_flow(j)
+                        if c2 == 0:
+                            continue
+                        c = c1 * c2 * k
+                        for s2, y in level2:
+                            out.append(SeriesTerm(tuple(sorted(s1 + s2)), y, c))
     elif kind == "A":
-        for i, level in enumerate(_ad_levels(pd, a)):
+        for i, level in enumerate(_ad_multisets(pd, a)):
             c = _coeff_exp_neg(i)
-            for word, x in level:
-                xp = pd.project(x, "p")
-                if not xp.is_zero():
-                    out.append(SeriesTerm(word, xp, c))
+            for s, w in level:
+                wp = pd.project(w, "p")
+                if not wp.is_zero():
+                    out.append(SeriesTerm(s, wp, c))
     elif kind == "C":
         # The scalar correction picked up when conjugating a mode series by
         # exp(ad u) is exactly this G-weighted pairing against d_z u; it is
         # assembled as the operator's central summand, never as a separate
         # operation.  The slot written first is the differentiated one.
         for beta0 in range(pd.num_alpha):
-            for j, level in enumerate(_ad_levels(pd, pd.f_basis[beta0])):
+            for j, level in enumerate(_ad_multisets(pd, pd.f_basis[beta0])):
                 c = _coeff_g(j)
-                for word, x in level:
-                    pairing = form(x, a)
+                for s, w in level:
+                    pairing = form(w, a)
                     if pairing != 0:
-                        out.append(SeriesTerm((beta0,) + word, x, c * pairing))
+                        out.append(SeriesTerm((beta0,) + s, w, c * pairing))
     else:
         raise ValueError(f"unknown series kind {kind!r}")
     return _merge_series(out)
@@ -250,7 +291,7 @@ class Term:
 
     coeff: Fraction
     annihilators: tuple[int, ...]
-    head_kind: str  # "create" | "levi" | "central" | "id"
+    head_kind: str  # "create" | "levi" | "central"
     head_alpha: int | None = None
     head_elem: LieElement | None = None
     head_name: str | None = None
@@ -267,10 +308,8 @@ class Term:
             bits.append(f"b({self.head_alpha}, {self.head_mode.render()})")
         elif self.head_kind == "levi":
             bits.append(f"{self.head_name}({self.head_mode.render()})")
-        elif self.head_kind == "central":
-            bits.append("kappa")
         else:
-            bits.append("1")
+            bits.append("kappa")
         text = " * ".join(bits)
         if self.constraint_sum is not None:
             text += f" [sum n = {self.constraint_sum}]"
@@ -367,7 +406,7 @@ def _canonical_terms(pd: ParabolicData, raw: list[Term]) -> tuple[Term, ...]:
     return tuple(final)
 
 
-_HEAD_RANK = {"create": 0, "levi": 1, "central": 2, "id": 3}
+_HEAD_RANK = {"create": 0, "levi": 1, "central": 2}
 
 
 def _term_sort_key(key):
@@ -556,10 +595,8 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
                     vecs = ((vidx, 1),)
                 elif kind == "levi":
                     vecs = module.act(head, base + msum, vidx).items()
-                elif kind == "central":
-                    vecs = ((vidx, kappa),)
                 else:
-                    vecs = ((vidx, 1),)
+                    vecs = ((vidx, kappa),)
                 f = num * mult * cnum
                 for w, d in vecs:
                     key = (new_mono, w)
@@ -596,10 +633,8 @@ def instantiate_operator(op: NormalOrderedOperator, window: int,
                 head = ("create", term.head_alpha, term.head_mode.resolve(modes))
             elif term.head_kind == "levi":
                 head = ("levi", term.head_elem.key(), term.head_mode.resolve(modes))
-            elif term.head_kind == "central":
-                head = ("central",)
             else:
-                head = ("id",)
+                head = ("central",)
             add_to(out, (annih, head), coeff)
     return out
 

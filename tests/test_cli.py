@@ -504,3 +504,40 @@ def test_state_vbasis_cartan_direction_out_of_range(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Cartan direction 5" in captured.err
     assert captured.out == ""
+
+
+# --- unwritable outputs ---------------------------------------------------------------
+
+def test_dump_unwritable_out_is_parse_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, SL2_CHAR)
+    rc = main(["dump", "--config", cfg, "--generator", "h1", "--mode", "0",
+               "--out", str(tmp_path / "missing" / "x")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: cannot write output:")
+    assert captured.out == ""
+
+
+def test_act_out_directory_is_parse_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, SL2_CHAR)
+    rc = main(["act", "--config", cfg, "--generator", "f1", "--mode", "0",
+               "--state", "vacuum", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: cannot write output:")
+    assert captured.out == ""
+
+
+def test_check_bracket_unwritable_records_fails_before_sweep(tmp_path, capsys,
+                                                             monkeypatch):
+    sweeps = []
+    monkeypatch.setattr(cli, "bracket_sweep",
+                        lambda *args, **kwargs: sweeps.append(args))
+    cfg = write_config(tmp_path, SL2_HEIS)
+    rc = main(["check-bracket", "--config", cfg,
+               "--records", str(tmp_path / "missing" / "records.jsonl")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: cannot write records:")
+    assert captured.out == ""
+    assert sweeps == []

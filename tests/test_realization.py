@@ -37,6 +37,7 @@ from affinefock.realization import (
     Realization,
     Term,
     _ad_levels,
+    _ad_multisets,
     _canonical_terms,
     apply_operator,
     bernoulli,
@@ -184,6 +185,42 @@ def test_ad_levels_match_breadth_first_reference(n, sigma):
         for base in bases:
             levels = [list(level) for level in _ad_levels(pd, base)]
             assert levels == breadth_first_ad_levels(pd, base)
+
+
+def summed_per_multiset(levels):
+    """Reference multiset levels: each level's word elements summed per sorted
+    letter tuple, zero sums dropped, keys in increasing order."""
+    out = []
+    for level in levels:
+        sums = {}
+        for word, x in level:
+            key = tuple(sorted(word))
+            sums[key] = sums[key] + x if key in sums else x
+        out.append([(key, w) for key, w in sorted(sums.items()) if not w.is_zero()])
+    return out
+
+
+@pytest.mark.parametrize("n, sigma", [(4, ()), (3, (2, 3)), (2, (2,))])
+def test_ad_multisets_match_breadth_first_reference(n, sigma):
+    pd = parabolic_decompose(n, sigma)
+    bases = [elem for _, elem, _ in pd.homogeneous_basis] + list(pd.f_basis)
+    for _ in range(2):  # cold misses first, then cache hits
+        for base in bases:
+            levels = [list(level) for level in _ad_multisets(pd, base)]
+            assert levels == summed_per_multiset(breadth_first_ad_levels(pd, base))
+
+
+@pytest.mark.parametrize("n, sigma", [(4, ()), (3, (2, 3)), (2, ())])
+def test_series_expand_words_are_multisets(n, sigma):
+    pd = parabolic_decompose(n, sigma)
+    for _, elem, _ in pd.homogeneous_basis:
+        for kind in ("D", "A", "C"):
+            terms = series_expand(pd, elem, kind)
+            for t in terms:
+                tail = t.word[1:] if kind == "C" else t.word
+                assert list(tail) == sorted(tail)
+            keys = [(t.word, t.base.key()) for t in terms]
+            assert len(set(keys)) == len(keys)
 
 
 # --- operator assembly: closed forms ----------------------------------------------
@@ -426,6 +463,21 @@ def test_sl5_borel_operators_golden_digest():
     assert len(pd.homogeneous_basis) == 24
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "f28cbae0a47bb26e32de8ae0ec2150a2e7c9fc0210d13e528ba353302d1f1f81")
+
+
+def test_sl6_borel_highest_root_golden_digest():
+    """E1.6 on sl(6) Borel, the longest series of rank 5: 675 canonical terms
+    at each mode, rendered and hashed."""
+    pd = parabolic_decompose(5, ())
+    elem = {name: el for name, el, _ in pd.homogeneous_basis}["E1.6"]
+    expected = {
+        -2: "7e8e7e79bd3b060d061066f7d00ee11a44962e4132c81b96628b31601c0908b8",
+        1: "efe681762cfacc3abe3f14f0119c50105bfa8b42f9adb3d979938d07edb5bb8c",
+    }
+    for m, digest in expected.items():
+        op = build_operator_general(pd, elem, m)
+        assert len(op.terms) == 675
+        assert hashlib.sha256(op.render().encode()).hexdigest() == digest
 
 
 def test_flipped_term_index_out_of_range():
