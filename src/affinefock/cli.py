@@ -54,7 +54,7 @@ from .inducing import (
     natural_block_rep,
 )
 from .lie import ParabolicData, as_scalar, cartan_h, matrix_unit, parabolic_decompose
-from .realization import CENTRAL, Realization, bracket_sweep
+from .realization import CENTRAL, Realization, bracket_sweep, check_engine
 from .sampling import Sampler
 
 Q = Fraction
@@ -204,6 +204,10 @@ def load_config(path: str) -> Job:
     engine = obj.get("engine", "general")
     if engine not in ("general", "explicit"):
         raise ParseError(f"unknown engine {engine!r}")
+    try:
+        check_engine(pd, engine)
+    except ValueError as exc:
+        raise SemanticError(str(exc)) from exc
     window = _obj(obj.get("window", {}), "window")
     max_mode = _int(window.get("max_mode", 3), "max_mode")
     max_degree = _int(window.get("max_degree", 3), "max_degree")

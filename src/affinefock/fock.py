@@ -267,7 +267,10 @@ def state_from_obj(obj: dict, module=None) -> FockState:
             remap[int(key)] = module.v_from_obj(desc)
     terms: dict = {}
     for rec in obj.get("terms", []):
-        mono = mono_from_pairs(int_triples(rec["monomial"]))
+        triples = int_triples(rec["monomial"])
+        if any(e < 1 for _a, _n, e in triples):
+            raise ValueError(f"monomial exponents must be >= 1, got {rec['monomial']!r}")
+        mono = mono_from_pairs(triples)
         v = rec["v"]
         if type(v) is not int:
             raise TypeError(f"vector index must be an integer, got {v!r}")

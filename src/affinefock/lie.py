@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping
 
 Q = Fraction
@@ -160,8 +161,12 @@ def zero(n: int) -> LieElement:
     return LieElement(n, {})
 
 
+@cache
 def matrix_unit(n: int, i: int, j: int) -> LieElement:
-    """E_{ij} for i != j (off-diagonal units are traceless)."""
+    """E_{ij} for i != j (off-diagonal units are traceless).
+
+    Shared: every call with the same arguments returns the same object, so
+    caches keyed by Levi units find their entries by identity."""
     if i == j:
         raise ValueError("diagonal matrix units are not traceless; use diag_element")
     return LieElement(n, {(i, j): Fraction(1)})

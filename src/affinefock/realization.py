@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import product
 from math import factorial, lcm
 
@@ -438,8 +438,12 @@ def build_operator_general(pd: ParabolicData, a: LieElement, m: int,
     return NormalOrderedOperator(_canonical_terms(pd, raw), "general")
 
 
-def _is_max_parabolic(pd: ParabolicData) -> bool:
-    return pd.sigma == frozenset(range(2, pd.n + 1))
+def check_engine(pd: ParabolicData, engine: str):
+    """Raise ValueError unless `engine` names an engine that serves pd."""
+    if engine not in ("general", "explicit"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if engine == "explicit" and pd.sigma != frozenset(range(2, pd.n + 1)):
+        raise ValueError("closed-form engine needs sigma = {2..n}")
 
 
 def build_operator_explicit_sl(pd: ParabolicData, a: LieElement, m: int,
@@ -450,8 +454,7 @@ def build_operator_explicit_sl(pd: ParabolicData, a: LieElement, m: int,
     n = 1 is the Borel case).  Any homogeneous element is handled by linear
     decomposition into the f_i / h / h_A / e_i generator family.
     """
-    if not _is_max_parabolic(pd):
-        raise ValueError("closed-form engine needs sigma = {2..n}")
+    check_engine(pd, "explicit")
     if pd.height_of(a) is None:
         raise ValueError("closed-form engine needs a Sigma-homogeneous element")
     n = pd.n
@@ -527,16 +530,24 @@ def _block_unit_minus_trace(n: int, j: int, i: int) -> LieElement:
 
 # --- applying operators to states ------------------------------------------------
 
-def _matches(families: tuple[int, ...], mono, positions) -> list[tuple]:
+@lru_cache(maxsize=2 ** 14)
+def _matches(families: tuple[int, ...], mono) -> tuple[tuple, ...]:
     """Ordered assignments of annihilator slots to the variables of `mono`.
 
     Slot i runs over the positions of family `families[i]` in monomial order,
     so the assignments come in the order of nested loops over the slots.  Each
     slot contributes minus the exponent it finds, which it then lowers by one.
     Returns (multiplicity, slot modes, mode sum, remaining monomial) tuples.
+
+    The result depends only on its two arguments, and a sweep meets the same
+    hoisted monomials with every operator, so it is memoized in one LRU table
+    of 2**14 entries, shared by all operators and modules.
     """
     if not families:
-        return [(1, (), 0, mono)]
+        return ((1, (), 0, mono),)
+    positions: dict[int, list[int]] = {}
+    for p, (a, _n, _e) in enumerate(mono):
+        positions.setdefault(a, []).append(p)
     out = []
     for combo in product(*[positions.get(a, ()) for a in families]):
         rem = list(mono)
@@ -550,7 +561,7 @@ def _matches(families: tuple[int, ...], mono, positions) -> list[tuple]:
         else:
             modes = tuple([mono[p][1] for p in combo])
             out.append((mult, modes, sum(modes), tuple([v for v in rem if v[2]])))
-    return out
+    return tuple(out)
 
 
 def apply_operator(op: NormalOrderedOperator, state: FockState, module,
@@ -559,11 +570,12 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
 
     For each state monomial, annihilator slots are matched against the
     variables actually present (ordered assignments, each contributing a
-    factor of minus the running exponent), the central constraint filters the
-    mode tuple, and the head then acts: create a variable, act on the V-factor
-    through the inducing module, or scale by the level.  Contributions are
-    summed as integers over the operator's and the state's common
-    denominators, and divided once at the end.
+    factor of minus the running exponent; see `_matches`, whose table is
+    shared by every call), the central constraint filters the mode tuple, and
+    the head then acts: create a variable, act on the V-factor through the
+    inducing module, or scale by the level.  Contributions are summed as
+    integers over the operator's and the state's common denominators, and
+    divided once at the end.
     """
     denom, families, terms = op.compiled
     kappa = module.level
@@ -572,16 +584,13 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
     out: dict = {}
     for (mono, vidx), c in state.terms.items():
         cnum = c.numerator * (scale // c.denominator)
-        positions: dict[int, list[int]] = {}
-        for p, (a, _n, _e) in enumerate(mono):
-            positions.setdefault(a, []).append(p)
         found: list = [None] * len(families)
         for fi, num, kind, head, base, mode_factor, constraint in terms:
             if kind == "central" and skip_central:
                 continue
             matches = found[fi]
             if matches is None:
-                matches = found[fi] = _matches(families[fi], mono, positions)
+                matches = found[fi] = _matches(families[fi], mono)
             for mult, modes, msum, rem in matches:
                 if constraint is not None and msum != constraint:
                     continue
@@ -655,10 +664,7 @@ class Realization:
                  operator_hook=None):
         if module.pd != pd:
             raise ValueError("module was built for a different parabolic")
-        if engine not in ("general", "explicit"):
-            raise ValueError(f"unknown engine {engine!r}")
-        if engine == "explicit" and not _is_max_parabolic(pd):
-            raise ValueError("closed-form engine needs sigma = {2..n}")
+        check_engine(pd, engine)
         self.pd = pd
         self.module = module
         self.engine = engine
@@ -732,26 +738,13 @@ class Realization:
         return degree_component(state, len(seq)) == FockState(expected)
 
 
-def _axpy(acc: dict, state: FockState, c: Fraction):
-    """acc += c * state, dropping zeros; c = +-1 skips the multiplication."""
-    if c == 0:
-        return
-    neg = c == -1
-    unit = neg or c == 1
-    for key, v in state.terms.items():
-        if not unit:
-            v = c * v
-        elif neg:
-            v = -v
-        prev = acc.get(key)
-        if prev is None:
-            acc[key] = v
-        else:
-            s = prev + v
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
+def _integer_terms(state: FockState) -> tuple[int, list]:
+    """(S, [(key, numerator over S)]) for a state, S the LCM of its
+    denominators; the terms keep their order."""
+    terms = state.terms
+    scale = lcm(*[c.denominator for c in terms.values()])
+    return scale, [(k, c.numerator * (scale // c.denominator))
+                   for k, c in terms.items()]
 
 
 def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
@@ -771,6 +764,14 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
     n >= m is visited, and Y is X when n = m.  A mirror's verdict is kept
     until its row is reported: None if it passed, its residual if it failed.
 
+    Residuals are summed in integers.  The hoisted actions, the input states
+    and each X and Y are converted once to numerators over their own common
+    denominator S; a residual scales every part by L / (S * den(c)), L being
+    the LCM of those products over its parts, and divides by L only for a
+    failing check.  Parts are added in the order x, -y, -[a,b] s by basis
+    coordinate, central term, and a key whose sum reaches zero is deleted, so
+    witness values and key order are those of Fraction accumulation.
+
     Reporting (on_check, the check count and the first failure) follows row
     order, (a, b, m, n, state) nested in basis and mode order.  Returns
     (checks_done, failure), failure being None or a dict with the witness
@@ -781,28 +782,39 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
     kappa = real.module.level
     wide = 2 * max_mode
     modes = range(-max_mode, max_mode + 1)
-    one, minus_one = Q(1), Q(-1)
 
     P = [[[real.act(elem, m, s) for s in states]
           for m in range(-wide, wide + 1)]
          for _name, elem, _h in basis]
+    P_int = [[[_integer_terms(st) for st in row] for row in rows] for rows in P]
+    inputs = [_integer_terms(s) for s in states]
 
+    # minus the basis coordinates of each bracket [a, b]
     idx_of = {name: i for i, (name, _, _) in enumerate(basis)}
-    btab = [[tuple((idx_of[nm], c)
+    btab = [[tuple((idx_of[nm], -c)
                    for nm, c in sorted(coords_in_basis(bracket(a, b)).items()))
              for _, b, _ in basis]
             for _, a, _ in basis]
 
-    def residual(x, y, coords, p, si, s, central):
+    def residual(x, y, coords, p, si, central):
         """x - y - [a,b]_{m+n} s - central s as a dict, or None when zero."""
-        acc: dict = {}
-        _axpy(acc, x, one)
-        _axpy(acc, y, minus_one)
-        for k, c in coords:
-            _axpy(acc, P[k][p][si], -c)
+        parts = [(x, 1), (y, -1)]
+        parts.extend((P_int[k][p][si], c) for k, c in coords)
         if central:
-            _axpy(acc, s, central)
-        return acc or None
+            parts.append((inputs[si], central))
+        common = lcm(*[scale * c.denominator for (scale, _), c in parts])
+        acc: dict = {}
+        for (scale, items), c in parts:
+            f = c.numerator * (common // (scale * c.denominator))
+            for key, v in items:
+                t = acc.get(key, 0) + v * f
+                if t:
+                    acc[key] = t
+                else:
+                    del acc[key]
+        if not acc:
+            return None
+        return {k: Q(v, common) for k, v in acc.items()}
 
     checks = 0
 
@@ -849,13 +861,14 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
                     pb = P[j][n + wide]
                     p = m + n + wide
                     row, mirror_row = [], []
-                    for si, s in enumerate(states):
-                        x = real.act(a, m, pb[si])
-                        y = real.act(b, n, pa[si]) if mirror else x
-                        row.append(residual(x, y, coords, p, si, s, central))
+                    for si in range(len(states)):
+                        x = _integer_terms(real.act(a, m, pb[si]))
+                        y = (_integer_terms(real.act(b, n, pa[si])) if mirror
+                             else x)
+                        row.append(residual(x, y, coords, p, si, central))
                         if mirror:
                             mirror_row.append(residual(y, x, mirror_coords, p,
-                                                       si, s, mirror_central))
+                                                       si, mirror_central))
                     here[m, n] = row
                     if mirror:
                         there[n, m] = mirror_row

@@ -541,3 +541,23 @@ def test_check_bracket_unwritable_records_fails_before_sweep(tmp_path, capsys,
     assert captured.err.startswith("error: cannot write records:")
     assert captured.out == ""
     assert sweeps == []
+
+
+def test_every_command_rejects_explicit_engine_off_parabolic(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(SL2_CHAR, algebra={"n": 2, "sigma": []},
+                                      module={"kind": "character", "level": "0"},
+                                      engine="explicit"))
+    for argv in (["weights"], ["dump", "--generator", "f1"], ["check-bracket"],
+                 ["act", "--generator", "f1", "--state", "vacuum"]):
+        assert main(argv + ["--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: closed-form engine needs sigma = {2..n}\n"
+        assert captured.out == ""
+
+
+def test_state_exponent_zero_is_semantic_error(tmp_path, capsys):
+    state = {"terms": [{"coeff": "1", "monomial": [[0, 1, 0]], "v": 0}]}
+    assert act_on_state(tmp_path, state) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "exponents" in captured.err
+    assert captured.out == ""

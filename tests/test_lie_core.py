@@ -328,3 +328,12 @@ def test_loop_bracket_bilinearity():
     lhs = loop_bracket(x, y)
     rhs = loop_bracket(loop(e, 1), y) + loop_bracket(loop(f, -1), y).scale(Q(1, 3))
     assert lhs == rhs
+
+
+def test_matrix_unit_is_shared():
+    # decompose_p hands the same unit object to every operator, so module
+    # caches keyed by Levi heads hit by identity
+    assert matrix_unit(3, 2, 4) is matrix_unit(3, 2, 4)
+    pd = parabolic_decompose(2, ())
+    name, unit, _c = pd.decompose_p(matrix_unit(2, 1, 2))[0]
+    assert name == "E1.2" and unit is matrix_unit(2, 1, 2)

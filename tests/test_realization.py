@@ -39,6 +39,7 @@ from affinefock.realization import (
     _ad_levels,
     _ad_multisets,
     _canonical_terms,
+    _matches,
     apply_operator,
     bernoulli,
     bracket_sweep,
@@ -785,3 +786,40 @@ def test_bracket_sweep_witness_after_mirrored_blocks():
     ok, residual = real.check_bracket(E_SL2, F_SL2, 1, 1, states[0])
     assert not ok
     assert residual == failure["residual"]
+
+
+def test_bracket_sweep_golden_witness_with_fractional_central_term():
+    # sl(3) Borel at level -3/2: the first failure, (H1, H2, -1, 1) on a
+    # state with coefficients 4/3 and 3/2, carries the central term
+    # -m (H1, H2) kappa = 3/2, so the residual's common denominator takes
+    # the coefficient's denominator as well as the states' own.
+    pd = PD_SL3_BOREL
+    mod = heisenberg_fock(pd, [Q(1), Q(-2)], Q(-3, 2))
+    h2 = cartan_h(2, 2)
+
+    def hook(a, m, op):
+        return op.with_flipped_term(0) if (a == h2 and m == 1) else op
+
+    real = Realization(pd, mod, operator_hook=hook)
+    states = Sampler(7).fock_states(mod, 3, 2, 1)
+    assert states[0].terms == {((), 1): Q(4, 3), ((), 2): Q(3, 2)}
+    checks, failure = bracket_sweep(real, 1, states)
+    assert checks == 34
+    assert (failure["a"], failure["b"], failure["m"], failure["n"],
+            failure["state"]) == ("H1", "H2", -1, 1, 0)
+    assert list(failure["residual"].terms.items()) == [
+        (((), 1), Q(4)), (((), 2), Q(9, 2))]
+
+
+def test_apply_operator_same_on_cold_and_warm_match_cache():
+    assert _matches.cache_info().maxsize is not None
+    pd = PD_SL3_BOREL
+    mod = heisenberg_fock(pd, [Q(1), Q(-2)], Q(1, 3))
+    state = FockState({(mono_from_pairs([(0, 1, 2), (1, -1, 1), (2, 0, 1)]), 0): Q(2, 3),
+                       (mono_from_pairs([(0, -1, 1), (0, 1, 1), (2, 1, 2)]), 0): Q(-1)})
+    for _, elem, _ in pd.homogeneous_basis:
+        op = build_operator_general(pd, elem, 1)
+        _matches.cache_clear()
+        cold = apply_operator(op, state, mod)
+        warm = apply_operator(op, state, mod)
+        assert list(cold.terms.items()) == list(warm.terms.items())
