@@ -203,8 +203,11 @@ class EvaluationModule(InducingModule):
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise ValueError("representation matrices must be square, same size")
             mats.append(rows)
+        if not dim:
+            raise ValueError("an evaluation module needs a representation of "
+                             "positive dimension")
         self.rho = tuple(mats)
-        self.dim = dim or 0
+        self.dim = dim
         self.s = as_scalar(s)
         if check:
             self._check_bracket_relations()

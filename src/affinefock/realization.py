@@ -21,17 +21,19 @@ A normal-ordered term keeps its annihilator modes symbolic and only the
 matches against the finitely many variables of a state are enumerated, so
 applying an operator is always a finite exact computation.
 
-Normal ordering is fixed as "annihilators act first"; the D-part creator mode
-is m plus the sum of the annihilator modes, the Levi head acts on the V-factor
-at that same combined mode, and the central part constrains the annihilator
-modes to sum to -m with a linear weight on the differentiated slot.
+Normal ordering is fixed as "annihilators act first".  The terms of pi(a_m)
+do not depend on m: the mode lives on the operator, a creator or Levi head
+acts at m plus the sum of the annihilator modes, and a central term keeps only
+the annihilator modes that sum to -m, with a linear weight on the
+differentiated slot.  So each element's operator is built once and reused at
+every mode.
 
 Each operator is compiled once, on its first application, to integer
-numerators over the LCM of its denominators plus per-term slot families, head
-and base mode; `apply_operator` sums integer contributions over that LCM times
-the state's common denominator and divides once at the end, so results are
-exact, and both the output order and the sequence of module calls follow term
-order, then slot-assignment order.
+numerators over the LCM of its denominators plus per-term slot families and
+heads; `apply_operator` sums integer contributions over that LCM times the
+state's common denominator and divides once at the end, so results are exact,
+and both the output order and the sequence of module calls follow term order,
+then slot-assignment order.
 """
 
 from __future__ import annotations
@@ -266,27 +268,14 @@ def _merge_series(terms: list[SeriesTerm]) -> list[SeriesTerm]:
 
 
 @dataclass(frozen=True)
-class ModeExpr:
-    """base + sum of the modes of the referenced annihilator slots."""
-
-    base: int
-    slots: tuple[int, ...]
-
-    def resolve(self, modes) -> int:
-        return self.base + sum(modes[s] for s in self.slots)
-
-    def render(self) -> str:
-        return " + ".join([str(self.base)] + [f"n{s}" for s in self.slots])
-
-
-@dataclass(frozen=True)
 class Term:
     """One normal-ordered summand: annihilators (right) then a head (left).
 
     `annihilators` lists the variable family of each slot; slot modes are free
     summation variables.  `mode_factor` names the slot whose mode multiplies
-    the coefficient (the differentiated slot of central terms), and
-    `constraint_sum` fixes the total of all slot modes (central terms only).
+    the coefficient (the differentiated slot of central terms).  A term holds
+    no mode: at operator mode m a creator or Levi head acts at m plus the sum
+    of all slot modes, and a central term requires the slot modes to sum to -m.
     """
 
     coeff: Fraction
@@ -295,34 +284,34 @@ class Term:
     head_alpha: int | None = None
     head_elem: LieElement | None = None
     head_name: str | None = None
-    head_mode: ModeExpr | None = None
     mode_factor: int | None = None
-    constraint_sum: int | None = None
 
-    def render(self) -> str:
+    def render(self, mode: int) -> str:
         bits = [str(self.coeff)]
         if self.mode_factor is not None:
             bits.append(f"n{self.mode_factor}")
         bits.extend(f"x({a},n{i})" for i, a in enumerate(self.annihilators))
-        if self.head_kind == "create":
-            bits.append(f"b({self.head_alpha}, {self.head_mode.render()})")
-        elif self.head_kind == "levi":
-            bits.append(f"{self.head_name}({self.head_mode.render()})")
-        else:
+        if self.head_kind == "central":
             bits.append("kappa")
-        text = " * ".join(bits)
-        if self.constraint_sum is not None:
-            text += f" [sum n = {self.constraint_sum}]"
-        return text
+            return " * ".join(bits) + f" [sum n = {-mode}]"
+        at = " + ".join([str(mode)] + [f"n{i}" for i in range(len(self.annihilators))])
+        if self.head_kind == "create":
+            bits.append(f"b({self.head_alpha}, {at})")
+        else:
+            bits.append(f"{self.head_name}({at})")
+        return " * ".join(bits)
 
 
 @dataclass(frozen=True)
 class NormalOrderedOperator:
+    """pi(a_m): the mode-free terms of a's operator, at mode m."""
+
     terms: tuple[Term, ...]
     provenance: str
+    mode: int
 
     def render(self) -> str:
-        return "\n".join(t.render() for t in self.terms)
+        return "\n".join(t.render(self.mode) for t in self.terms)
 
     @cached_property
     def compiled(self) -> tuple:
@@ -331,23 +320,16 @@ class NormalOrderedOperator:
         (D, families, terms): D is the LCM of the term denominators; families
         lists the distinct slot-family tuples; each term becomes (index into
         families, D * coeff as an int, head kind, head alpha or Levi element,
-        base mode, mode-factor slot, constraint sum).  The head mode is the
-        base plus the sum of all slot modes, as `_canonical_terms` asserts.
+        mode-factor slot).  The operator's mode is not part of it.
         """
         denom = lcm(*[t.coeff.denominator for t in self.terms])
         families: dict[tuple[int, ...], int] = {}
         terms = []
         for t in self.terms:
-            base = 0
-            if t.head_mode is not None:
-                if t.head_mode.slots != tuple(range(len(t.annihilators))):
-                    raise ValueError("head modes must cover every slot")
-                base = t.head_mode.base
             head = t.head_alpha if t.head_kind == "create" else t.head_elem
             terms.append((families.setdefault(t.annihilators, len(families)),
                           t.coeff.numerator * (denom // t.coeff.denominator),
-                          t.head_kind, head, base, t.mode_factor,
-                          t.constraint_sum))
+                          t.head_kind, head, t.mode_factor))
         return denom, tuple(families), tuple(terms)
 
     def with_flipped_term(self, index: int) -> "NormalOrderedOperator":
@@ -356,7 +338,7 @@ class NormalOrderedOperator:
             raise ValueError(f"term index {index} outside 0..{len(self.terms) - 1}")
         terms = list(self.terms)
         terms[index] = replace(terms[index], coeff=-terms[index].coeff)
-        return NormalOrderedOperator(tuple(terms), self.provenance + "+flip")
+        return replace(self, terms=tuple(terms), provenance=self.provenance + "+flip")
 
 
 def _canonical_terms(pd: ParabolicData, raw: list[Term]) -> tuple[Term, ...]:
@@ -381,17 +363,9 @@ def _canonical_terms(pd: ParabolicData, raw: list[Term]) -> tuple[Term, ...]:
                                       0 if s == t.mode_factor else 1, s))
         annih = tuple(t.annihilators[s] for s in order)
         mode_factor = order.index(t.mode_factor) if t.mode_factor is not None else None
-        head_mode = t.head_mode
-        if head_mode is not None:
-            if set(head_mode.slots) != set(range(r)):
-                raise AssertionError("mode expressions must cover every slot")
-            head_mode = ModeExpr(head_mode.base, tuple(range(r)))
-        t = replace(t, annihilators=annih, mode_factor=mode_factor,
-                    head_mode=head_mode)
+        t = replace(t, annihilators=annih, mode_factor=mode_factor)
         key = (annih, t.head_kind, t.head_alpha,
-               t.head_elem.key() if t.head_elem is not None else None,
-               (head_mode.base, head_mode.slots) if head_mode is not None else None,
-               mode_factor, t.constraint_sum)
+               t.head_elem.key() if t.head_elem is not None else None, mode_factor)
         prev = merged.get(key)
         if prev is None:
             merged[key] = (t, t.coeff)
@@ -410,12 +384,11 @@ _HEAD_RANK = {"create": 0, "levi": 1, "central": 2}
 
 
 def _term_sort_key(key):
-    annih, kind, alpha, elem_key, mode, mf, constraint = key
+    annih, kind, alpha, elem_key, mf = key
     return (len(annih), _HEAD_RANK[kind],
             -1 if alpha is None else alpha,
-            elem_key or (), annih, mode or (0, ()),
-            -1 if mf is None else mf,
-            0 if constraint is None else constraint)
+            elem_key or (), annih,
+            -1 if mf is None else mf)
 
 
 def build_operator_general(pd: ParabolicData, a: LieElement, m: int,
@@ -423,19 +396,16 @@ def build_operator_general(pd: ParabolicData, a: LieElement, m: int,
     """Assemble pi(a_m) from the exponential-adjoint series."""
     raw: list[Term] = []
     for st in series_expand(pd, a, "D"):
-        r = len(st.word)
-        expr = ModeExpr(m, tuple(range(r)))
         for alpha, c_alpha in pd.ubar_coords(st.base):
             raw.append(Term(coeff=-st.coeff * c_alpha, annihilators=st.word,
-                            head_kind="create", head_alpha=alpha, head_mode=expr))
+                            head_kind="create", head_alpha=alpha))
     for st in series_expand(pd, a, "A"):
-        r = len(st.word)
         raw.append(Term(coeff=st.coeff, annihilators=st.word, head_kind="levi",
-                        head_elem=st.base, head_mode=ModeExpr(m, tuple(range(r)))))
+                        head_elem=st.base))
     for st in series_expand(pd, a, "C"):
         raw.append(Term(coeff=-st.coeff, annihilators=st.word,
-                        head_kind="central", mode_factor=0, constraint_sum=-m))
-    return NormalOrderedOperator(_canonical_terms(pd, raw), "general")
+                        head_kind="central", mode_factor=0))
+    return NormalOrderedOperator(_canonical_terms(pd, raw), "general", m)
 
 
 def check_engine(pd: ParabolicData, engine: str):
@@ -461,8 +431,7 @@ def build_operator_explicit_sl(pd: ParabolicData, a: LieElement, m: int,
     raw: list[Term] = []
 
     for alpha, c in pd.ubar_coords(pd.project(a, "ubar")):
-        raw.append(Term(coeff=-c, annihilators=(), head_kind="create",
-                        head_alpha=alpha, head_mode=ModeExpr(m, ())))
+        raw.append(Term(coeff=-c, annihilators=(), head_kind="create", head_alpha=alpha))
 
     a_l = pd.project(a, "l")
     if not a_l.is_zero():
@@ -470,8 +439,7 @@ def build_operator_explicit_sl(pd: ParabolicData, a: LieElement, m: int,
         if gamma != 0:
             for j in range(n):
                 raw.append(Term(coeff=gamma * (1 + Q(1, n)), annihilators=(j,),
-                                head_kind="create", head_alpha=j,
-                                head_mode=ModeExpr(m, (0,))))
+                                head_kind="create", head_alpha=j))
         for r in range(1, n + 1):
             for s in range(1, n + 1):
                 val = a_l.entry(r + 1, s + 1)
@@ -479,10 +447,8 @@ def build_operator_explicit_sl(pd: ParabolicData, a: LieElement, m: int,
                     val += gamma / n
                 if val != 0:
                     raw.append(Term(coeff=-val, annihilators=(s - 1,),
-                                    head_kind="create", head_alpha=r - 1,
-                                    head_mode=ModeExpr(m, (0,))))
-        raw.append(Term(coeff=Q(1), annihilators=(), head_kind="levi",
-                        head_elem=a_l, head_mode=ModeExpr(m, ())))
+                                    head_kind="create", head_alpha=r - 1))
+        raw.append(Term(coeff=Q(1), annihilators=(), head_kind="levi", head_elem=a_l))
 
     a_u = pd.project(a, "u")
     if not a_u.is_zero():
@@ -493,22 +459,20 @@ def build_operator_explicit_sl(pd: ParabolicData, a: LieElement, m: int,
                 continue
             for j in range(n):
                 raw.append(Term(coeff=c, annihilators=(i - 1, j),
-                                head_kind="create", head_alpha=j,
-                                head_mode=ModeExpr(m, (0, 1))))
+                                head_kind="create", head_alpha=j))
             raw.append(Term(coeff=-c, annihilators=(i - 1,), head_kind="central",
-                            mode_factor=0, constraint_sum=-m))
+                            mode_factor=0))
             raw.append(Term(coeff=c, annihilators=(i - 1,), head_kind="levi",
-                            head_elem=h_elem, head_mode=ModeExpr(m, (0,))))
+                            head_elem=h_elem))
             for j in range(1, n + 1):
                 block = _block_unit_minus_trace(n, j, i)
                 if not block.is_zero():
                     raw.append(Term(coeff=-c, annihilators=(j - 1,),
-                                    head_kind="levi", head_elem=block,
-                                    head_mode=ModeExpr(m, (0,))))
+                                    head_kind="levi", head_elem=block))
             raw.append(Term(coeff=c, annihilators=(), head_kind="levi",
-                            head_elem=pd.e_basis[i - 1], head_mode=ModeExpr(m, ())))
+                            head_elem=pd.e_basis[i - 1]))
 
-    return NormalOrderedOperator(_canonical_terms(pd, raw), "explicit_sl")
+    return NormalOrderedOperator(_canonical_terms(pd, raw), "explicit_sl", m)
 
 
 def _max_parabolic_h(n: int) -> LieElement:
@@ -571,13 +535,15 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
     For each state monomial, annihilator slots are matched against the
     variables actually present (ordered assignments, each contributing a
     factor of minus the running exponent; see `_matches`, whose table is
-    shared by every call), the central constraint filters the mode tuple, and
-    the head then acts: create a variable, act on the V-factor through the
-    inducing module, or scale by the level.  Contributions are summed as
+    shared by every call).  The head then acts at the operator's mode m plus
+    the slot-mode sum: create a variable, or act on the V-factor through the
+    inducing module; a central term keeps only the assignments whose slot
+    modes sum to -m and scales by the level.  Contributions are summed as
     integers over the operator's and the state's common denominators, and
     divided once at the end.
     """
     denom, families, terms = op.compiled
+    mode = op.mode
     kappa = module.level
     skip_central = kappa == 0
     scale = lcm(*[c.denominator for c in state.terms.values()])
@@ -585,14 +551,15 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
     for (mono, vidx), c in state.terms.items():
         cnum = c.numerator * (scale // c.denominator)
         found: list = [None] * len(families)
-        for fi, num, kind, head, base, mode_factor, constraint in terms:
-            if kind == "central" and skip_central:
+        for fi, num, kind, head, mode_factor in terms:
+            central = kind == "central"
+            if central and skip_central:
                 continue
             matches = found[fi]
             if matches is None:
                 matches = found[fi] = _matches(families[fi], mono)
             for mult, modes, msum, rem in matches:
-                if constraint is not None and msum != constraint:
+                if central and msum != -mode:
                     continue
                 if mode_factor is not None:
                     mult *= modes[mode_factor]
@@ -600,10 +567,10 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
                         continue
                 new_mono = rem
                 if kind == "create":
-                    new_mono = mono_mul_var(rem, head, base + msum)
+                    new_mono = mono_mul_var(rem, head, mode + msum)
                     vecs = ((vidx, 1),)
                 elif kind == "levi":
-                    vecs = module.act(head, base + msum, vidx).items()
+                    vecs = module.act(head, mode + msum, vidx).items()
                 else:
                     vecs = ((vidx, kappa),)
                 f = num * mult * cnum
@@ -630,7 +597,7 @@ def instantiate_operator(op: NormalOrderedOperator, window: int,
     for term in op.terms:
         r = len(term.annihilators)
         for modes in product(range(-window, window + 1), repeat=r):
-            if term.constraint_sum is not None and sum(modes) != term.constraint_sum:
+            if term.head_kind == "central" and sum(modes) != -op.mode:
                 continue
             coeff = term.coeff
             if term.mode_factor is not None:
@@ -639,9 +606,9 @@ def instantiate_operator(op: NormalOrderedOperator, window: int,
                 continue
             annih = tuple(sorted(zip(term.annihilators, modes)))
             if term.head_kind == "create":
-                head = ("create", term.head_alpha, term.head_mode.resolve(modes))
+                head = ("create", term.head_alpha, op.mode + sum(modes))
             elif term.head_kind == "levi":
-                head = ("levi", term.head_elem.key(), term.head_mode.resolve(modes))
+                head = ("levi", term.head_elem.key(), op.mode + sum(modes))
             else:
                 head = ("central",)
             add_to(out, (annih, head), coeff)
@@ -653,11 +620,14 @@ def instantiate_operator(op: NormalOrderedOperator, window: int,
 class Realization:
     """pi for a fixed parabolic, inducing module and engine, with caching.
 
-    Operators depend only on (element, mode, parabolic, engine); the cache is
-    a value-immutable memo table, so duplicate construction under concurrency
-    would be harmless.  `operator_hook(a, m, op)` post-processes built
-    operators and is meant for negative controls; it must be a pure function
-    of its arguments, because its result is cached like any other operator.
+    Operator terms depend only on (element, parabolic, engine), so each
+    element's operator is built once, at the first mode asked for, and kept as
+    its template; pi(a_m) is that template at mode m.  The caches are
+    value-immutable memo tables, so duplicate construction under concurrency
+    would be harmless.  `operator_hook(a, m, op)` post-processes each (a, m)
+    operator and is meant for negative controls; it must be a pure function of
+    its arguments, because its result is cached per (a, m) like any other
+    operator, while the template stays unhooked.
     """
 
     def __init__(self, pd: ParabolicData, module, engine: str = "general",
@@ -669,6 +639,7 @@ class Realization:
         self.module = module
         self.engine = engine
         self.operator_hook = operator_hook
+        self._templates: dict[LieElement, NormalOrderedOperator] = {}
         self._cache: dict[tuple[LieElement, int], NormalOrderedOperator] = {}
 
     def operator(self, a: LieElement, m: int) -> NormalOrderedOperator:
@@ -676,10 +647,14 @@ class Realization:
         op = self._cache.get(key)
         if op is not None:
             return op
-        if self.engine == "general":
-            op = build_operator_general(self.pd, a, m)
-        else:
-            op = build_operator_explicit_sl(self.pd, a, m)
+        template = self._templates.get(a)
+        if template is None:
+            if self.engine == "general":
+                template = build_operator_general(self.pd, a, m)
+            else:
+                template = build_operator_explicit_sl(self.pd, a, m)
+            self._templates[a] = template
+        op = replace(template, mode=m)
         if self.operator_hook is not None:
             op = self.operator_hook(a, m, op)
         self._cache[key] = op

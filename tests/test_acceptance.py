@@ -35,7 +35,6 @@ from affinefock.lie import (
 )
 from affinefock.realization import (
     CENTRAL,
-    ModeExpr,
     NormalOrderedOperator,
     Realization,
     Term,
@@ -132,16 +131,16 @@ def _sl2_closed_form_operator(pd, name: str, m: int) -> NormalOrderedOperator:
     h = cartan_h(1, 1)
     e = matrix_unit(1, 1, 2)
     if name == "f":
-        raw = [Term(Q(-1), (), "create", head_alpha=0, head_mode=ModeExpr(m, ()))]
+        raw = [Term(Q(-1), (), "create", head_alpha=0)]
     elif name == "h":
-        raw = [Term(Q(2), (0,), "create", head_alpha=0, head_mode=ModeExpr(m, (0,))),
-               Term(Q(1), (), "levi", head_elem=h, head_mode=ModeExpr(m, ()))]
+        raw = [Term(Q(2), (0,), "create", head_alpha=0),
+               Term(Q(1), (), "levi", head_elem=h)]
     else:
-        raw = [Term(Q(1), (0, 0), "create", head_alpha=0, head_mode=ModeExpr(m, (0, 1))),
-               Term(Q(-1), (0,), "central", mode_factor=0, constraint_sum=-m),
-               Term(Q(1), (0,), "levi", head_elem=h, head_mode=ModeExpr(m, (0,))),
-               Term(Q(1), (), "levi", head_elem=e, head_mode=ModeExpr(m, ()))]
-    return NormalOrderedOperator(_canonical_terms(pd, raw), "reference")
+        raw = [Term(Q(1), (0, 0), "create", head_alpha=0),
+               Term(Q(-1), (0,), "central", mode_factor=0),
+               Term(Q(1), (0,), "levi", head_elem=h),
+               Term(Q(1), (), "levi", head_elem=e)]
+    return NormalOrderedOperator(_canonical_terms(pd, raw), "reference", m)
 
 
 def test_criterion_3_sl2_transcription():

@@ -288,7 +288,7 @@ def test_compare_engines_builds_each_operator_once(tmp_path, capsys, monkeypatch
     build = rz.build_operator_general
 
     def counting_build(pd, a, m):
-        builds[(a, m)] += 1
+        builds[a] += 1
         return build(pd, a, m)
 
     monkeypatch.setattr(rz, "build_operator_general", counting_build)
@@ -296,8 +296,7 @@ def test_compare_engines_builds_each_operator_once(tmp_path, capsys, monkeypatch
     rc = main(["compare-engines", "--config", write_config(tmp_path, SL3_EVAL)])
     assert rc == 0
     pd = parabolic_decompose(2, [2])
-    assert builds == Counter({(elem, m): 1 for _, elem, _ in pd.homogeneous_basis
-                              for m in (-1, 0, 1)})
+    assert builds == Counter({elem: 1 for _, elem, _ in pd.homogeneous_basis})
 
 
 def test_compare_engines_rejects_borel_sl3(tmp_path):
@@ -494,6 +493,27 @@ def test_act_rejects_negative_mode_on_evaluation_at_zero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.err.startswith("error:") and "evaluation point 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+@pytest.mark.parametrize("command", ["weights", "check-bracket", "compare-engines"])
+def test_empty_evaluation_module_is_semantic_error(tmp_path, capsys, command, dim):
+    cfg = dict(SL3_EVAL, module={"kind": "evaluation", "level": "0",
+                                 "rep": "trivial", "dim": dim, "s": "1"})
+    rc = main([command, "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error:") and "positive dimension" in captured.err
+    assert captured.out == ""
+
+
+def test_act_rejects_a_mode_on_the_central_element(tmp_path, capsys):
+    rc = main(["act", "--config", write_config(tmp_path, SL2_HEIS),
+               "--generator", "c", "--mode", "3", "--state", "vacuum"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error:") and "no modes" in captured.err
     assert captured.out == ""
 
 

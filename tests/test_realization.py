@@ -30,9 +30,9 @@ from affinefock.lie import (
     matrix_unit,
     parabolic_decompose,
 )
+import affinefock.realization as rz
 from affinefock.realization import (
     CENTRAL,
-    ModeExpr,
     NormalOrderedOperator,
     Realization,
     Term,
@@ -229,18 +229,18 @@ def test_series_expand_words_are_multisets(n, sigma):
 def sl2_closed_form_operator(name: str, m: int) -> NormalOrderedOperator:
     """Hand transcription of the rank-one closed formulas."""
     if name == "f":
-        raw = [Term(Q(-1), (), "create", head_alpha=0, head_mode=ModeExpr(m, ()))]
+        raw = [Term(Q(-1), (), "create", head_alpha=0)]
     elif name == "h":
-        raw = [Term(Q(2), (0,), "create", head_alpha=0, head_mode=ModeExpr(m, (0,))),
-               Term(Q(1), (), "levi", head_elem=H1, head_mode=ModeExpr(m, ()))]
+        raw = [Term(Q(2), (0,), "create", head_alpha=0),
+               Term(Q(1), (), "levi", head_elem=H1)]
     elif name == "e":
-        raw = [Term(Q(1), (0, 0), "create", head_alpha=0, head_mode=ModeExpr(m, (0, 1))),
-               Term(Q(-1), (0,), "central", mode_factor=0, constraint_sum=-m),
-               Term(Q(1), (0,), "levi", head_elem=H1, head_mode=ModeExpr(m, (0,))),
-               Term(Q(1), (), "levi", head_elem=E_SL2, head_mode=ModeExpr(m, ()))]
+        raw = [Term(Q(1), (0, 0), "create", head_alpha=0),
+               Term(Q(-1), (0,), "central", mode_factor=0),
+               Term(Q(1), (0,), "levi", head_elem=H1),
+               Term(Q(1), (), "levi", head_elem=E_SL2)]
     else:
         raise KeyError(name)
-    return NormalOrderedOperator(_canonical_terms(PD_SL2, raw), "reference")
+    return NormalOrderedOperator(_canonical_terms(PD_SL2, raw), "reference", m)
 
 
 @pytest.mark.parametrize("name,elem", [("f", F_SL2), ("h", H1), ("e", E_SL2)])
@@ -261,7 +261,7 @@ def test_explicit_f_single_creator():
     assert len(op.terms) == 1
     t = op.terms[0]
     assert (t.coeff, t.annihilators, t.head_kind, t.head_alpha) == (Q(-1), (), "create", 1)
-    assert t.head_mode == ModeExpr(4, ())
+    assert op.mode == 4
 
 
 def test_explicit_h_has_dilation_terms():
@@ -286,7 +286,7 @@ def test_explicit_h_A_pattern():
     assert len(creators) == 1
     t = creators[0]
     assert t.coeff == Q(-1) and t.annihilators == (1,) and t.head_alpha == 0
-    assert t.head_mode == ModeExpr(2, (0,))
+    assert op.mode == 2
 
 
 def test_explicit_rejects_wrong_parabolic():
@@ -709,6 +709,58 @@ def test_operator_build_is_deterministic():
     b = build_operator_general(PD_SL3_BOREL, matrix_unit(2, 1, 3), 1)
     assert a.terms == b.terms
     assert a.render() == b.render()
+
+
+@pytest.mark.parametrize("n, sigma, engine", [
+    (1, (), "general"), (1, (), "explicit"), (2, (2,), "general"),
+    (2, (2,), "explicit"), (2, (), "general"), (3, (2, 3), "general"),
+    (3, (2, 3), "explicit")])
+def test_operator_terms_do_not_depend_on_the_mode(n, sigma, engine):
+    pd = parabolic_decompose(n, sigma)
+    build = build_operator_general if engine == "general" else build_operator_explicit_sl
+    real = Realization(pd, character_module(pd), engine)
+    for _, elem, _ in pd.homogeneous_basis:
+        terms = build(pd, elem, 0).terms
+        for m in range(-3, 4):
+            op = build(pd, elem, m)
+            assert op.mode == m
+            assert op.terms == terms
+            served = real.operator(elem, m)
+            assert served.mode == m and served.terms == terms
+
+
+def test_bracket_sweep_builds_each_element_once(monkeypatch):
+    builds = []
+    build = rz.build_operator_general
+
+    def counting_build(pd, a, m):
+        builds.append(a)
+        return build(pd, a, m)
+
+    monkeypatch.setattr(rz, "build_operator_general", counting_build)
+    real = Realization(PD_SL2, sl2_heis(Q(1), Q(1)))
+    states = [mono_state([(0, 1, 1)]), mono_state([(0, -1, 2)], coeff=Q(1, 2))]
+    checks, failure = bracket_sweep(real, 1, states)
+    assert failure is None and checks == 9 * 9 * 2
+    assert len(builds) == 3
+    assert set(builds) == {elem for _, elem, _ in PD_SL2.homogeneous_basis}
+
+
+@pytest.mark.parametrize("order", [(1, 2, 0), (2, 0, 1)])
+def test_operator_hook_flips_only_its_mode(order):
+    f1 = PD_SL3_BOREL.f_basis[0]
+
+    def hook(a, m, op):
+        return op.with_flipped_term(0) if (a == f1 and m == 1) else op
+
+    plain = Realization(PD_SL3_BOREL, character_module(PD_SL3_BOREL))
+    hooked = Realization(PD_SL3_BOREL, character_module(PD_SL3_BOREL),
+                         operator_hook=hook)
+    rendered = {m: hooked.operator(f1, m).render() for m in order}
+    assert rendered[1] != plain.operator(f1, 1).render()
+    assert rendered[1] == plain.operator(f1, 1).with_flipped_term(0).render()
+    for m in (2, 0):
+        assert rendered[m] == plain.operator(f1, m).render()
 
 
 def test_bracket_sweep_witness_matches_check_bracket_residual():
