@@ -238,10 +238,6 @@ def all_roots(n: int) -> tuple[Root, ...]:
                  for j in range(1, size + 1) if i != j)
 
 
-def root_vector(n: int, root: Root) -> LieElement:
-    return matrix_unit(n, root.i, root.j)
-
-
 @dataclass(frozen=True)
 class SimpleAlgebra:
     """Basis data for sl(n+1): Cartan elements first, then matrix units."""
@@ -428,11 +424,9 @@ class ParabolicData:
             (name, el, self.height_of(el)) for name, el in zip(names, elems))
 
         self._center_cache: dict[LieElement, tuple[Fraction, ...]] = {}
-        # adjoint word tree of each element reached by the series expansion,
-        # filled lazily by `realization._ad_levels`
-        self.ad_levels_cache: dict[LieElement, tuple] = {}
-        # the same levels summed per letter multiset, filled lazily by
-        # `realization._ad_multisets`
+        # adjoint action of the f-basis on each element reached by the series
+        # expansion, summed per letter multiset; filled lazily by the
+        # multiset recursion `realization._ad_multisets`
         self.ad_multisets_cache: dict[LieElement, tuple] = {}
 
     # -- identity ----------------------------------------------------------
@@ -450,9 +444,6 @@ class ParabolicData:
     @property
     def num_alpha(self) -> int:
         return len(self.delta_u)
-
-    def alpha_index(self, root: Root) -> int:
-        return self._alpha_index[root]
 
     def height(self, root: Root) -> int:
         return self._ht[root]

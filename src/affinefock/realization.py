@@ -28,9 +28,10 @@ the annihilator modes that sum to -m, with a linear weight on the
 differentiated slot.  So each element's operator is built once and reused at
 every mode.
 
-Each operator is compiled once, on its first application, to integer
-numerators over the LCM of its denominators plus per-term slot families and
-heads; `apply_operator` sums integer contributions over that LCM times the
+Each operator's terms are compiled once, on their first application, to
+integer numerators over the LCM of their denominators plus per-term slot
+families and heads, and an element's operators at every mode share that
+kernel; `apply_operator` sums integer contributions over that LCM times the
 state's common denominator and divides once at the end, so results are exact,
 and both the output order and the sequence of module calls follow term order,
 then slot-assignment order.
@@ -38,9 +39,9 @@ then slot-assignment order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from math import factorial, lcm
 
@@ -128,70 +129,47 @@ class SeriesTerm:
 AdLevels = tuple[tuple[tuple[tuple[int, ...], LieElement], ...], ...]
 
 
-def _ad_levels(pd: ParabolicData, base: LieElement) -> AdLevels:
-    """Iterated adjoint words of the f-basis applied to base, by word length.
+def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0) -> AdLevels:
+    """Iterated adjoint action of the f-basis on base, summed per letter multiset.
 
-    Level k lists the surviving words of length k in lexicographic order, each
-    with (ad f_{w_k} o ... o ad f_{w_1})(base); the last level is empty.  All
-    calls on one parabolic share a single memoized word tree in
-    `pd.ad_levels_cache`: the words starting with beta are beta followed by
-    the words of [f_beta, base], so each distinct element is bracketed with
-    each f_beta only once per parabolic.  This tree is the only place where
-    the series computes brackets; `_ad_multisets` sums its levels.
-    Terminates by grading nilpotency; a surviving word of length
-    2*depth_k + 2 raises AssertionError.
+    Level k maps each sorted k-multiset S of f-letters to W(S), the sum over
+    the words w with letters S of (ad f_{w_k} o ... o ad f_{w_1})(base).  Zero
+    sums are dropped, the keys come in increasing order and the last level is
+    empty.  The annihilators of one term commute, so every word with letters
+    S lands on the same canonical operator term, and W(S) is all the series
+    needs.  It is built by the first-letter recursion
+    W_x(S) = sum_{beta in S} W_{[f_beta, x]}(S - beta), memoized per element
+    in `pd.ad_multisets_cache`, so each distinct element is bracketed with
+    each f_beta only once per parabolic; this is the only place where the
+    series computes brackets.  base is reached by a word of length depth, and
+    the recursion terminates by grading nilpotency: a surviving word of
+    length 2*depth_k + 2 raises AssertionError.
     """
-    return _ad_tree(pd, base, 0)
-
-
-def _ad_tree(pd: ParabolicData, base: LieElement, depth: int) -> AdLevels:
-    """`_ad_levels` of base, where base is reached by a word of length depth,
-    so the truncation cap counts that prefix too."""
     cap = 2 * pd.depth_k + 2
-    levels = pd.ad_levels_cache.get(base)
+    levels = pd.ad_multisets_cache.get(base)
     if levels is None:
         if base.is_zero():
             levels = ((),)
         else:
             if depth >= cap:
                 raise AssertionError("adjoint series failed to truncate (grading bug)")
-            subs = [_ad_tree(pd, bracket(f, base), depth + 1) for f in pd.f_basis]
+            sums: list[dict[tuple[int, ...], dict]] = [{}]  # levels 1, 2, ...
+            for beta, f in enumerate(pd.f_basis):
+                sub = _ad_multisets(pd, bracket(f, base), depth + 1)
+                sums.extend({} for _ in range(len(sub) - len(sums)))
+                for level_sums, level in zip(sums, sub):
+                    for s, w in level:
+                        acc = level_sums.setdefault(tuple(sorted(s + (beta,))), {})
+                        for key, c in w.entries.items():
+                            add_to(acc, key, c)
             root_level = (((), base),)
             levels = (root_level,) + tuple(
-                tuple(((beta,) + word, x)
-                      for beta, sub in enumerate(subs) if k < len(sub)
-                      for word, x in sub[k])
-                for k in range(max(map(len, subs), default=1)))
-        pd.ad_levels_cache[base] = levels
+                tuple((s, LieElement(pd.n, acc)) for s, acc in sorted(level.items()) if acc)
+                for level in sums)
+        pd.ad_multisets_cache[base] = levels
     if depth + len(levels) - 2 >= cap:
         raise AssertionError("adjoint series failed to truncate (grading bug)")
     return levels
-
-
-def _ad_multisets(pd: ParabolicData, base: LieElement) -> AdLevels:
-    """`_ad_levels` of base summed per multiset of letters.
-
-    Level k maps each sorted k-multiset S of f-letters to W(S), the sum of the
-    level-k word elements whose letters are S.  Zero sums are dropped and the
-    keys come in increasing order; there are as many levels as in
-    `_ad_levels`.  The annihilators of one term commute, so every word with
-    letters S lands on the same canonical operator term, and summing W(S)
-    first changes no term.  Memoized per element in `pd.ad_multisets_cache`.
-    """
-    levels = pd.ad_multisets_cache.get(base)
-    if levels is None:
-        levels = tuple(_sum_by_multiset(pd.n, level) for level in _ad_levels(pd, base))
-        pd.ad_multisets_cache[base] = levels
-    return levels
-
-
-def _sum_by_multiset(n: int, level) -> tuple:
-    sums: dict[tuple[int, ...], dict] = {}
-    for word, x in level:
-        acc = sums.setdefault(tuple(sorted(word)), {})
-        for key, c in x.entries.items():
-            add_to(acc, key, c)
-    return tuple((s, LieElement(n, acc)) for s, acc in sorted(sums.items()) if acc)
 
 
 def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[SeriesTerm]:
@@ -206,9 +184,9 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[SeriesTer
     word: the annihilators of a term commute and every coefficient depends
     only on word length, so D and A words are sorted multisets and C words
     are the differentiated letter followed by a sorted multiset.  The D part
-    is linear in (exp(-ad u) a)_ubar: a's words with letters S1 are grouped
-    by that element e, and each distinct e, counted k times, contributes
-    k * W_e(S2) at the multiset S1 + S2, from e's own memoized levels.
+    is linear in (exp(-ad u) a)_ubar: for each multiset S1 of a, the element
+    y = (W_a(S1))_ubar contributes W_y(S2) at the multiset S1 + S2, from y's
+    own memoized multiset levels.
     """
     if a.n != pd.n:
         raise ValueError("rank mismatch")
@@ -216,22 +194,18 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[SeriesTer
         raise ValueError("series expansion needs a Sigma-homogeneous element")
     out: list[SeriesTerm] = []
     if kind == "D":
-        for i, level in enumerate(_ad_levels(pd, a)):
+        for i, level in enumerate(_ad_multisets(pd, a)):
             c1 = _coeff_exp_neg(i)
-            groups: dict[tuple[int, ...], dict[LieElement, int]] = {}
-            for word1, x in level:
-                x_ubar = pd.project(x, "ubar")
-                if not x_ubar.is_zero():
-                    add_to(groups.setdefault(tuple(sorted(word1)), {}), x_ubar, 1)
-            for s1, counts in groups.items():
-                for e, k in counts.items():
-                    for j, level2 in enumerate(_ad_multisets(pd, e)):
-                        c2 = _coeff_flow(j)
-                        if c2 == 0:
-                            continue
-                        c = c1 * c2 * k
-                        for s2, y in level2:
-                            out.append(SeriesTerm(tuple(sorted(s1 + s2)), y, c))
+            for s1, x in level:
+                y = pd.project(x, "ubar")
+                if y.is_zero():
+                    continue
+                for j, level2 in enumerate(_ad_multisets(pd, y)):
+                    c = c1 * _coeff_flow(j)
+                    if c == 0:
+                        continue
+                    for s2, w in level2:
+                        out.append(SeriesTerm(tuple(sorted(s1 + s2)), w, c))
     elif kind == "A":
         for i, level in enumerate(_ad_multisets(pd, a)):
             c = _coeff_exp_neg(i)
@@ -309,19 +283,31 @@ class NormalOrderedOperator:
     terms: tuple[Term, ...]
     provenance: str
     mode: int
+    # one-slot holder of `compiled`, shared with the copies `at_mode` makes
+    _kernel: list = field(default_factory=list, init=False, repr=False,
+                          compare=False)
 
     def render(self) -> str:
         return "\n".join(t.render(self.mode) for t in self.terms)
 
-    @cached_property
+    def at_mode(self, mode: int) -> "NormalOrderedOperator":
+        """The same terms at another mode, sharing the integer kernel."""
+        op = replace(self, mode=mode)
+        object.__setattr__(op, "_kernel", self._kernel)
+        return op
+
+    @property
     def compiled(self) -> tuple:
         """Integer form that `apply_operator` runs on, built on first use.
 
         (D, families, terms): D is the LCM of the term denominators; families
         lists the distinct slot-family tuples; each term becomes (index into
         families, D * coeff as an int, head kind, head alpha or Levi element,
-        mode-factor slot).  The operator's mode is not part of it.
+        mode-factor slot).  The operator's mode is not part of it, so every
+        `at_mode` copy of an operator shares one kernel.
         """
+        if self._kernel:
+            return self._kernel[0]
         denom = lcm(*[t.coeff.denominator for t in self.terms])
         families: dict[tuple[int, ...], int] = {}
         terms = []
@@ -330,7 +316,8 @@ class NormalOrderedOperator:
             terms.append((families.setdefault(t.annihilators, len(families)),
                           t.coeff.numerator * (denom // t.coeff.denominator),
                           t.head_kind, head, t.mode_factor))
-        return denom, tuple(families), tuple(terms)
+        self._kernel.append((denom, tuple(families), tuple(terms)))
+        return self._kernel[0]
 
     def with_flipped_term(self, index: int) -> "NormalOrderedOperator":
         """Negative-control helper: negate one term's coefficient."""
@@ -654,7 +641,7 @@ class Realization:
             else:
                 template = build_operator_explicit_sl(self.pd, a, m)
             self._templates[a] = template
-        op = replace(template, mode=m)
+        op = template.at_mode(m)
         if self.operator_hook is not None:
             op = self.operator_hook(a, m, op)
         self._cache[key] = op

@@ -36,7 +36,6 @@ from affinefock.realization import (
     NormalOrderedOperator,
     Realization,
     Term,
-    _ad_levels,
     _ad_multisets,
     _canonical_terms,
     _matches,
@@ -132,14 +131,19 @@ def test_series_levi_is_single_annihilator_family():
 
 
 def test_series_levi_collapses_to_minus_ad_u_in_depth_two():
-    # words of length >= 2 must cancel between the two composed series
-    d = series_expand(PD_SL3_BOREL, cartan_h(2, 1), "D")
-    merged = {}
-    for t in d:
-        key = (t.word, t.base.key())
-        merged[key] = merged.get(key, Q(0)) + t.coeff
-    survivors = {k: c for k, c in merged.items() if c != 0}
-    assert all(len(word) == 1 for word, _ in survivors)
+    # words of length >= 2 must cancel between the two composed series; the
+    # summands of one word are summed as coeff * base, since how the D part
+    # splits a word's element into (base, coeff) pairs is not fixed
+    h1 = cartan_h(2, 1)
+    per_word = {}
+    for t in series_expand(PD_SL3_BOREL, h1, "D"):
+        x = t.base.scale(t.coeff)
+        per_word[t.word] = per_word[t.word] + x if t.word in per_word else x
+    survivors = [word for word, x in per_word.items() if not x.is_zero()]
+    assert survivors and all(len(word) == 1 for word in survivors)
+    op = build_operator_general(PD_SL3_BOREL, h1, 0)
+    assert not [t for t in op.terms
+                if t.head_kind == "create" and len(t.annihilators) >= 2]
 
 
 def test_series_bernoulli_correction_sl3_borel():
@@ -178,16 +182,6 @@ def breadth_first_ad_levels(pd, base):
     return levels
 
 
-@pytest.mark.parametrize("n, sigma", [(4, ()), (3, (2, 3)), (2, (2,))])
-def test_ad_levels_match_breadth_first_reference(n, sigma):
-    pd = parabolic_decompose(n, sigma)
-    bases = [elem for _, elem, _ in pd.homogeneous_basis] + list(pd.f_basis)
-    for _ in range(2):  # cold misses first, then cache hits
-        for base in bases:
-            levels = [list(level) for level in _ad_levels(pd, base)]
-            assert levels == breadth_first_ad_levels(pd, base)
-
-
 def summed_per_multiset(levels):
     """Reference multiset levels: each level's word elements summed per sorted
     letter tuple, zero sums dropped, keys in increasing order."""
@@ -205,10 +199,16 @@ def summed_per_multiset(levels):
 def test_ad_multisets_match_breadth_first_reference(n, sigma):
     pd = parabolic_decompose(n, sigma)
     bases = [elem for _, elem, _ in pd.homogeneous_basis] + list(pd.f_basis)
+    # the sum elements (W_a(S1))_ubar that the D part of the series expands,
+    # for the highest-root element a
+    top = matrix_unit(n, 1, n + 1)
+    bases += [y for level in summed_per_multiset(breadth_first_ad_levels(pd, top))
+              for _, x in level if not (y := pd.project(x, "ubar")).is_zero()]
     for _ in range(2):  # cold misses first, then cache hits
         for base in bases:
             levels = [list(level) for level in _ad_multisets(pd, base)]
             assert levels == summed_per_multiset(breadth_first_ad_levels(pd, base))
+    assert _ad_multisets(pd, top) is _ad_multisets(pd, top) is pd.ad_multisets_cache[top]
 
 
 @pytest.mark.parametrize("n, sigma", [(4, ()), (3, (2, 3)), (2, ())])
@@ -744,6 +744,21 @@ def test_bracket_sweep_builds_each_element_once(monkeypatch):
     assert failure is None and checks == 9 * 9 * 2
     assert len(builds) == 3
     assert set(builds) == {elem for _, elem, _ in PD_SL2.homogeneous_basis}
+
+
+def test_bracket_sweep_compiles_each_element_once():
+    pd = parabolic_decompose(3, (2, 3))
+    real = Realization(pd, character_module(pd))
+    checks, failure = bracket_sweep(real, 1, [mono_state([(0, 1, 1)])])
+    assert failure is None and checks == 15 * 15 * 9
+    ops = list(real._cache.values())
+    assert len(ops) == 75
+    assert len({id(op.compiled) for op in ops}) == 15
+    flipped = ops[0].with_flipped_term(0)
+    denom, families, terms = ops[0].compiled
+    assert flipped.compiled == (denom, families,
+                                ((terms[0][0], -terms[0][1]) + terms[0][2:],)
+                                + terms[1:])
 
 
 @pytest.mark.parametrize("order", [(1, 2, 0), (2, 0, 1)])
