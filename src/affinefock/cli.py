@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 an algebraic identity failed, 2 input could
 not be parsed or an output file could not be written, 3 inputs parse but are
-semantically incompatible.
+semantically incompatible, 4 an internal error (any other exception, such as
+MemoryError), reported as one `error: internal error:` line.
 
 The config file is JSON:
 
@@ -24,8 +25,8 @@ Module descriptors:
 
 Generator names: `c` (central), `hI` (Cartan coroot), `wR` (center of the
 Levi), `fK` / `eK` (1-based nilradical enumeration), `EI.J` (matrix unit).
-Rationals are "p/q" strings or JSON integers; state files use the canonical
-Fock format.
+Rationals are "p/q" strings (no decimals or exponents) or JSON integers;
+state files use the canonical Fock format.
 """
 
 from __future__ import annotations
@@ -531,6 +532,9 @@ def main(argv=None) -> int:
     except SemanticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

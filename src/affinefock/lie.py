@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -32,12 +33,18 @@ MAX_RANK = 12
 
 def as_scalar(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact scalar; bools
-    and floats are rejected."""
+    and floats are rejected.
+
+    A string must read `-?[0-9]+(/[0-9]+)?`, which is what `str(Fraction)`
+    writes: decimals and exponents raise ValueError, so that "1.5" is never
+    taken silently and "1e100000000" is never expanded."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x):
+            raise ValueError(f"not a 'p/q' rational: {x!r}")
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 

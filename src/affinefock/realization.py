@@ -116,16 +116,6 @@ def _coeff_g(j: int) -> Fraction:
     return Q(1, factorial(j + 1))
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
-    """coefficient * x_{w_1} ... x_{w_r} * base: one series summand, with its
-    annihilator letters w and the Lie-algebra value base that they carry."""
-
-    word: tuple[int, ...]
-    base: LieElement
-    coeff: Fraction
-
-
 AdLevels = tuple[tuple[tuple[tuple[int, ...], LieElement], ...], ...]
 
 
@@ -172,13 +162,15 @@ def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0) -> AdLeve
     return levels
 
 
-def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[SeriesTerm]:
+def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
     """Exact finite expansion of the D / A / C summand for homogeneous a.
 
-    D returns the ubar-valued series F(ad u)((exp(-ad u) a)_ubar) before the
-    overall minus sign of the assembled operator; A returns the p-projected
-    exponential series; C returns the scalar-paired central series, with the
-    differentiated slot first in each word.
+    Returns one (word, value) pair per word with a nonzero value, sorted by
+    (len(word), word).  D values are the ubar elements of the series
+    F(ad u)((exp(-ad u) a)_ubar), before the overall minus sign of the
+    assembled operator; A values are the p elements of the p-projected
+    exponential series; C values are the scalars of the paired central
+    series, with the differentiated letter first in each word.
 
     The series is summed per multiset of letters (`_ad_multisets`), not per
     word: the annihilators of a term commute and every coefficient depends
@@ -186,13 +178,20 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[SeriesTer
     are the differentiated letter followed by a sorted multiset.  The D part
     is linear in (exp(-ad u) a)_ubar: for each multiset S1 of a, the element
     y = (W_a(S1))_ubar contributes W_y(S2) at the multiset S1 + S2, from y's
-    own memoized multiset levels.
+    own memoized multiset levels.  Every contribution to a word is summed
+    into that word's value with `add_to`.
     """
     if a.n != pd.n:
         raise ValueError("rank mismatch")
     if pd.height_of(a) is None:
         raise ValueError("series expansion needs a Sigma-homogeneous element")
-    out: list[SeriesTerm] = []
+    acc: dict = {}
+
+    def add(word, x, c):
+        entries = acc.setdefault(word, {})
+        for key, v in x.entries.items():
+            add_to(entries, key, c * v)
+
     if kind == "D":
         for i, level in enumerate(_ad_multisets(pd, a)):
             c1 = _coeff_exp_neg(i)
@@ -205,14 +204,12 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[SeriesTer
                     if c == 0:
                         continue
                     for s2, w in level2:
-                        out.append(SeriesTerm(tuple(sorted(s1 + s2)), w, c))
+                        add(tuple(sorted(s1 + s2)), w, c)
     elif kind == "A":
         for i, level in enumerate(_ad_multisets(pd, a)):
             c = _coeff_exp_neg(i)
             for s, w in level:
-                wp = pd.project(w, "p")
-                if not wp.is_zero():
-                    out.append(SeriesTerm(s, wp, c))
+                add(s, pd.project(w, "p"), c)
     elif kind == "C":
         # The scalar correction picked up when conjugating a mode series by
         # exp(ad u) is exactly this G-weighted pairing against d_z u; it is
@@ -222,23 +219,12 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[SeriesTer
             for j, level in enumerate(_ad_multisets(pd, pd.f_basis[beta0])):
                 c = _coeff_g(j)
                 for s, w in level:
-                    pairing = form(w, a)
-                    if pairing != 0:
-                        out.append(SeriesTerm((beta0,) + s, w, c * pairing))
+                    add_to(acc, (beta0,) + s, c * form(w, a))
     else:
         raise ValueError(f"unknown series kind {kind!r}")
-    return _merge_series(out)
-
-
-def _merge_series(terms: list[SeriesTerm]) -> list[SeriesTerm]:
-    merged: dict[tuple, tuple] = {}
-    for t in terms:
-        key = (t.word, t.base.key())
-        prev = merged.get(key)
-        merged[key] = (t.word, t.base, t.coeff if prev is None else prev[2] + t.coeff)
-    out = [SeriesTerm(w, b, c) for w, b, c in merged.values() if c != 0]
-    out.sort(key=lambda t: (len(t.word), t.word, t.base.key()))
-    return out
+    if kind != "C":
+        acc = {word: LieElement(pd.n, entries) for word, entries in acc.items() if entries}
+    return sorted(acc.items(), key=lambda pair: (len(pair[0]), pair[0]))
 
 
 @dataclass(frozen=True)
@@ -329,69 +315,50 @@ class NormalOrderedOperator:
 
 
 def _canonical_terms(pd: ParabolicData, raw: list[Term]) -> tuple[Term, ...]:
-    """Canonical form: Levi heads split into basis units, slots sorted,
-    identical patterns merged, deterministic final order."""
-    expanded: list[Term] = []
+    """Canonical form of a list of raw terms.
+
+    Each term's slots are sorted by family, the mode-factor slot first among
+    slots of one family, and a Levi head is split into named basis units by
+    `decompose_p`.  Every piece is summed with `add_to` under the key
+    (sorted slots, head kind, alpha, Levi unit, unit name, mode-factor slot),
+    which lists the fields of `Term` after its coefficient, so pieces that
+    cancel vanish, and the surviving terms come in `_term_sort_key` order.
+    """
+    merged: dict[tuple, Fraction] = {}
     for t in raw:
-        if t.coeff == 0:
-            continue
+        order = sorted(range(len(t.annihilators)),
+                       key=lambda s: (t.annihilators[s], s != t.mode_factor, s))
+        annih = tuple(t.annihilators[s] for s in order)
+        mf = None if t.mode_factor is None else order.index(t.mode_factor)
         if t.head_kind == "levi":
             for name, unit, c in pd.decompose_p(t.head_elem):
-                expanded.append(replace(t, coeff=t.coeff * c, head_elem=unit,
-                                        head_name=name))
+                add_to(merged, (annih, "levi", None, unit, name, mf), t.coeff * c)
         else:
-            expanded.append(t)
-
-    merged: dict[tuple, tuple[Term, Fraction]] = {}
-    for t in expanded:
-        r = len(t.annihilators)
-        order = sorted(range(r),
-                       key=lambda s: (t.annihilators[s],
-                                      0 if s == t.mode_factor else 1, s))
-        annih = tuple(t.annihilators[s] for s in order)
-        mode_factor = order.index(t.mode_factor) if t.mode_factor is not None else None
-        t = replace(t, annihilators=annih, mode_factor=mode_factor)
-        key = (annih, t.head_kind, t.head_alpha,
-               t.head_elem.key() if t.head_elem is not None else None, mode_factor)
-        prev = merged.get(key)
-        if prev is None:
-            merged[key] = (t, t.coeff)
-        else:
-            merged[key] = (prev[0], prev[1] + t.coeff)
-
-    final = []
-    for key in sorted(merged, key=_term_sort_key):
-        t, coeff = merged[key]
-        if coeff != 0:
-            final.append(replace(t, coeff=coeff))
-    return tuple(final)
+            add_to(merged, (annih, t.head_kind, t.head_alpha, None, None, mf), t.coeff)
+    return tuple(Term(merged[key], *key) for key in sorted(merged, key=_term_sort_key))
 
 
 _HEAD_RANK = {"create": 0, "levi": 1, "central": 2}
 
 
 def _term_sort_key(key):
-    annih, kind, alpha, elem_key, mf = key
+    annih, kind, alpha, unit, _name, mf = key
     return (len(annih), _HEAD_RANK[kind],
             -1 if alpha is None else alpha,
-            elem_key or (), annih,
+            () if unit is None else unit.key(), annih,
             -1 if mf is None else mf)
 
 
 def build_operator_general(pd: ParabolicData, a: LieElement, m: int,
                            ) -> NormalOrderedOperator:
     """Assemble pi(a_m) from the exponential-adjoint series."""
-    raw: list[Term] = []
-    for st in series_expand(pd, a, "D"):
-        for alpha, c_alpha in pd.ubar_coords(st.base):
-            raw.append(Term(coeff=-st.coeff * c_alpha, annihilators=st.word,
-                            head_kind="create", head_alpha=alpha))
-    for st in series_expand(pd, a, "A"):
-        raw.append(Term(coeff=st.coeff, annihilators=st.word, head_kind="levi",
-                        head_elem=st.base))
-    for st in series_expand(pd, a, "C"):
-        raw.append(Term(coeff=-st.coeff, annihilators=st.word,
-                        head_kind="central", mode_factor=0))
+    raw = ([Term(-c, word, "create", head_alpha=alpha)
+            for word, y in series_expand(pd, a, "D")
+            for alpha, c in pd.ubar_coords(y)]
+           + [Term(Q(1), word, "levi", head_elem=x)
+              for word, x in series_expand(pd, a, "A")]
+           + [Term(-c, word, "central", mode_factor=0)
+              for word, c in series_expand(pd, a, "C")])
     return NormalOrderedOperator(_canonical_terms(pd, raw), "general", m)
 
 

@@ -487,6 +487,32 @@ def test_parse_error_state_coefficient(tmp_path, capsys, coeff):
     assert "malformed state file" in capsys.readouterr().err
 
 
+def test_parse_error_level_in_exponent_notation(tmp_path, capsys):
+    # never expanded to 10**100000000
+    cfg = dict(SL2_HEIS, module={"kind": "heisenberg_fock", "level": "1e100000000",
+                                 "lam": ["1"]})
+    assert main(["weights", "--config", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad rational in module level")
+    assert captured.out == ""
+
+
+def test_parse_error_state_coefficient_in_exponent_notation(tmp_path, capsys):
+    state = {"terms": [{"coeff": "1e100000000", "monomial": [], "v": 0}]}
+    assert act_on_state(tmp_path, state) == 2
+    captured = capsys.readouterr()
+    assert "malformed state file" in captured.err
+    assert captured.out == ""
+
+
+def test_parse_error_decimal_level(tmp_path, capsys):
+    cfg = dict(SL2_HEIS, module={"kind": "heisenberg_fock", "level": "1.5", "lam": ["1"]})
+    assert act_on_vacuum(tmp_path, cfg) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad rational in module level")
+    assert captured.out == ""
+
+
 def test_act_rejects_negative_mode_on_evaluation_at_zero(tmp_path, capsys):
     rc = main(["act", "--config", write_config(tmp_path, SL3_EVAL_AT_ZERO),
                "--generator", "h1", "--mode", "-1", "--state", "vacuum"])
@@ -580,4 +606,19 @@ def test_state_exponent_zero_is_semantic_error(tmp_path, capsys):
     assert act_on_state(tmp_path, state) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "exponents" in captured.err
+    assert captured.out == ""
+
+
+# --- internal errors --------------------------------------------------------------------
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), MemoryError()])
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch, exc):
+    def fail(job):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_weights", fail)
+    rc = main(["weights", "--config", write_config(tmp_path, SL2_HEIS)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err == f"error: internal error: {exc!r}\n"
     assert captured.out == ""

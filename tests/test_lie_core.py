@@ -9,6 +9,7 @@ from affinefock.lie import (
     LieElement,
     ParabolicData,
     Root,
+    as_scalar,
     bracket,
     build_sl,
     cartan_h,
@@ -64,6 +65,17 @@ def assert_dense_equal(el: LieElement, m: list[list[Fraction]]):
 
 
 # --- build_sl ----------------------------------------------------------------
+
+def test_as_scalar_takes_only_integer_and_p_q_strings():
+    for q in (Q(0), Q(7), Q(-3, 4), Q(10 ** 30, 7)):
+        assert as_scalar(str(q)) == q
+    for text in ("1.5", "1e3", "1e100000000", "+1", " 1", "1 ", "1_000", "-", "1/", "/2",
+                 "inf", "nan", "1/-2"):
+        with pytest.raises(ValueError):
+            as_scalar(text)
+    with pytest.raises(ZeroDivisionError):
+        as_scalar("1/0")
+
 
 def test_build_sl_dimensions():
     assert build_sl(1).dim == 3

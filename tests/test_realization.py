@@ -112,35 +112,23 @@ def test_bernoulli_bound():
 def test_series_abelian_nilradical_element():
     for pd in (PD_SL2, PD_SL3_MAX):
         a = pd.f_basis[0]
-        d = series_expand(pd, a, "D")
-        assert len(d) == 1
-        assert d[0].word == () and d[0].base == a and d[0].coeff == 1
+        assert series_expand(pd, a, "D") == [((), a)]
         assert series_expand(pd, a, "A") == []
         assert series_expand(pd, a, "C") == []
 
 
 def test_series_levi_is_single_annihilator_family():
-    d = series_expand(PD_SL2, H1, "D")
-    assert len(d) == 1
-    assert d[0].word == (0,)
-    assert d[0].base == F_SL2.scale(2)  # [f, h] = 2 f
-    assert d[0].coeff == -1
-    a = series_expand(PD_SL2, H1, "A")
-    assert len(a) == 1 and a[0].word == () and a[0].base == H1 and a[0].coeff == 1
+    # -[f, h] = -2 f
+    assert series_expand(PD_SL2, H1, "D") == [((0,), F_SL2.scale(-2))]
+    assert series_expand(PD_SL2, H1, "A") == [((), H1)]
     assert series_expand(PD_SL2, H1, "C") == []
 
 
 def test_series_levi_collapses_to_minus_ad_u_in_depth_two():
-    # words of length >= 2 must cancel between the two composed series; the
-    # summands of one word are summed as coeff * base, since how the D part
-    # splits a word's element into (base, coeff) pairs is not fixed
+    # words of length >= 2 must cancel between the two composed series
     h1 = cartan_h(2, 1)
-    per_word = {}
-    for t in series_expand(PD_SL3_BOREL, h1, "D"):
-        x = t.base.scale(t.coeff)
-        per_word[t.word] = per_word[t.word] + x if t.word in per_word else x
-    survivors = [word for word, x in per_word.items() if not x.is_zero()]
-    assert survivors and all(len(word) == 1 for word in survivors)
+    d = series_expand(PD_SL3_BOREL, h1, "D")
+    assert d and all(len(word) == 1 and not y.is_zero() for word, y in d)
     op = build_operator_general(PD_SL3_BOREL, h1, 0)
     assert not [t for t in op.terms
                 if t.head_kind == "create" and len(t.annihilators) >= 2]
@@ -149,13 +137,8 @@ def test_series_levi_collapses_to_minus_ad_u_in_depth_two():
 def test_series_bernoulli_correction_sl3_borel():
     # depth-two Borel: the first nilradical generator picks up a half term
     d = series_expand(PD_SL3_BOREL, PD_SL3_BOREL.f_basis[0], "D")
-    by_word = {}
-    for t in d:
-        by_word.setdefault(t.word, []).append(t)
-    assert {(), (1,)} == set(by_word)
-    (t0,), (t1,) = by_word[()], by_word[(1,)]
-    assert t0.base == PD_SL3_BOREL.f_basis[0] and t0.coeff == 1
-    assert t1.base == matrix_unit(2, 3, 1) and t1.coeff == Q(-1, 2)
+    assert d == [((), PD_SL3_BOREL.f_basis[0]),
+                 ((1,), matrix_unit(2, 3, 1).scale(Q(-1, 2)))]
 
 
 def test_series_rejects_inhomogeneous():
@@ -216,12 +199,50 @@ def test_series_expand_words_are_multisets(n, sigma):
     pd = parabolic_decompose(n, sigma)
     for _, elem, _ in pd.homogeneous_basis:
         for kind in ("D", "A", "C"):
-            terms = series_expand(pd, elem, kind)
-            for t in terms:
-                tail = t.word[1:] if kind == "C" else t.word
+            pairs = series_expand(pd, elem, kind)
+            words = [word for word, _value in pairs]
+            for word in words:
+                tail = word[1:] if kind == "C" else word
                 assert list(tail) == sorted(tail)
-            keys = [(t.word, t.base.key()) for t in terms]
-            assert len(set(keys)) == len(keys)
+            # exactly one pair per word, in (length, word) order, none zero
+            assert words == sorted(set(words), key=lambda w: (len(w), w))
+            for _word, value in pairs:
+                assert value != 0 if kind == "C" else not value.is_zero()
+
+
+# --- canonical form -------------------------------------------------------------------
+
+def test_canonical_terms_merge_split_cancel_and_order():
+    pd = PD_SL3_BOREL
+    levi = cartan_h(2, 1).scale(2) + matrix_unit(2, 1, 3).scale(-3)
+    raw = [
+        # permuted slot orders of one pattern merge
+        Term(Q(1), (1, 0), "create", head_alpha=0),
+        Term(Q(2), (0, 1), "create", head_alpha=0),
+        # the mode-factor slot comes first among slots of its family
+        Term(Q(1), (1, 0, 0), "central", mode_factor=2),
+        Term(Q(1, 2), (0, 1, 0), "central", mode_factor=0),
+        Term(Q(5), (0, 1, 0), "central", mode_factor=1),
+        # a Levi head splits into named units
+        Term(Q(1), (), "levi", head_elem=levi),
+        # sums that cancel are dropped, and so is a zero term
+        Term(Q(1), (2,), "create", head_alpha=1),
+        Term(Q(-1), (2,), "create", head_alpha=1),
+        Term(Q(1), (0,), "levi", head_elem=cartan_h(2, 2)),
+        Term(Q(-1), (0,), "levi", head_elem=cartan_h(2, 2)),
+        Term(Q(0), (1,), "create", head_alpha=2),
+    ]
+    expected = (
+        Term(Q(2), (), "levi", head_elem=cartan_h(2, 1), head_name="H1"),
+        Term(Q(-3), (), "levi", head_elem=matrix_unit(2, 1, 3), head_name="E1.3"),
+        Term(Q(3), (0, 1), "create", head_alpha=0),
+        Term(Q(3, 2), (0, 0, 1), "central", mode_factor=0),
+        Term(Q(5), (0, 0, 1), "central", mode_factor=2),
+    )
+    assert _canonical_terms(pd, raw) == expected
+    # the final order does not depend on the order of the raw terms
+    assert _canonical_terms(pd, raw[::-1]) == expected
+    assert _canonical_terms(pd, raw[3:] + raw[:3]) == expected
 
 
 # --- operator assembly: closed forms ----------------------------------------------
