@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .lie import LieElement, ParabolicData, add_to, as_scalar
 
@@ -130,9 +130,6 @@ class FockState:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def items(self) -> Iterator[tuple[tuple[Monomial, int], Fraction]]:
-        return iter(self.terms.items())
 
     def __add__(self, other: "FockState") -> "FockState":
         out = dict(self.terms)

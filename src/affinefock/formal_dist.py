@@ -161,9 +161,6 @@ class DeltaKernel:
             out = out + DeltaKernel({d: g.derivative()}) + DeltaKernel({d + 1: g})
         return out
 
-    def mul_w_poly(self, p: LaurentPoly) -> "DeltaKernel":
-        return DeltaKernel({d: g * p for d, g in self.terms.items()})
-
 
 def multiply_by_field(kernel: DeltaKernel, a: LaurentPoly) -> DeltaKernel:
     """a(z) * kernel, rewritten with weights in w only."""

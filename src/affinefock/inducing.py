@@ -35,6 +35,9 @@ from .lie import (
 
 Q = Fraction
 
+# largest |mode| of an evaluation module at |s| not in {0, 1}, where s ** mode grows
+MAX_EVALUATION_MODE = 2 ** 16
+
 
 def levi_coords(pd: ParabolicData, x: LieElement) -> list[Fraction]:
     """Coordinates of a Levi element over pd.levi_basis."""
@@ -179,7 +182,9 @@ class EvaluationModule(InducingModule):
     """Finite-dimensional Levi representation evaluated at a point.
 
     x (x) t^j acts by s^j rho(x_l); the nilradical part acts by zero.  With
-    s = 0 positive modes act by zero and negative modes are rejected.
+    s = 0 positive modes act by zero and negative modes are rejected.  Unless
+    |s| is 1, a mode with |j| > MAX_EVALUATION_MODE is rejected, since s^j
+    would grow without bound.
     """
 
     kind = "evaluation"
@@ -255,6 +260,10 @@ class EvaluationModule(InducingModule):
                         "negative modes are undefined at evaluation point 0")
                 mat = self.matrix_of(x_l) if mode == 0 else None
             else:
+                if abs(self.s) != 1 and abs(mode) > MAX_EVALUATION_MODE:
+                    raise ValueError(
+                        f"mode {mode} outside |mode| <= {MAX_EVALUATION_MODE} "
+                        f"at evaluation point {self.s}")
                 scale = self.s ** mode
                 mat = tuple(tuple(v * scale for v in row)
                             for row in self.matrix_of(x_l))

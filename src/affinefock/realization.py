@@ -493,17 +493,24 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
     the slot-mode sum: create a variable, or act on the V-factor through the
     inducing module; a central term keeps only the assignments whose slot
     modes sum to -m and scales by the level.  Contributions are summed as
-    integers over the operator's and the state's common denominators, and
-    divided once at the end.
+    integers over the operator's and the state's common denominators
+    (`_apply_scaled`), and divided once at the end.
     """
+    total, items = _apply_scaled(op, _integer_terms(state), module)
+    return FockState.of({k: Q(v, total) for k, v in items})
+
+
+def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
+    """`apply_operator` on integers: (S, items) to (T, items) in its order,
+    T being D * S (D the operator's LCM) times the LCM of any denominators
+    the module's actions or the level bring in, so numerators stay integers."""
     denom, families, terms = op.compiled
     mode = op.mode
     kappa = module.level
     skip_central = kappa == 0
-    scale = lcm(*[c.denominator for c in state.terms.values()])
+    scale, items = scaled
     out: dict = {}
-    for (mono, vidx), c in state.terms.items():
-        cnum = c.numerator * (scale // c.denominator)
+    for (mono, vidx), cnum in items:
         found: list = [None] * len(families)
         for fi, num, kind, head, mode_factor in terms:
             central = kind == "central"
@@ -535,8 +542,12 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
                         out[key] = s
                     else:
                         out.pop(key, None)
-    total = denom * scale
-    return FockState.of({k: Q(v, total) for k, v in out.items()})
+    fracs = [v.denominator for v in out.values() if type(v) is not int]
+    if not fracs:
+        return denom * scale, out.items()
+    den = lcm(*fracs)
+    return denom * scale * den, [(k, v.numerator * (den // v.denominator))
+                                 for k, v in out.items()]
 
 
 def instantiate_operator(op: NormalOrderedOperator, window: int,
@@ -684,22 +695,22 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
     hoisted out of the loops, and bracket values are resolved through their
     basis coordinates.
 
-    Checks are evaluated in pair order: for each basis index i and each
-    j >= i, the two products X = pi(a_m) pi(b_n) s and Y = pi(b_n) pi(a_m) s
-    are applied once per (m, n, s) and serve both the check (a, b, m, n, s)
-    and its mirror (b, a, n, m, s), so a sweep makes one operator application
-    per check.  Each of the two still builds and tests its own residual, with
-    its own bracket coordinates and central term.  On the diagonal only
-    n >= m is visited, and Y is X when n = m.  A mirror's verdict is kept
-    until its row is reported: None if it passed, its residual if it failed.
+    Every state has one form, integers over a common denominator S: the
+    hoisted actions and the input states are converted once, and each
+    product X = pi(a_m) pi(b_n) s or Y = pi(b_n) pi(a_m) s is applied to
+    those numerators by `_apply_scaled`.  A residual scales every part by
+    L / (S * den(c)), L being the LCM of those products over its parts, and
+    divides by L only for a failing check.  Parts are added in the order x,
+    -y, -[a,b] s by basis coordinate, central term, and a key whose sum
+    reaches zero is deleted, so witness values and key order are those of
+    Fraction accumulation.
 
-    Residuals are summed in integers.  The hoisted actions, the input states
-    and each X and Y are converted once to numerators over their own common
-    denominator S; a residual scales every part by L / (S * den(c)), L being
-    the LCM of those products over its parts, and divides by L only for a
-    failing check.  Parts are added in the order x, -y, -[a,b] s by basis
-    coordinate, central term, and a key whose sum reaches zero is deleted, so
-    witness values and key order are those of Fraction accumulation.
+    Ordered pairs (i, j) run in row order.  For j >= i, X and Y are applied
+    once per (m, n, s) and serve both the check (a, b, m, n, s) and its
+    mirror (b, a, n, m, s), each with its own residual, bracket coordinates
+    and central term; the mirror's verdicts (None on a pass, the residual on
+    a failure) wait in `pending` until pair (j, i) is reported.  On the
+    diagonal only n >= m is visited, and Y is X when n = m.
 
     Reporting (on_check, the check count and the first failure) follows row
     order, (a, b, m, n, state) nested in basis and mode order.  Returns
@@ -707,15 +718,15 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
     residual of the first failing check in that order.
     """
     pd = real.pd
+    module = real.module
     basis = pd.homogeneous_basis
-    kappa = real.module.level
+    kappa = module.level
     wide = 2 * max_mode
     modes = range(-max_mode, max_mode + 1)
 
-    P = [[[real.act(elem, m, s) for s in states]
+    P = [[[_integer_terms(real.act(elem, m, s)) for s in states]
           for m in range(-wide, wide + 1)]
          for _name, elem, _h in basis]
-    P_int = [[[_integer_terms(st) for st in row] for row in rows] for rows in P]
     inputs = [_integer_terms(s) for s in states]
 
     # minus the basis coordinates of each bracket [a, b]
@@ -728,7 +739,7 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
     def residual(x, y, coords, p, si, central):
         """x - y - [a,b]_{m+n} s - central s as a dict, or None when zero."""
         parts = [(x, 1), (y, -1)]
-        parts.extend((P_int[k][p][si], c) for k, c in coords)
+        parts.extend((P[k][p][si], c) for k, c in coords)
         if central:
             parts.append((inputs[si], central))
         common = lcm(*[scale * c.denominator for (scale, _), c in parts])
@@ -746,64 +757,49 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
         return {k: Q(v, common) for k, v in acc.items()}
 
     checks = 0
-
-    def report(aname, bname, block):
-        """Count and announce one (a, b) block of verdicts; the first failure."""
-        nonlocal checks
-        for m in modes:
-            for n in modes:
-                for si, res in enumerate(block[m, n]):
-                    checks += 1
-                    if on_check is not None:
-                        on_check(aname, bname, m, n, si, res is None)
-                    if res is not None:
-                        return {"a": aname, "b": bname, "m": m, "n": n,
-                                "state": si, "residual": FockState(res)}
-        return None
-
-    # mirrored[j] holds the verdict blocks (j, i) for i < j, in order of i,
-    # until row j has reported them
-    mirrored: list[list] = [[] for _ in basis]
+    pending: dict = {}  # (j, i) -> verdict block of the mirror of (i, j)
     for i, (aname, a, _) in enumerate(basis):
-        for i2, block in enumerate(mirrored[i]):
-            failure = report(aname, basis[i2][0], block)
-            if failure is not None:
-                return checks, failure
-        mirrored[i] = None
-        for j in range(i, len(basis)):
-            bname, b, _ = basis[j]
-            diagonal = j == i
-            coords, mirror_coords = btab[i][j], btab[j][i]
-            here: dict = {}
-            there = here if diagonal else {}
+        for j, (bname, b, _) in enumerate(basis):
+            if j < i:
+                block = pending.pop((i, j))
+            else:
+                diagonal = j == i
+                coords, mirror_coords = btab[i][j], btab[j][i]
+                block = {}
+                mirror_block = block if diagonal else {}
+                for m in modes:
+                    op_a, pa = real.operator(a, m), P[i][m + wide]
+                    for n in modes:
+                        if diagonal and n < m:
+                            continue
+                        mirror = not diagonal or n != m
+                        central = mirror_central = 0
+                        if kappa != 0 and m == -n:
+                            central = -central_coeff(a, b, m, n) * kappa
+                            if mirror:
+                                mirror_central = -central_coeff(b, a, n, m) * kappa
+                        op_b, pb = real.operator(b, n), P[j][n + wide]
+                        p = m + n + wide
+                        row, mirror_row = [], []
+                        for si in range(len(states)):
+                            x = _apply_scaled(op_a, pb[si], module)
+                            y = _apply_scaled(op_b, pa[si], module) if mirror else x
+                            row.append(residual(x, y, coords, p, si, central))
+                            if mirror:
+                                mirror_row.append(residual(y, x, mirror_coords, p,
+                                                           si, mirror_central))
+                        block[m, n] = row
+                        if mirror:
+                            mirror_block[n, m] = mirror_row
+                if not diagonal:
+                    pending[j, i] = mirror_block
             for m in modes:
-                pa = P[i][m + wide]
                 for n in modes:
-                    if diagonal and n < m:
-                        continue
-                    mirror = not diagonal or n != m
-                    central = mirror_central = 0
-                    if kappa != 0 and m == -n:
-                        central = -central_coeff(a, b, m, n) * kappa
-                        if mirror:
-                            mirror_central = -central_coeff(b, a, n, m) * kappa
-                    pb = P[j][n + wide]
-                    p = m + n + wide
-                    row, mirror_row = [], []
-                    for si in range(len(states)):
-                        x = _integer_terms(real.act(a, m, pb[si]))
-                        y = (_integer_terms(real.act(b, n, pa[si])) if mirror
-                             else x)
-                        row.append(residual(x, y, coords, p, si, central))
-                        if mirror:
-                            mirror_row.append(residual(y, x, mirror_coords, p,
-                                                       si, mirror_central))
-                    here[m, n] = row
-                    if mirror:
-                        there[n, m] = mirror_row
-            if not diagonal:
-                mirrored[j].append(there)
-            failure = report(aname, bname, here)
-            if failure is not None:
-                return checks, failure
+                    for si, res in enumerate(block[m, n]):
+                        checks += 1
+                        if on_check is not None:
+                            on_check(aname, bname, m, n, si, res is None)
+                        if res is not None:
+                            return checks, {"a": aname, "b": bname, "m": m, "n": n,
+                                            "state": si, "residual": FockState(res)}
     return checks, None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -520,6 +521,21 @@ def test_act_rejects_negative_mode_on_evaluation_at_zero(tmp_path, capsys):
     assert rc == 3
     assert captured.err.startswith("error:") and "evaluation point 0" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("s, rc", [("2", 3), ("-1", 0)])
+def test_act_bounds_the_mode_of_an_evaluation_module(tmp_path, capsys, s, rc):
+    # s ** mode is never formed off |s| = 1; it once ran until memory ran out
+    cfg = dict(SL3_EVAL, module={"kind": "evaluation", "level": "0", "rep": "block",
+                                 "block": 1, "s": s})
+    start = time.perf_counter()
+    assert main(["act", "--config", write_config(tmp_path, cfg), "--generator", "h1",
+                 "--mode", "1000000000000000000", "--state", "vacuum"]) == rc
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    if rc == 3:
+        assert captured.err.startswith("error: mode 1000000000000000000 outside")
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("dim", [0, -1])

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from affinefock.inducing import (
+    MAX_EVALUATION_MODE,
     axiom_check,
     character_module,
     evaluation_module,
@@ -129,6 +130,19 @@ def test_evaluation_s_zero_mode_rules():
     assert mod.act(h2, 0, 0) == {0: Q(1)}
     with pytest.raises(ValueError):
         mod.act(h2, -1, 0)
+
+
+@pytest.mark.parametrize("s", [Q(2), Q(-1, 3)])
+def test_evaluation_mode_bound_off_unit_points(s):
+    pd = parabolic_decompose(2, {2})
+    mod = evaluation_module(pd, natural_block_rep(pd, 1), s)
+    h2 = cartan_h(2, 2)
+    for mode in (MAX_EVALUATION_MODE, -MAX_EVALUATION_MODE):
+        assert mod.act(h2, mode, 0) == {0: s ** mode}
+        with pytest.raises(ValueError, match="outside"):
+            mod.act(h2, mode + (1 if mode > 0 else -1), 0)
+    unit = evaluation_module(pd, natural_block_rep(pd, 1), Q(-1))
+    assert unit.act(h2, MAX_EVALUATION_MODE + 1, 0) == {0: Q(-1)}
 
 
 def test_levi_coords_round_trip():

@@ -409,7 +409,7 @@ def reference_apply(op, state, module):
             part = apply_creation(part, head[1], head[2])
         elif head[0] == "levi":
             acted = FockState.zero()
-            for (mono, v), c in part.items():
+            for (mono, v), c in part.terms.items():
                 acted = acted + FockState({(mono, w): c * d for w, d in
                                            module.act(elems[head[1]], head[2], v).items()})
             part = acted
@@ -820,21 +820,56 @@ def test_bracket_sweep_witness_matches_check_bracket_residual():
     assert residual == failure["residual"]
 
 
-def test_bracket_sweep_reports_in_row_order_with_one_application_per_check():
+def test_bracket_sweep_on_fractional_evaluation_point_matches_check_bracket():
+    # At s = -2/3 the Levi heads act by non-integers, whose denominators
+    # _apply_scaled folds into each product's common denominator; the sweep
+    # must still pass, and on a planted fault report check_bracket's residual.
+    pd = PD_SL3_MAX
+    mod = evaluation_module(pd, natural_block_rep(pd, 1), Q(-2, 3))
+    states = Sampler(11).fock_states(mod, 2, 2, 1)
+    plain = Realization(pd, mod)
+    checks, failure = bracket_sweep(plain, 1, states)
+    assert failure is None and checks == 8 * 8 * 9 * 2
+    for _, e, _ in pd.homogeneous_basis:
+        for s in states:
+            total, items = rz._apply_scaled(plain.operator(e, 1),
+                                            rz._integer_terms(s), mod)
+            assert all(type(v) is int for _, v in items)
+            got = FockState.of({k: Q(v, total) for k, v in items})
+            assert got == plain.act(e, 1, s)
+    f1 = pd.f_basis[0]
+
+    def hook(a, m, op):
+        return op.with_flipped_term(0) if (a == f1 and m == 1) else op
+
+    real = Realization(pd, mod, operator_hook=hook)
+    checks, failure = bracket_sweep(real, 1, states)
+    assert failure is not None and checks < 8 * 8 * 9 * 2
+    elem = {name: e for name, e, _ in pd.homogeneous_basis}
+    ok, residual = real.check_bracket(elem[failure["a"]], elem[failure["b"]],
+                                      failure["m"], failure["n"],
+                                      states[failure["state"]])
+    assert not ok
+    assert residual == failure["residual"]
+    assert any(c.denominator % 3 == 0 for c in residual.terms.values())
+
+
+def test_bracket_sweep_reports_in_row_order_with_one_application_per_check(
+        monkeypatch):
     # Checks are evaluated pair by pair but reported row by row; each operator
     # product serves a check and its mirror, so the sweep applies B*(4M+1)*S
-    # hoisted actions plus one product per check.
+    # hoisted actions plus one product per check, all through _apply_scaled.
     mod = sl2_heis(Q(1), Q(1))
     real = Realization(PD_SL2, mod)
     calls = 0
-    act = real.act
+    apply_scaled = rz._apply_scaled
 
-    def counting_act(a, m, state):
+    def counting_apply(op, scaled, module):
         nonlocal calls
         calls += 1
-        return act(a, m, state)
+        return apply_scaled(op, scaled, module)
 
-    real.act = counting_act
+    monkeypatch.setattr(rz, "_apply_scaled", counting_apply)
     states = Sampler(2024).fock_states(mod, 2, 2, 1)
     seen = []
     checks, failure = bracket_sweep(real, 1, states,
