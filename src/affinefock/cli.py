@@ -331,7 +331,11 @@ def cmd_act(job: Job, generator: str, mode: int, state_spec: str,
         result = real.act(elem, mode, state)
     except ValueError as exc:
         raise SemanticError(str(exc)) from exc
-    _emit(state_to_text(result, job.module), out_path)
+    try:
+        text = state_to_text(result, job.module)
+    except ValueError as exc:  # a coefficient past Python's int-to-string limit
+        raise SemanticError(f"cannot write the result: {exc}") from exc
+    _emit(text, out_path)
     return 0
 
 

@@ -88,18 +88,9 @@ class LaurentPoly:
             p = LaurentPoly({m - 1: m * c for m, c in p.coeffs.items() if m != 0})
         return p
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by z^k."""
-        return LaurentPoly({m + k: c for m, c in self.coeffs.items()})
-
     def residue(self) -> Fraction:
         """Coefficient of z^{-1}."""
         return self.coeffs.get(-1, Q(0))
-
-    def support(self) -> tuple[int, int] | None:
-        if not self.coeffs:
-            return None
-        return min(self.coeffs), max(self.coeffs)
 
 
 class DeltaKernel:

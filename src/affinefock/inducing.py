@@ -13,6 +13,12 @@ acts by zero and the central element acts by the level kappa:
   Fock module of the Cartan loop algebra, with negative modes creating,
   positive modes annihilating (scaled by kappa * n * Gram), and mode zero
   acting by the highest weight.
+
+Every kind shares one public action, `InducingModule.act`, memoized per
+(x, mode, v_index); a kind supplies only its mathematics as `_act` on the
+Levi part of x.  An evaluation module checks that rho is a Levi
+representation through `lie.bracket_residual`, the same residual the axiom
+checker and the sweep use.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from .lie import (
     _solve_exact,
     add_to,
     as_scalar,
-    bracket,
     bracket_residual,
+    coords_in_basis,
     form,
 )
 
@@ -43,11 +49,8 @@ def levi_coords(pd: ParabolicData, x: LieElement) -> list[Fraction]:
     """Coordinates of a Levi element over pd.levi_basis."""
     if not (pd.project(x, "u").is_zero() and pd.project(x, "ubar").is_zero()):
         raise ValueError("element is not in the Levi subalgebra")
-    coords = list(pd.cartan_coords(x))
-    for name in pd.levi_names[pd.n:]:
-        i, j = name[1:].split(".")
-        coords.append(x.entry(int(i), int(j)))
-    return coords
+    coords = coords_in_basis(x)
+    return [coords.get(name, Q(0)) for name in pd.levi_names]
 
 
 class InducingModule:
@@ -59,9 +62,26 @@ class InducingModule:
     def __init__(self, pd: ParabolicData, level):
         self.pd = pd
         self.level = as_scalar(level)
-        self._levi_cache: dict[LieElement, LieElement] = {}
+        self._acts: dict[tuple[LieElement, int, int], dict[int, Fraction]] = {}
 
-    # subclasses implement act(x, mode, v_index) -> {v_index: coeff}
+    def act(self, x: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
+        """x (x) t^mode on basis vector v_index, as a sparse {v_index: coeff}.
+
+        Memoized per (x, mode, v_index): an error is raised again on every
+        call and never stored, and callers must not mutate the result.
+        """
+        key = (x, mode, v_index)
+        out = self._acts.get(key)
+        if out is None:
+            self.check_v_index(v_index)
+            if x.n != self.pd.n:
+                raise ValueError("rank mismatch between element and module")
+            out = self._acts[key] = self._act(self.pd.project(x, "l"), mode, v_index)
+        return out
+
+    def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
+        """The action of the Levi element x_l; the nilradical acts by zero."""
+        raise NotImplementedError
 
     def act_vec(self, x: LieElement, mode: int, vec: dict[int, Fraction],
                 ) -> dict[int, Fraction]:
@@ -92,15 +112,6 @@ class InducingModule:
 
     def v_from_obj(self, obj) -> int:
         raise NotImplementedError
-
-    def _levi_part(self, x: LieElement) -> LieElement:
-        part = self._levi_cache.get(x)
-        if part is None:
-            if x.n != self.pd.n:
-                raise ValueError("rank mismatch between element and module")
-            part = self.pd.project(x, "l")
-            self._levi_cache[x] = part
-        return part
 
 
 class CharacterModule(InducingModule):
@@ -138,7 +149,6 @@ class CharacterModule(InducingModule):
             if any(s != 0 for s in sol):
                 self.chi[mode] = tuple(sol[:nz])
         self._graded = all(m == 0 for m in self.chi)
-        self._val_cache: dict[tuple[LieElement, int], Fraction] = {}
 
     def describe(self) -> str:
         modes = ",".join(str(m) for m in sorted(self.chi))
@@ -155,13 +165,8 @@ class CharacterModule(InducingModule):
         coords = self.pd.center_coords(x)
         return sum((c * f for c, f in zip(coords, func)), Q(0))
 
-    def act(self, x: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
-        self.check_v_index(v_index)
-        key = (x, mode)
-        val = self._val_cache.get(key)
-        if val is None:
-            val = self.chi_value(self._levi_part(x), mode)
-            self._val_cache[key] = val
+    def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
+        val = self.chi_value(x_l, mode)
         return {0: val} if val != 0 else {}
 
     def v_weight(self, v_index: int, h: LieElement) -> Fraction:
@@ -216,73 +221,46 @@ class EvaluationModule(InducingModule):
         self.s = as_scalar(s)
         if check:
             self._check_bracket_relations()
-        self._matrix_cache: dict[LieElement, tuple[tuple[Fraction, ...], ...]] = {}
-        self._scaled_cache: dict = {}
 
     def _check_bracket_relations(self):
         basis = self.pd.levi_basis
         for i, x in enumerate(basis):
             for j, y in enumerate(basis):
-                lhs = _mat_sub(_mat_mul(self.rho[i], self.rho[j]),
-                               _mat_mul(self.rho[j], self.rho[i]))
-                coords = levi_coords(self.pd, bracket(x, y))
-                rhs = _mat_zero(self.dim)
-                for c, mat in zip(coords, self.rho):
-                    if c != 0:
-                        rhs = _mat_add(rhs, _mat_scale(mat, c))
-                if lhs != rhs:
+                if any(bracket_residual(self.act_vec, x, 0, y, 0, {v: Q(1)}, self.level)
+                       for v in range(self.dim)):
                     raise ValueError(
                         f"rho is not a Levi representation: fails on basis pair "
                         f"({i},{j})")
 
-    def matrix_of(self, x_l: LieElement) -> tuple[tuple[Fraction, ...], ...]:
-        cached = self._matrix_cache.get(x_l)
-        if cached is None:
-            coords = levi_coords(self.pd, x_l)
-            cached = _mat_zero(self.dim)
-            for c, mat in zip(coords, self.rho):
-                if c != 0:
-                    cached = _mat_add(cached, _mat_scale(mat, c))
-            self._matrix_cache[x_l] = cached
-        return cached
+    def _column(self, x_l: LieElement, v_index: int) -> dict[int, Fraction]:
+        """Column v_index of rho(x_l), as a sparse {row: entry}."""
+        col = [Q(0)] * self.dim
+        for c, mat in zip(levi_coords(self.pd, x_l), self.rho):
+            if c != 0:
+                for row in range(self.dim):
+                    col[row] += c * mat[row][v_index]
+        return {row: val for row, val in enumerate(col) if val != 0}
 
-    def act(self, x: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
-        self.check_v_index(v_index)
-        key = (x, mode)
-        mat = self._scaled_cache.get(key, False)
-        if mat is False:
-            x_l = self._levi_part(x)
-            if x_l.is_zero():
-                mat = None
-            elif self.s == 0:
-                if mode < 0:
-                    raise ValueError(
-                        "negative modes are undefined at evaluation point 0")
-                mat = self.matrix_of(x_l) if mode == 0 else None
-            else:
-                if abs(self.s) != 1 and abs(mode) > MAX_EVALUATION_MODE:
-                    raise ValueError(
-                        f"mode {mode} outside |mode| <= {MAX_EVALUATION_MODE} "
-                        f"at evaluation point {self.s}")
-                scale = self.s ** mode
-                mat = tuple(tuple(v * scale for v in row)
-                            for row in self.matrix_of(x_l))
-            self._scaled_cache[key] = mat
-        if mat is None:
+    def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
+        if x_l.is_zero():
             return {}
-        out = {}
-        for row in range(self.dim):
-            val = mat[row][v_index]
-            if val != 0:
-                out[row] = val
-        return out
+        if self.s == 0:
+            if mode < 0:
+                raise ValueError("negative modes are undefined at evaluation point 0")
+            if mode > 0:
+                return {}
+        elif abs(self.s) != 1 and abs(mode) > MAX_EVALUATION_MODE:
+            raise ValueError(
+                f"mode {mode} outside |mode| <= {MAX_EVALUATION_MODE} "
+                f"at evaluation point {self.s}")
+        scale = self.s ** mode
+        return {row: c * scale for row, c in self._column(x_l, v_index).items()}
 
     def v_weight(self, v_index: int, h: LieElement) -> Fraction | None:
-        mat = self.matrix_of(self._levi_part(h))
-        col = [mat[r][v_index] for r in range(self.dim)]
-        if any(c != 0 for r, c in enumerate(col) if r != v_index):
+        col = self._column(self.pd.project(h, "l"), v_index)
+        if any(r != v_index for r in col):
             return None
-        return col[v_index]
+        return col.get(v_index, Q(0))
 
     def v_mode(self, v_index: int) -> int | None:
         return None
@@ -321,7 +299,6 @@ class HeisenbergFockModule(InducingModule):
         self.gram = tuple(tuple(form(a, b) for b in pd.cartan) for a in pd.cartan)
         self._mono_by_index: list[tuple] = []
         self._index_by_mono: dict[tuple, int] = {}
-        self._coord_cache: dict[LieElement, tuple[Fraction, ...]] = {}
         self.intern(())
 
     def intern(self, vmono: tuple) -> int:
@@ -332,12 +309,8 @@ class HeisenbergFockModule(InducingModule):
             self._index_by_mono[vmono] = idx
         return idx
 
-    def act(self, x: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
-        self.check_v_index(v_index)
-        coords = self._coord_cache.get(x)
-        if coords is None:
-            coords = self.pd.cartan_coords(self._levi_part(x))
-            self._coord_cache[x] = coords
+    def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
+        coords = self.pd.cartan_coords(x_l)
         if not any(coords):
             return {}
         mono = self._mono_by_index[v_index]
@@ -406,28 +379,6 @@ class HeisenbergFockModule(InducingModule):
     def describe(self) -> str:
         lam = ",".join(str(v) for v in self.lam)
         return f"heisenberg_fock(lam=[{lam}], level={self.level})"
-
-
-def _mat_zero(dim):
-    return tuple(tuple(Q(0) for _ in range(dim)) for _ in range(dim))
-
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def _mat_mul(a, b):
-    dim = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(dim))
-                       for j in range(dim)) for i in range(dim))
 
 
 # --- constructors -------------------------------------------------------------

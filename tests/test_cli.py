@@ -538,6 +538,23 @@ def test_act_bounds_the_mode_of_an_evaluation_module(tmp_path, capsys, s, rc):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("mode, rc", [("65536", 3), ("14000", 0)])
+def test_act_result_past_the_int_to_string_limit(tmp_path, capsys, mode, rc):
+    # 2**65536 has 19,729 digits, past Python's 4,300-digit str(int) limit
+    cfg = dict(SL3_EVAL, module={"kind": "evaluation", "level": "0", "rep": "block",
+                                 "block": 1, "s": "2"})
+    assert main(["act", "--config", write_config(tmp_path, cfg), "--generator", "h1",
+                 "--mode", mode, "--state", "vacuum"]) == rc
+    captured = capsys.readouterr()
+    if rc == 3:
+        assert captured.err.startswith("error: cannot write the result")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+    else:
+        assert captured.err == ""
+        assert str(2 ** 14000) in captured.out
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 @pytest.mark.parametrize("command", ["weights", "check-bracket", "compare-engines"])
 def test_empty_evaluation_module_is_semantic_error(tmp_path, capsys, command, dim):

@@ -118,7 +118,7 @@ def test_evaluation_rejects_bad_rho():
     pd = parabolic_decompose(2, {2})
     rho = natural_block_rep(pd, 1)
     rho[2] = [[Q(0), Q(2)], [Q(0), Q(0)]]  # corrupt one root-vector matrix
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"fails on basis pair \(2,3\)"):
         evaluation_module(pd, rho, Q(1))
 
 
@@ -128,8 +128,9 @@ def test_evaluation_s_zero_mode_rules():
     h2 = cartan_h(2, 2)
     assert mod.act(h2, 1, 0) == {}
     assert mod.act(h2, 0, 0) == {0: Q(1)}
-    with pytest.raises(ValueError):
-        mod.act(h2, -1, 0)
+    for _ in range(2):  # an error is never memoized
+        with pytest.raises(ValueError):
+            mod.act(h2, -1, 0)
 
 
 @pytest.mark.parametrize("s", [Q(2), Q(-1, 3)])
@@ -139,8 +140,9 @@ def test_evaluation_mode_bound_off_unit_points(s):
     h2 = cartan_h(2, 2)
     for mode in (MAX_EVALUATION_MODE, -MAX_EVALUATION_MODE):
         assert mod.act(h2, mode, 0) == {0: s ** mode}
-        with pytest.raises(ValueError, match="outside"):
-            mod.act(h2, mode + (1 if mode > 0 else -1), 0)
+        for _ in range(2):  # an error is never memoized
+            with pytest.raises(ValueError, match="outside"):
+                mod.act(h2, mode + (1 if mode > 0 else -1), 0)
     unit = evaluation_module(pd, natural_block_rep(pd, 1), Q(-1))
     assert unit.act(h2, MAX_EVALUATION_MODE + 1, 0) == {0: Q(-1)}
 
@@ -214,6 +216,42 @@ def test_heisenberg_v_mode():
     idx = mod.intern(((0, 2, 1), (0, 1, 3)))
     assert mod.v_mode(idx) == -5
     assert mod.v_mode(0) == 0
+
+
+# --- the shared memoized action ---------------------------------------------------------
+
+def _sl2_character():
+    pd = parabolic_decompose(1, ())
+    return character_module(pd, [(cartan_h(1, 1), 0, Q(5, 3))]), cartan_h(1, 1), 0, 0
+
+
+def _sl3_evaluation():
+    return sl3_block_module(s=Q(2))[1], matrix_unit(2, 2, 3), 3, 1
+
+
+def _sl2_heisenberg():
+    pd = parabolic_decompose(1, ())
+    return heisenberg_fock(pd, [Q(1)], Q(1)), cartan_h(1, 1), -1, 0
+
+
+@pytest.mark.parametrize("build", [_sl2_character, _sl3_evaluation, _sl2_heisenberg])
+def test_act_computes_each_key_once(build, monkeypatch):
+    mod, x, mode, v = build()
+    calls = []
+    inner = mod._act
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(mod, "_act", counting)
+    first = mod.act(x, mode, v)
+    registry = len(getattr(mod, "_mono_by_index", ()))
+    assert first
+    assert mod.act(x, mode, v) == first
+    assert len(calls) == 1
+    # a repeated creation interns nothing new
+    assert len(getattr(mod, "_mono_by_index", ())) == registry
 
 
 # --- axiom checker ----------------------------------------------------------------------
