@@ -285,8 +285,10 @@ def _header(job: Job) -> str:
 def _flipped_realization(job: Job, flip: str) -> Realization:
     """Realization with one operator term negated (the GEN:MODE:IDX spec).
 
-    The flipped operator is built here, so an index outside the operator's
-    terms is rejected before any sweep; the cache then serves it to the sweep.
+    The sweep acts only by basis elements, in modes |mode| <= 2 * max_mode, so
+    a flip outside those would never be applied and is rejected.  The flipped
+    operator is built here, so an index outside the operator's terms is
+    rejected before any sweep; the cache then serves it to the sweep.
     """
     try:
         gen, mode, idx = flip.split(":")
@@ -296,6 +298,10 @@ def _flipped_realization(job: Job, flip: str) -> Realization:
         raise ParseError(f"bad --flip spec {flip!r}: {exc}") from exc
     if elem is CENTRAL:
         raise SemanticError("the central element has no operator terms to flip")
+    if (elem not in [el for _, el, _ in job.pd.homogeneous_basis]
+            or abs(mode) > 2 * job.max_mode):
+        raise SemanticError(f"bad --flip spec {flip!r}: the sweep applies only basis "
+                            f"elements, in modes |mode| <= {2 * job.max_mode}")
 
     def hook(a, m, op):
         if a == elem and m == mode:

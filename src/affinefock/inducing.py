@@ -31,12 +31,12 @@ from .fock import int_triples, mono_d_var, mono_mul_var
 from .lie import (
     LieElement,
     ParabolicData,
-    _solve_exact,
     add_to,
     as_scalar,
     bracket_residual,
     coords_in_basis,
     form,
+    levi_blocks,
 )
 
 Q = Fraction
@@ -114,6 +114,41 @@ class InducingModule:
         raise NotImplementedError
 
 
+def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Solve an exact linear system with full column rank; None if inconsistent.
+
+    Gaussian elimination over Q; free columns (rank-deficient input) are set
+    to zero, which keeps the answer deterministic.
+    """
+    m = [row[:] + [r] for row, r in zip(rows, rhs)]
+    nrows = len(m)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((k for k in range(r, nrows) if m[k][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [v / inv for v in m[r]]
+        for k in range(nrows):
+            if k != r and m[k][c] != 0:
+                f = m[k][c]
+                m[k] = [v - f * w for v, w in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for k in range(r, nrows):
+        if m[k][ncols] != 0:
+            return None
+    sol = [Fraction(0)] * ncols
+    for row_idx, c in enumerate(pivots):
+        sol[c] = m[row_idx][ncols]
+    return sol
+
+
 class CharacterModule(InducingModule):
     """One-dimensional module defined by a finitely supported character.
 
@@ -136,7 +171,6 @@ class CharacterModule(InducingModule):
                     "character assignments must lie in the center of the Levi")
             coords = list(pd.center_coords(elem))
             by_mode.setdefault(int(mode), []).append((coords, as_scalar(value)))
-        nz = len(pd.center_basis)
         self.chi: dict[int, tuple[Fraction, ...]] = {}
         for mode, rows in by_mode.items():
             sol = _solve_exact([r for r, _ in rows], [v for _, v in rows])
@@ -147,7 +181,7 @@ class CharacterModule(InducingModule):
                 if sum(c * s for c, s in zip(coords, sol)) != value:
                     raise ValueError(f"inconsistent character values at mode {mode}")
             if any(s != 0 for s in sol):
-                self.chi[mode] = tuple(sol[:nz])
+                self.chi[mode] = tuple(sol)
         self._graded = all(m == 0 for m in self.chi)
 
     def describe(self) -> str:
@@ -394,17 +428,6 @@ def evaluation_module(pd: ParabolicData, rho, s, level=0, check=True,
 
 def heisenberg_fock(pd: ParabolicData, lam, level) -> HeisenbergFockModule:
     return HeisenbergFockModule(pd, lam, level)
-
-
-def levi_blocks(pd: ParabolicData) -> list[list[int]]:
-    """Maximal runs of indices 1..n+1 glued by the simple roots in Sigma."""
-    blocks: list[list[int]] = [[1]]
-    for i in range(1, pd.n + 1):
-        if i in pd.sigma:
-            blocks[-1].append(i + 1)
-        else:
-            blocks.append([i + 1])
-    return blocks
 
 
 def natural_block_rep(pd: ParabolicData, block: int) -> list[list[list[Fraction]]]:

@@ -328,48 +328,25 @@ def killing_form(a: LieElement, b: LieElement) -> Fraction:
     return total
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve an exact linear system with full column rank; None if inconsistent.
-
-    Gaussian elimination over Q; free columns (rank-deficient input) are set
-    to zero, which keeps the answer deterministic.
-    """
-    m = [row[:] + [r] for row, r in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((k for k in range(r, nrows) if m[k][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for k in range(nrows):
-            if k != r and m[k][c] != 0:
-                f = m[k][c]
-                m[k] = [v - f * w for v, w in zip(m[k], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for k in range(r, nrows):
-        if m[k][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        sol[c] = m[row_idx][ncols]
-    return sol
+def levi_blocks(pd: ParabolicData) -> list[list[int]]:
+    """Maximal runs of indices 1..n+1 glued by the simple roots in Sigma."""
+    blocks: list[list[int]] = [[1]]
+    for i in range(1, pd.n + 1):
+        if i in pd.sigma:
+            blocks[-1].append(i + 1)
+        else:
+            blocks.append([i + 1])
+    return blocks
 
 
 class ParabolicData:
     """A standard parabolic of sl(n+1) cut out by a set Sigma of simple roots.
 
-    Carries the triangular decomposition g = ubar + l + u, the Sigma-height
-    grading, the ordered enumeration of Delta(u) (lexicographic in
-    (height, i, j)) with the matched bases {f_alpha} of ubar and {e_alpha}
-    of u, and exact projections.
+    Every fact derives from the Levi block partition `blocks` (`levi_blocks`):
+    with b(i) the block of index i, entry (i, j) has Sigma-height b(j) - b(i).
+    Its sign gives g = ubar + l + u; Delta(u) is ordered by (height, i, j),
+    with matched bases {f_alpha} of ubar and {e_alpha} of u; and the Levi
+    center z(l) is the diagonal constant on every block.
     """
 
     def __init__(self, n: int, sigma: Iterable[int] = ()):
@@ -383,33 +360,27 @@ class ParabolicData:
         self.sigma = sig
         self.theta = Root(1, n + 1)
 
-        self._ht: dict[Root, int] = {}
-        for root in all_roots(n):
-            lo, hi = (root.i, root.j) if root.positive else (root.j, root.i)
-            h = sum(1 for r in range(lo, hi) if r not in sig)
-            self._ht[root] = h if root.positive else -h
-        self.depth_k = self._ht[self.theta]
+        self.blocks: tuple[tuple[int, ...], ...] = tuple(map(tuple, levi_blocks(self)))
+        # block index of each matrix index 1..n+1 (slot 0 unused)
+        self._block = (0,) + tuple(k for k, b in enumerate(self.blocks) for _ in b)
+        self.depth_k = len(self.blocks) - 1
 
-        pos = [r for r in all_roots(n) if r.positive and self._ht[r] > 0]
-        pos.sort(key=lambda r: (self._ht[r], r.i, r.j))
+        pos = [r for r in all_roots(n) if r.positive and self.height(r) > 0]
+        pos.sort(key=lambda r: (self.height(r), r.i, r.j))
         self.delta_u: tuple[Root, ...] = tuple(pos)
         self.f_basis: tuple[LieElement, ...] = tuple(
             matrix_unit(n, r.j, r.i) for r in pos)
         self.e_basis: tuple[LieElement, ...] = tuple(
             matrix_unit(n, r.i, r.j) for r in pos)
-        self._alpha_index = {r: k for k, r in enumerate(pos)}
+        self._alpha_index = {(r.i, r.j): k for k, r in enumerate(pos)}
 
         self.cartan: tuple[LieElement, ...] = tuple(cartan_h(n, i) for i in range(1, n + 1))
         levi_names = [f"H{i}" for i in range(1, n + 1)]
         levi = list(self.cartan)
-        sig_pos = [r for r in all_roots(n) if r.positive and self._ht[r] == 0]
-        sig_pos.sort(key=lambda r: (r.i, r.j))
-        for r in sig_pos:
-            levi_names.append(f"E{r.i}.{r.j}")
-            levi.append(matrix_unit(n, r.i, r.j))
-        for r in sig_pos:
-            levi_names.append(f"E{r.j}.{r.i}")
-            levi.append(matrix_unit(n, r.j, r.i))
+        sig_pos = [(i, j) for b in self.blocks for i in b for j in b if i < j]
+        for i, j in sig_pos + [(j, i) for i, j in sig_pos]:
+            levi_names.append(f"E{i}.{j}")
+            levi.append(matrix_unit(n, i, j))
         self.levi_basis: tuple[LieElement, ...] = tuple(levi)
         self.levi_names: tuple[str, ...] = tuple(levi_names)
 
@@ -430,7 +401,6 @@ class ParabolicData:
         self.homogeneous_basis: tuple[tuple[str, LieElement, int], ...] = tuple(
             (name, el, self.height_of(el)) for name, el in zip(names, elems))
 
-        self._center_cache: dict[LieElement, tuple[Fraction, ...]] = {}
         # adjoint action of the f-basis on each element reached by the series
         # expansion, summed per letter multiset; filled lazily by the
         # multiset recursion `realization._ad_multisets`
@@ -453,13 +423,13 @@ class ParabolicData:
         return len(self.delta_u)
 
     def height(self, root: Root) -> int:
-        return self._ht[root]
+        return self._block[root.j] - self._block[root.i]
 
     def height_of(self, a: LieElement) -> int | None:
         """Sigma-height of a homogeneous element; None if mixed."""
         h: int | None = None
         for (i, j) in a.entries:
-            hij = 0 if i == j else self._ht[Root(i, j)]
+            hij = self._block[j] - self._block[i]
             if h is None:
                 h = hij
             elif h != hij:
@@ -468,15 +438,18 @@ class ParabolicData:
 
     # -- projections -------------------------------------------------------
 
-    def project(self, a: LieElement, part: str) -> LieElement:
-        """Component of a in ubar, l, u or p = l + u (entrywise by height)."""
+    def _check_rank(self, a: LieElement):
         if a.n != self.n:
             raise ValueError("rank mismatch between element and parabolic data")
+
+    def project(self, a: LieElement, part: str) -> LieElement:
+        """Component of a in ubar, l, u or p = l + u (entrywise by height)."""
+        self._check_rank(a)
         if part not in ("ubar", "l", "u", "p"):
             raise ValueError(f"unknown part {part!r}")
         out = {}
         for (i, j), c in a.entries.items():
-            h = 0 if i == j else self._ht[Root(i, j)]
+            h = self._block[j] - self._block[i]
             keep = ((part == "ubar" and h < 0)
                     or (part == "l" and h == 0)
                     or (part == "u" and h > 0)
@@ -489,9 +462,9 @@ class ParabolicData:
         """Decompose an element of ubar over the f-basis; (alpha index, coeff)."""
         out = []
         for (i, j), c in a.entries.items():
-            if i == j or self._ht[Root(i, j)] >= 0:
+            if self._block[j] >= self._block[i]:
                 raise ValueError("element is not in ubar")
-            out.append((self._alpha_index[Root(j, i)], c))
+            out.append((self._alpha_index[(j, i)], c))
         out.sort()
         return out
 
@@ -507,49 +480,31 @@ class ParabolicData:
     def center_coords(self, a: LieElement) -> tuple[Fraction, ...]:
         """Coefficients of proj_{z(l)}(a) over the center basis.
 
-        The Levi part of a splits as z(l) + [l,l]; root-vector entries and the
-        Cartan piece spanned by coroots of Sigma are dropped.
+        The projection along [l,l] replaces the diagonal by its average on
+        each Levi block, so the coefficient of w_r (which steps down by 1 from
+        index r to r + 1) is the average on r's block minus that on r+1's.
         """
-        al = self.project(a, "l")
-        cached = self._center_cache.get(al)
-        if cached is not None:
-            return cached
-        diag = [al.entry(i, i) for i in range(1, self.n + 2)]
-        cols = list(self.center_basis) + [cartan_h(self.n, s) for s in sorted(self.sigma)]
-        rows = [[col.entry(i, i) for col in cols] for i in range(1, self.n + 2)]
-        sol = _solve_exact(rows, diag)
-        if sol is None:
-            raise ValueError("diagonal part not in the Levi Cartan (unreachable)")
-        res = tuple(sol[:len(self.center_basis)])
-        self._center_cache[al] = res
-        return res
+        self._check_rank(a)
+        avg = [sum((a.entry(i, i) for i in b), Fraction(0)) / len(b) for b in self.blocks]
+        return tuple(x - y for x, y in zip(avg, avg[1:]))
 
     def in_center(self, a: LieElement) -> bool:
-        """True iff a lies in z(l) exactly."""
-        if any(i != j for (i, j) in a.entries):
-            return False
-        coeffs = self.center_coords(a)
-        rebuilt = zero(self.n)
-        for c, b in zip(coeffs, self.center_basis):
-            rebuilt = rebuilt + b.scale(c)
-        return rebuilt == a
+        """True iff a lies in z(l): a is diagonal and alpha_s(a) = 0 for s in Sigma."""
+        self._check_rank(a)
+        return (all(i == j for (i, j) in a.entries)
+                and all(a.entry(s, s) == a.entry(s + 1, s + 1) for s in self.sigma))
 
     def decompose_p(self, a: LieElement) -> tuple[tuple[str, LieElement, Fraction], ...]:
-        """Split a p-element into canonical units: H_i's plus matrix units.
+        """Split a p-element into canonical units: its `coords_in_basis`.
 
-        Deterministic order: Cartan coordinates first, then off-diagonal
-        units sorted by (i, j).  Raises if a has a ubar component.
+        Deterministic order, that of the canonical basis: Cartan coordinates
+        first, then matrix units by (i, j).  Raises if a has a ubar component.
         """
         if not self.project(a, "ubar").is_zero():
             raise ValueError("element has a component outside p")
-        parts: list[tuple[str, LieElement, Fraction]] = []
-        for idx, c in enumerate(self.cartan_coords(a)):
-            if c != 0:
-                parts.append((f"H{idx + 1}", self.cartan[idx], c))
-        offdiag = sorted((i, j, c) for (i, j), c in a.entries.items() if i != j)
-        for i, j, c in offdiag:
-            parts.append((f"E{i}.{j}", matrix_unit(self.n, i, j), c))
-        return tuple(parts)
+        coords = coords_in_basis(a)
+        return tuple((name, el, coords[name])
+                     for name, el, _h in self.homogeneous_basis if name in coords)
 
 
 def parabolic_decompose(n: int, sigma: Iterable[int] = ()) -> ParabolicData:

@@ -267,7 +267,6 @@ class NormalOrderedOperator:
     """pi(a_m): the mode-free terms of a's operator, at mode m."""
 
     terms: tuple[Term, ...]
-    provenance: str
     mode: int
     # one-slot holder of `compiled`, shared with the copies `at_mode` makes
     _kernel: list = field(default_factory=list, init=False, repr=False,
@@ -311,7 +310,7 @@ class NormalOrderedOperator:
             raise ValueError(f"term index {index} outside 0..{len(self.terms) - 1}")
         terms = list(self.terms)
         terms[index] = replace(terms[index], coeff=-terms[index].coeff)
-        return replace(self, terms=tuple(terms), provenance=self.provenance + "+flip")
+        return replace(self, terms=tuple(terms))
 
 
 def _canonical_terms(pd: ParabolicData, raw: list[Term]) -> tuple[Term, ...]:
@@ -359,7 +358,7 @@ def build_operator_general(pd: ParabolicData, a: LieElement, m: int,
               for word, x in series_expand(pd, a, "A")]
            + [Term(-c, word, "central", mode_factor=0)
               for word, c in series_expand(pd, a, "C")])
-    return NormalOrderedOperator(_canonical_terms(pd, raw), "general", m)
+    return NormalOrderedOperator(_canonical_terms(pd, raw), m)
 
 
 def check_engine(pd: ParabolicData, engine: str):
@@ -426,7 +425,7 @@ def build_operator_explicit_sl(pd: ParabolicData, a: LieElement, m: int,
             raw.append(Term(coeff=c, annihilators=(), head_kind="levi",
                             head_elem=pd.e_basis[i - 1]))
 
-    return NormalOrderedOperator(_canonical_terms(pd, raw), "explicit_sl", m)
+    return NormalOrderedOperator(_canonical_terms(pd, raw), m)
 
 
 def _max_parabolic_h(n: int) -> LieElement:

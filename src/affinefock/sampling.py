@@ -57,12 +57,11 @@ class Sampler:
             pairs.append((alpha, mode, 1))
         return mono_from_pairs(pairs)
 
-    def fock_state(self, module, max_degree: int, max_mode: int,
-                   nterms: int = 2) -> FockState:
-        """nterms draws of (coefficient, monomial, V-vector); zero-safe."""
+    def fock_state(self, module, max_degree: int, max_mode: int) -> FockState:
+        """The sum of two draws of (coefficient, monomial, V-vector); zero-safe."""
         pd = module.pd
         terms = {}
-        for _ in range(nterms):
+        for _ in range(2):
             coeff = self.rational()
             mono = self.monomial(pd.num_alpha, max_degree, max_mode)
             v = module.sample_v(self)
@@ -87,6 +86,6 @@ class Sampler:
         return out
 
     def fock_states(self, module, count: int, max_degree: int, max_mode: int,
-                    nterms: int = 2) -> list[FockState]:
-        return [self.fock_state(module, max_degree, max_mode, nterms)
+                    ) -> list[FockState]:
+        return [self.fock_state(module, max_degree, max_mode)
                 for _ in range(count)]

@@ -140,7 +140,7 @@ def _sl2_closed_form_operator(pd, name: str, m: int) -> NormalOrderedOperator:
                Term(Q(-1), (0,), "central", mode_factor=0),
                Term(Q(1), (0,), "levi", head_elem=h),
                Term(Q(1), (), "levi", head_elem=e)]
-    return NormalOrderedOperator(_canonical_terms(pd, raw), "reference", m)
+    return NormalOrderedOperator(_canonical_terms(pd, raw), m)
 
 
 def test_criterion_3_sl2_transcription():

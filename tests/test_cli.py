@@ -250,6 +250,27 @@ def test_check_bracket_flip_central_element(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# w1 = H1/2 is not a basis element, and at max_mode 1 the sweep acts only in
+# modes |m| <= 2: neither flip would ever be applied
+@pytest.mark.parametrize("flip", ["w1:1:0", "f1:3:0"])
+def test_check_bracket_flip_the_sweep_never_applies(tmp_path, capsys, flip):
+    cfg = write_config(tmp_path, dict(SL2_HEIS, window={
+        "max_mode": 1, "max_degree": 2, "samples": 3}))
+    rc = main(["check-bracket", "--config", cfg, "--flip", flip])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_check_bracket_flip_at_widest_swept_mode(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(SL2_HEIS, window={
+        "max_mode": 1, "max_degree": 2, "samples": 3}))
+    rc = main(["check-bracket", "--config", cfg, "--flip", "f1:2:0"])
+    assert rc == 1
+    assert "FAIL at" in capsys.readouterr().out
+
+
 def test_check_bracket_sl3_evaluation(tmp_path, capsys):
     cfg = write_config(tmp_path, SL3_EVAL)
     rc = main(["check-bracket", "--config", cfg])

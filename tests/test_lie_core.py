@@ -14,8 +14,10 @@ from affinefock.lie import (
     build_sl,
     cartan_h,
     coords_in_basis,
+    diag_element,
     form,
     killing_form,
+    levi_blocks,
     loop,
     loop_bracket,
     loop_central,
@@ -23,6 +25,7 @@ from affinefock.lie import (
     parabolic_decompose,
     zero,
 )
+from affinefock.sampling import Sampler
 
 Q = Fraction
 
@@ -288,6 +291,39 @@ def test_center_coords_projects_along_derived_levi():
     assert pd.center_coords(cartan_h(2, 2)) == (Q(0),)
     assert pd.in_center(w)
     assert not pd.in_center(matrix_unit(2, 2, 3))
+
+
+ALL_SL2_TO_SL5 = [(n, frozenset(sigma)) for n in range(1, 5)
+                  for k in range(n + 1)
+                  for sigma in itertools.combinations(range(1, n + 1), k)]
+
+
+@pytest.mark.parametrize("n,sigma", ALL_SL2_TO_SL5)
+def test_block_facts_match_their_definitions(n, sigma):
+    pd = parabolic_decompose(n, sigma)
+    # a block is a maximal run of indices glued by the simple roots in Sigma
+    cuts = [0] + [r for r in range(1, n + 1) if r not in sigma] + [n + 1]
+    blocks = [list(range(lo + 1, hi + 1)) for lo, hi in zip(cuts, cuts[1:])]
+    assert levi_blocks(pd) == blocks
+    for i, j in itertools.permutations(range(1, n + 2), 2):
+        count = sum(1 for r in range(min(i, j), max(i, j)) if r not in sigma)
+        assert pd.height(Root(i, j)) == (count if i < j else -count)
+
+    smp = Sampler(n * 100 + len(sigma))
+    randoms = []
+    for _ in range(6):
+        vals = [smp.rational() for _ in range(n)]
+        randoms.append(diag_element(n, vals + [-sum(vals)]))
+    elems = [el for _, el, _ in pd.homogeneous_basis] + list(pd.center_basis) + randoms
+    for a in elems:
+        z = zero(n)
+        for c, w in zip(pd.center_coords(a), pd.center_basis):
+            z = z + w.scale(c)
+        rest = a - z
+        for block in blocks:
+            assert len({z.entry(i, i) for i in block}) == 1
+            assert sum(rest.entry(i, i) for i in block) == 0
+        assert pd.in_center(a) == (a == z)
 
 
 # --- loop bracket ----------------------------------------------------------------

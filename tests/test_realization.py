@@ -261,7 +261,7 @@ def sl2_closed_form_operator(name: str, m: int) -> NormalOrderedOperator:
                Term(Q(1), (), "levi", head_elem=E_SL2)]
     else:
         raise KeyError(name)
-    return NormalOrderedOperator(_canonical_terms(PD_SL2, raw), "reference", m)
+    return NormalOrderedOperator(_canonical_terms(PD_SL2, raw), m)
 
 
 @pytest.mark.parametrize("name,elem", [("f", F_SL2), ("h", H1), ("e", E_SL2)])
