@@ -51,7 +51,6 @@ from .inducing import (
     character_module,
     evaluation_module,
     heisenberg_fock,
-    levi_blocks,
     natural_block_rep,
 )
 from .lie import ParabolicData, as_scalar, cartan_h, matrix_unit, parabolic_decompose
@@ -167,7 +166,7 @@ def build_module(pd: ParabolicData, desc: dict):
             rep = desc.get("rep", "block")
             if rep == "block":
                 block = _int(desc.get("block", 0), "evaluation block")
-                if not 0 <= block < len(levi_blocks(pd)):
+                if not 0 <= block < len(pd.blocks):
                     raise SemanticError(f"no Levi block {block} for this parabolic")
                 rho = natural_block_rep(pd, block)
             elif rep == "trivial":

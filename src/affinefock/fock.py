@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable
 
@@ -60,18 +61,11 @@ def mono_mode_sum(mono: Monomial) -> int:
 
 
 def mono_mul_var(mono: Monomial, alpha: int, mode: int) -> Monomial:
-    out = []
-    placed = False
-    for a, n, e in mono:
-        if (a, n) == (alpha, mode):
-            out.append((a, n, e + 1))
-            placed = True
-        else:
-            out.append((a, n, e))
-    if not placed:
-        out.append((alpha, mode, 1))
-        out.sort()
-    return tuple(out)
+    """mono * b(alpha, mode), bumping or inserting at its sorted position."""
+    idx = bisect_left(mono, (alpha, mode))
+    if idx < len(mono) and mono[idx][:2] == (alpha, mode):
+        return mono[:idx] + ((alpha, mode, mono[idx][2] + 1),) + mono[idx + 1:]
+    return mono[:idx] + ((alpha, mode, 1),) + mono[idx:]
 
 
 def mono_d_var(mono: Monomial, alpha: int, mode: int) -> tuple[int, Monomial] | None:

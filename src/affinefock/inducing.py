@@ -18,7 +18,7 @@ Every kind shares one public action, `InducingModule.act`, memoized per
 (x, mode, v_index); a kind supplies only its mathematics as `_act` on the
 Levi part of x.  An evaluation module checks that rho is a Levi
 representation through `lie.bracket_residual`, the same residual the axiom
-checker and the sweep use.
+checker and `Realization.check_bracket` use.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fock import int_triples, mono_d_var, mono_mul_var
+from .fock import int_triples, mono_d_var, mono_from_pairs, mono_mul_var
 from .lie import (
     LieElement,
     ParabolicData,
@@ -36,7 +36,7 @@ from .lie import (
     bracket_residual,
     coords_in_basis,
     form,
-    levi_blocks,
+    levi_blocks,  # noqa: F401  (public as affinefock.inducing.levi_blocks)
 )
 
 Q = Fraction
@@ -401,14 +401,13 @@ class HeisenbergFockModule(InducingModule):
         return [[i, r, e] for i, r, e in self._mono_by_index[v_index]]
 
     def v_from_obj(self, obj) -> int:
-        acc: dict[tuple[int, int], int] = {}
-        for i, r, e in int_triples(obj):
+        triples = int_triples(obj)
+        for i, r, e in triples:
             if r < 1 or e < 1:
                 raise ValueError("invalid V-monomial entry")
             if not 0 <= i < len(self.pd.cartan):
                 raise ValueError(f"Cartan direction {i} out of range")
-            acc[(i, r)] = acc.get((i, r), 0) + e
-        return self.intern(tuple(sorted((i, r, e) for (i, r), e in acc.items())))
+        return self.intern(mono_from_pairs(triples))
 
     def describe(self) -> str:
         lam = ",".join(str(v) for v in self.lam)
@@ -432,7 +431,7 @@ def heisenberg_fock(pd: ParabolicData, lam, level) -> HeisenbergFockModule:
 
 def natural_block_rep(pd: ParabolicData, block: int) -> list[list[list[Fraction]]]:
     """Representation matrices restricting each Levi basis element to a block."""
-    idxs = levi_blocks(pd)[block]
+    idxs = pd.blocks[block]
     mats = []
     for x in pd.levi_basis:
         mats.append([[x.entry(i, j) for j in idxs] for i in idxs])

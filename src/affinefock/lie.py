@@ -2,10 +2,10 @@
 
 Everything here is bit-exact: matrix entries, structure constants and form
 values are `fractions.Fraction`; no floating point enters anywhere in the
-package.  The module provides the traceless-matrix element type, the root
-system of type A_n, invariant forms, parabolic decompositions with their
-Sigma-height grading, and the mode-level bracket of the centrally extended
-loop algebra.
+package.  The module provides the traceless-matrix element type, the
+canonical basis and roots of type A_n, invariant forms, parabolic
+decompositions with their Sigma-height grading, and the mode-level bracket
+of the centrally extended loop algebra.
 
 Conventions
 -----------
@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, permutations
 from typing import Iterable, Mapping
 
 Q = Fraction
@@ -187,10 +188,10 @@ def diag_element(n: int, values: Iterable) -> LieElement:
 
 
 def cartan_h(n: int, i: int) -> LieElement:
-    """Simple coroot H_i = E_{ii} - E_{i+1,i+1}."""
+    """Simple coroot H_i = E_{ii} - E_{i+1,i+1}, shared like `matrix_unit`."""
     if not 1 <= i <= n:
         raise ValueError(f"Cartan index {i} outside 1..{n}")
-    return LieElement(n, {(i, i): Fraction(1), (i + 1, i + 1): Fraction(-1)})
+    return _canonical_basis(n)[1][i - 1]
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
@@ -224,13 +225,6 @@ class Root:
         if self.i == self.j:
             raise ValueError("a root needs i != j")
 
-    @property
-    def positive(self) -> bool:
-        return self.i < self.j
-
-    def __neg__(self) -> "Root":
-        return Root(self.j, self.i)
-
     def value_on(self, h: LieElement) -> Fraction:
         """alpha(h) for diagonal h."""
         return h.entry(self.i, self.i) - h.entry(self.j, self.j)
@@ -239,22 +233,30 @@ class Root:
         return f"Root({self.i},{self.j})"
 
 
-def all_roots(n: int) -> tuple[Root, ...]:
-    size = n + 1
-    return tuple(Root(i, j) for i in range(1, size + 1)
-                 for j in range(1, size + 1) if i != j)
+@cache
+def _canonical_basis(n: int) -> tuple[tuple[str, ...], tuple[LieElement, ...], dict]:
+    """The canonical basis of sl(n+1): H_1..H_n, then E_ij (i != j) by (i, j).
+
+    Returns (names, elements, position of E_ij by (i, j)).  Built and named
+    here once per rank; every list of basis elements shares these objects."""
+    names = [f"H{i}" for i in range(1, n + 1)]
+    elems = [LieElement(n, {(i, i): Fraction(1), (i + 1, i + 1): Fraction(-1)})
+             for i in range(1, n + 1)]
+    unit_index = {}
+    for i, j in permutations(range(1, n + 2), 2):
+        unit_index[(i, j)] = len(elems)
+        names.append(f"E{i}.{j}")
+        elems.append(matrix_unit(n, i, j))
+    return tuple(names), tuple(elems), unit_index
 
 
 @dataclass(frozen=True)
 class SimpleAlgebra:
-    """Basis data for sl(n+1): Cartan elements first, then matrix units."""
+    """The canonical basis of sl(n+1): Cartan elements first, then matrix units."""
 
     n: int
     names: tuple[str, ...]
     basis: tuple[LieElement, ...]
-    cartan: tuple[LieElement, ...]
-    roots: tuple[Root, ...]
-    theta: Root
 
     @property
     def dim(self) -> int:
@@ -267,60 +269,36 @@ class SimpleAlgebra:
             raise KeyError(f"unknown basis name {name!r}") from None
 
 
-def _canonical_basis(n: int) -> tuple[tuple[str, ...], tuple[LieElement, ...]]:
-    names: list[str] = []
-    elems: list[LieElement] = []
-    for i in range(1, n + 1):
-        names.append(f"H{i}")
-        elems.append(cartan_h(n, i))
-    for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            if i != j:
-                names.append(f"E{i}.{j}")
-                elems.append(matrix_unit(n, i, j))
-    return tuple(names), tuple(elems)
-
-
 def build_sl(n: int) -> SimpleAlgebra:
     """Construct sl(n+1) with a deterministic basis ordering."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"rank must be a positive integer, got {n!r}")
     if n > MAX_RANK:
         raise ValueError(f"rank {n} exceeds supported maximum {MAX_RANK}")
-    names, elems = _canonical_basis(n)
-    cartan = elems[:n]
-    return SimpleAlgebra(
-        n=n,
-        names=names,
-        basis=elems,
-        cartan=tuple(cartan),
-        roots=all_roots(n),
-        theta=Root(1, n + 1),
-    )
+    names, elems, _unit_index = _canonical_basis(n)
+    return SimpleAlgebra(n=n, names=names, basis=elems)
+
+
+def _partial_sums(a: LieElement) -> tuple[Fraction, ...]:
+    """Coordinates over H_1..H_n of the diagonal of a: diag(d_1..d_{n+1})
+    with zero sum equals sum_i (d_1 + ... + d_i) H_i."""
+    return tuple(accumulate(a.entry(i, i) for i in range(1, a.n + 1)))
 
 
 def coords_in_basis(a: LieElement) -> dict[str, Fraction]:
-    """Coordinates of a in the canonical basis {H_i} + {E_ij}.
-
-    Diagonal parts use the partial-sum trick: diag(d_1..d_{n+1}) with zero sum
-    equals sum_i (d_1 + ... + d_i) H_i.
-    """
-    out: dict[str, Fraction] = {}
-    partial = Fraction(0)
-    for i in range(1, a.n + 1):
-        partial += a.entry(i, i)
-        if partial != 0:
-            out[f"H{i}"] = partial
+    """Nonzero coordinates of a in the canonical basis {H_i} + {E_ij}."""
+    names, _elems, unit_index = _canonical_basis(a.n)
+    out = {names[k]: c for k, c in enumerate(_partial_sums(a)) if c}
     for (i, j), c in a.entries.items():
         if i != j:
-            out[f"E{i}.{j}"] = c
+            out[names[unit_index[(i, j)]]] = c
     return out
 
 
 def killing_form(a: LieElement, b: LieElement) -> Fraction:
     """tr(ad(a) ad(b)) computed over the canonical basis of sl(n+1)."""
     a._check_rank(b)
-    names, elems = _canonical_basis(a.n)
+    names, elems, _unit_index = _canonical_basis(a.n)
     total = Fraction(0)
     for name, x in zip(names, elems):
         y = bracket(a, bracket(b, x))
@@ -344,9 +322,11 @@ class ParabolicData:
 
     Every fact derives from the Levi block partition `blocks` (`levi_blocks`):
     with b(i) the block of index i, entry (i, j) has Sigma-height b(j) - b(i).
-    Its sign gives g = ubar + l + u; Delta(u) is ordered by (height, i, j),
-    with matched bases {f_alpha} of ubar and {e_alpha} of u; and the Levi
-    center z(l) is the diagonal constant on every block.
+    Its sign gives g = ubar + l + u; Delta(u) is the pairs i < j with
+    b(i) < b(j), ordered by (height, i, j), with matched bases {f_alpha} of
+    ubar and {e_alpha} of u; and the Levi center z(l) is the diagonal
+    constant on every block.  `cartan`, `levi_basis` and `homogeneous_basis`
+    hold the shared elements of the canonical basis (`build_sl`).
     """
 
     def __init__(self, n: int, sigma: Iterable[int] = ()):
@@ -358,31 +338,28 @@ class ParabolicData:
                 raise ValueError(f"simple-root index {s!r} outside 1..{n}")
         self.n = n
         self.sigma = sig
-        self.theta = Root(1, n + 1)
 
         self.blocks: tuple[tuple[int, ...], ...] = tuple(map(tuple, levi_blocks(self)))
         # block index of each matrix index 1..n+1 (slot 0 unused)
-        self._block = (0,) + tuple(k for k, b in enumerate(self.blocks) for _ in b)
+        b = self._block = (0,) + tuple(k for k, blk in enumerate(self.blocks) for _ in blk)
         self.depth_k = len(self.blocks) - 1
 
-        pos = [r for r in all_roots(n) if r.positive and self.height(r) > 0]
-        pos.sort(key=lambda r: (self.height(r), r.i, r.j))
-        self.delta_u: tuple[Root, ...] = tuple(pos)
+        pos = sorted((b[j] - b[i], i, j) for i, j in permutations(range(1, n + 2), 2)
+                     if b[i] < b[j])
+        self.delta_u: tuple[Root, ...] = tuple(Root(i, j) for _h, i, j in pos)
         self.f_basis: tuple[LieElement, ...] = tuple(
-            matrix_unit(n, r.j, r.i) for r in pos)
+            matrix_unit(n, j, i) for _h, i, j in pos)
         self.e_basis: tuple[LieElement, ...] = tuple(
-            matrix_unit(n, r.i, r.j) for r in pos)
-        self._alpha_index = {(r.i, r.j): k for k, r in enumerate(pos)}
+            matrix_unit(n, i, j) for _h, i, j in pos)
+        self._alpha_index = {(i, j): k for k, (_h, i, j) in enumerate(pos)}
 
-        self.cartan: tuple[LieElement, ...] = tuple(cartan_h(n, i) for i in range(1, n + 1))
-        levi_names = [f"H{i}" for i in range(1, n + 1)]
-        levi = list(self.cartan)
-        sig_pos = [(i, j) for b in self.blocks for i in b for j in b if i < j]
-        for i, j in sig_pos + [(j, i) for i, j in sig_pos]:
-            levi_names.append(f"E{i}.{j}")
-            levi.append(matrix_unit(n, i, j))
-        self.levi_basis: tuple[LieElement, ...] = tuple(levi)
-        self.levi_names: tuple[str, ...] = tuple(levi_names)
+        names, elems, unit_index = _canonical_basis(n)
+        self.cartan: tuple[LieElement, ...] = elems[:n]
+        sig_pos = [(i, j) for blk in self.blocks for i in blk for j in blk if i < j]
+        units = sig_pos + [(j, i) for i, j in sig_pos]
+        levi = list(range(n)) + [unit_index[p] for p in units]
+        self.levi_basis: tuple[LieElement, ...] = tuple(elems[k] for k in levi)
+        self.levi_names: tuple[str, ...] = tuple(names[k] for k in levi)
 
         # center of the Levi: fundamental coweight-style elements, one per
         # simple root outside Sigma
@@ -397,7 +374,6 @@ class ParabolicData:
         self.center_basis: tuple[LieElement, ...] = tuple(cb)
         self.center_names: tuple[str, ...] = tuple(cb_names)
 
-        names, elems = _canonical_basis(n)
         self.homogeneous_basis: tuple[tuple[str, LieElement, int], ...] = tuple(
             (name, el, self.height_of(el)) for name, el in zip(names, elems))
 
@@ -470,12 +446,7 @@ class ParabolicData:
 
     def cartan_coords(self, a: LieElement) -> tuple[Fraction, ...]:
         """Coordinates of the diagonal part of a over H_1..H_n (partial sums)."""
-        coords = []
-        partial = Fraction(0)
-        for i in range(1, self.n + 1):
-            partial += a.entry(i, i)
-            coords.append(partial)
-        return tuple(coords)
+        return _partial_sums(a)
 
     def center_coords(self, a: LieElement) -> tuple[Fraction, ...]:
         """Coefficients of proj_{z(l)}(a) over the center basis.

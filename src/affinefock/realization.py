@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .fock import FockState, degree_component, mono_mul_var
 from .formal_dist import LaurentPoly
@@ -55,7 +55,9 @@ from .lie import (
     bracket_residual,
     central_coeff,
     coords_in_basis,
+    diag_element,
     form,
+    matrix_unit,
 )
 
 Q = Fraction
@@ -90,13 +92,9 @@ def bernoulli(k: int, bound: int = BERNOULLI_BOUND) -> Fraction:
         r = len(_bernoulli_cache)
         acc = Q(0)
         for j in range(r):
-            acc += _binom(r + 1, j) * _bernoulli_cache[j]
+            acc += comb(r + 1, j) * _bernoulli_cache[j]
         _bernoulli_cache.append(-acc / (r + 1))
     return _bernoulli_cache[k]
-
-
-def _binom(a: int, b: int) -> Fraction:
-    return Q(factorial(a), factorial(b) * factorial(a - b))
 
 
 @cache
@@ -429,20 +427,14 @@ def build_operator_explicit_sl(pd: ParabolicData, a: LieElement, m: int,
 
 
 def _max_parabolic_h(n: int) -> LieElement:
-    entries = {(1, 1): Q(1)}
-    for s in range(2, n + 2):
-        entries[(s, s)] = Q(-1, n)
-    return LieElement(n, entries)
+    return diag_element(n, [1] + [Q(-1, n)] * n)
 
 
 def _block_unit_minus_trace(n: int, j: int, i: int) -> LieElement:
     """Levi element with Levi-block matrix E_{ji} - delta_{ij} (1/n) I_n."""
-    entries: dict[tuple[int, int], Fraction] = {}
-    entries[(j + 1, i + 1)] = entries.get((j + 1, i + 1), Q(0)) + 1
-    if i == j:
-        for s in range(2, n + 2):
-            entries[(s, s)] = entries.get((s, s), Q(0)) - Q(1, n)
-    return LieElement(n, entries)
+    if i != j:
+        return matrix_unit(n, j + 1, i + 1)
+    return diag_element(n, [0] + [int(s == j) - Q(1, n) for s in range(1, n + 1)])
 
 
 # --- applying operators to states ------------------------------------------------

@@ -13,6 +13,7 @@ from affinefock.fock import (
     h_weight,
     mono_from_pairs,
     mono_mul,
+    mono_mul_var,
     pbw_degree,
     state_from_text,
     state_to_text,
@@ -190,6 +191,15 @@ def test_mono_mul_merges_exponents():
     assert mono_mul(a, b) == mono_from_pairs([(0, 1, 3), (1, -1, 1)])
 
 
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(-3, 3)),
+                       st.integers(1, 3), max_size=5),
+       st.integers(0, 2), st.integers(-3, 3))
+@settings(max_examples=120, deadline=None)
+def test_mono_mul_var_matches_mono_from_pairs(exps, alpha, mode):
+    mono = mono_from_pairs((a, n, e) for (a, n), e in exps.items())
+    assert mono_mul_var(mono, alpha, mode) == mono_from_pairs(list(mono) + [(alpha, mode, 1)])
+
+
 # --- serialization -----------------------------------------------------------------
 
 def test_round_trip_character_state():
@@ -211,6 +221,14 @@ def test_round_trip_heisenberg_state_with_vbasis():
     mod2 = heisenberg_fock(PD1, [Q(1)], Q(1))
     s2 = state_from_text(text, mod2)
     assert state_to_text(s2, mod2) == text
+
+
+def test_vbasis_merges_a_repeated_variable():
+    mod = heisenberg_fock(PD1, [Q(1)], Q(1))
+    text = '{"terms":[{"coeff":"1","monomial":[],"v":5}],"vbasis":{"5":[[0,1,1],[0,1,2]]}}'
+    (_mono, v), = state_from_text(text, mod).terms
+    assert mod.v_to_obj(v) == [[0, 1, 3]]
+    assert mod.v_from_obj([[0, 1, 1], [0, 1, 2]]) == mod.v_from_obj([[0, 1, 3]]) == v
 
 
 def test_rationals_serialized_exactly():

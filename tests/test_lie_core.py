@@ -305,9 +305,17 @@ def test_block_facts_match_their_definitions(n, sigma):
     cuts = [0] + [r for r in range(1, n + 1) if r not in sigma] + [n + 1]
     blocks = [list(range(lo + 1, hi + 1)) for lo, hi in zip(cuts, cuts[1:])]
     assert levi_blocks(pd) == blocks
+    counts = {}
     for i, j in itertools.permutations(range(1, n + 2), 2):
         count = sum(1 for r in range(min(i, j), max(i, j)) if r not in sigma)
         assert pd.height(Root(i, j)) == (count if i < j else -count)
+        if i < j and count > 0:
+            counts[Root(i, j)] = (count, i, j)
+    assert pd.delta_u == tuple(sorted(counts, key=counts.get))
+    # one canonical basis per rank: every list of basis elements shares it
+    basis = build_sl(n).basis
+    assert all(el is basis[k] for k, (_name, el, _h) in enumerate(pd.homogeneous_basis))
+    assert all(h is basis[i] for i, h in enumerate(pd.cartan))
 
     smp = Sampler(n * 100 + len(sigma))
     randoms = []
