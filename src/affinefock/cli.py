@@ -43,6 +43,7 @@ from .fock import (
     FockState,
     mono_from_pairs,
     mono_mode_sum,
+    mono_weight,
     state_from_text,
     state_to_text,
 )
@@ -446,9 +447,8 @@ def cmd_weights(job: Job) -> int:
     for degree in range(job.max_degree + 1):
         for combo in combinations_with_replacement(variables, degree):
             mono = mono_from_pairs([(a, n, 1) for a, n in combo])
-            weight = tuple(
-                vw - sum(e * pd.delta_u[a].value_on(h) for a, _n, e in mono)
-                for vw, h in zip(v_weights, pd.cartan))
+            weight = tuple(vw + mono_weight(pd, mono, h)
+                           for vw, h in zip(v_weights, pd.cartan))
             mode = mono_mode_sum(mono) + v_mode
             key = (degree, mode, weight)
             cells[key] = cells.get(key, 0) + 1

@@ -196,18 +196,21 @@ def total_mode(state: FockState, module=None) -> int | None:
     return result
 
 
+def mono_weight(pd: ParabolicData, mono: tuple, h: LieElement) -> Fraction:
+    """h-weight of a monomial: each variable b(alpha, n) shifts it by -alpha(h)."""
+    return -sum((e * pd.delta_u[a].value_on(h) for a, _n, e in mono), Q(0))
+
+
 def h_weight(state: FockState, h: LieElement, pd: ParabolicData, module=None,
              ) -> Fraction | None:
     """Common h-eigenvalue of all terms, or None when mixed.
 
-    Each variable b(alpha, n) shifts the weight by -alpha(h); the V-factor
-    contributes its own weight when the module provides one.
+    A monomial contributes `mono_weight`; the V-factor contributes its own
+    weight when the module provides one.
     """
     result: Fraction | None = None
     for (mono, v), _ in state.terms.items():
-        w = Q(0)
-        for a, _n, e in mono:
-            w -= e * pd.delta_u[a].value_on(h)
+        w = mono_weight(pd, mono, h)
         if module is not None:
             vw = module.v_weight(v, h)
             if vw is None:

@@ -16,9 +16,9 @@ acts by zero and the central element acts by the level kappa:
 
 Every kind shares one public action, `InducingModule.act`, memoized per
 (x, mode, v_index); a kind supplies only its mathematics as `_act` on the
-Levi part of x.  An evaluation module checks that rho is a Levi
-representation through `lie.bracket_residual`, the same residual the axiom
-checker and `Realization.check_bracket` use.
+Levi part of x.  The Cartan weight of a basis vector, `v_weight`, is read off
+the mode-0 action, and an evaluation module checks that rho is a Levi
+representation by running `axiom_check` on its basis vectors in mode 0.
 """
 
 from __future__ import annotations
@@ -92,7 +92,12 @@ class InducingModule:
         return out
 
     def v_weight(self, v_index: int, h: LieElement) -> Fraction | None:
-        raise NotImplementedError
+        """The h-eigenvalue of basis vector v_index under the mode-0 action, or
+        None when the vector is not an h-eigenvector."""
+        out = self.act(h, 0, v_index)
+        if any(w != v_index for w in out):
+            return None
+        return out.get(v_index, Q(0))
 
     def v_mode(self, v_index: int) -> int | None:
         raise NotImplementedError
@@ -176,10 +181,6 @@ class CharacterModule(InducingModule):
             sol = _solve_exact([r for r, _ in rows], [v for _, v in rows])
             if sol is None:
                 raise ValueError(f"inconsistent character values at mode {mode}")
-            # verify (solver zeroes free directions; dependent rows must agree)
-            for coords, value in rows:
-                if sum(c * s for c, s in zip(coords, sol)) != value:
-                    raise ValueError(f"inconsistent character values at mode {mode}")
             if any(s != 0 for s in sol):
                 self.chi[mode] = tuple(sol)
         self._graded = all(m == 0 for m in self.chi)
@@ -192,19 +193,12 @@ class CharacterModule(InducingModule):
     def dim(self) -> int:
         return 1
 
-    def chi_value(self, x: LieElement, mode: int) -> Fraction:
+    def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
         func = self.chi.get(mode)
         if func is None:
-            return Q(0)
-        coords = self.pd.center_coords(x)
-        return sum((c * f for c, f in zip(coords, func)), Q(0))
-
-    def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
-        val = self.chi_value(x_l, mode)
+            return {}
+        val = sum((c * f for c, f in zip(self.pd.center_coords(x_l), func)), Q(0))
         return {0: val} if val != 0 else {}
-
-    def v_weight(self, v_index: int, h: LieElement) -> Fraction:
-        return self.chi_value(self.pd.project(h, "l"), 0)
 
     def v_mode(self, v_index: int) -> int | None:
         return 0 if self._graded else None
@@ -229,7 +223,7 @@ class EvaluationModule(InducingModule):
     kind = "evaluation"
 
     def __init__(self, pd: ParabolicData, rho: Sequence[Sequence[Sequence]],
-                 s, level=0, check: bool = True):
+                 s, level=0):
         super().__init__(pd, level)
         if self.level != 0:
             raise ValueError(
@@ -253,18 +247,9 @@ class EvaluationModule(InducingModule):
         self.rho = tuple(mats)
         self.dim = dim
         self.s = as_scalar(s)
-        if check:
-            self._check_bracket_relations()
-
-    def _check_bracket_relations(self):
-        basis = self.pd.levi_basis
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                if any(bracket_residual(self.act_vec, x, 0, y, 0, {v: Q(1)}, self.level)
-                       for v in range(self.dim)):
-                    raise ValueError(
-                        f"rho is not a Levi representation: fails on basis pair "
-                        f"({i},{j})")
+        report = axiom_check(self, 0, [{v: Q(1)} for v in range(dim)])
+        if not report.passed:
+            raise ValueError("rho is not a Levi representation: " + report.failure)
 
     def _column(self, x_l: LieElement, v_index: int) -> dict[int, Fraction]:
         """Column v_index of rho(x_l), as a sparse {row: entry}."""
@@ -289,12 +274,6 @@ class EvaluationModule(InducingModule):
                 f"at evaluation point {self.s}")
         scale = self.s ** mode
         return {row: c * scale for row, c in self._column(x_l, v_index).items()}
-
-    def v_weight(self, v_index: int, h: LieElement) -> Fraction | None:
-        col = self._column(self.pd.project(h, "l"), v_index)
-        if any(r != v_index for r in col):
-            return None
-        return col.get(v_index, Q(0))
 
     def v_mode(self, v_index: int) -> int | None:
         return None
@@ -376,10 +355,6 @@ class HeisenbergFockModule(InducingModule):
                         add_to(out, self.intern(reduced), c * kappa * mode * g * exp)
         return out
 
-    def v_weight(self, v_index: int, h: LieElement) -> Fraction:
-        coords = self.pd.cartan_coords(self.pd.project(h, "l"))
-        return sum((c * l for c, l in zip(coords, self.lam)), Q(0))
-
     def v_mode(self, v_index: int) -> int:
         mono = self._mono_by_index[v_index]
         return -sum(r * e for _, r, e in mono)
@@ -420,9 +395,8 @@ def character_module(pd: ParabolicData, assignments=(), level=0) -> CharacterMod
     return CharacterModule(pd, assignments, level)
 
 
-def evaluation_module(pd: ParabolicData, rho, s, level=0, check=True,
-                      ) -> EvaluationModule:
-    return EvaluationModule(pd, rho, s, level, check)
+def evaluation_module(pd: ParabolicData, rho, s, level=0) -> EvaluationModule:
+    return EvaluationModule(pd, rho, s, level)
 
 
 def heisenberg_fock(pd: ParabolicData, lam, level) -> HeisenbergFockModule:
@@ -460,8 +434,8 @@ def axiom_check(module: InducingModule, window: int,
     """
     pd = module.pd
     checks = 0
-    for x in pd.levi_basis:
-        for y in pd.levi_basis:
+    for i, x in enumerate(pd.levi_basis):
+        for j, y in enumerate(pd.levi_basis):
             for m in range(-window, window + 1):
                 for n in range(-window, window + 1):
                     for si, vec in enumerate(states):
@@ -471,6 +445,7 @@ def axiom_check(module: InducingModule, window: int,
                         if res:
                             return AxiomReport(
                                 False, checks,
-                                f"x={x!r} y={y!r} m={m} n={n} state#{si}: "
+                                f"fails on basis pair ({i},{j}) x={x!r} y={y!r} "
+                                f"m={m} n={n} state#{si}: "
                                 f"[sigma(x_m), sigma(y_n)] - sigma([x_m,y_n]) = {res}")
     return AxiomReport(True, checks)

@@ -79,15 +79,16 @@ CENTRAL = _CentralElement()
 _bernoulli_cache: list[Fraction] = [Q(1)]
 
 
-def bernoulli(k: int, bound: int = BERNOULLI_BOUND) -> Fraction:
+def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k in the convention with B_1 = -1/2.
 
     Computed from the defining recurrence sum_{j<=k} C(k+1, j) B_j = 0.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if k > bound:
-        raise ValueError(f"Bernoulli index {k} exceeds configured bound {bound}")
+    if k > BERNOULLI_BOUND:
+        raise ValueError(
+            f"Bernoulli index {k} exceeds configured bound {BERNOULLI_BOUND}")
     while len(_bernoulli_cache) <= k:
         r = len(_bernoulli_cache)
         acc = Q(0)

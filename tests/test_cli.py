@@ -3,13 +3,17 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import affinefock.cli as cli
 import affinefock.realization as rz
 from affinefock.cli import main
+from affinefock.inducing import evaluation_module, natural_block_rep
 from affinefock.lie import parabolic_decompose
+
+Q = Fraction
 
 SL2_HEIS = {
     "algebra": {"n": 1, "sigma": []},
@@ -364,6 +368,78 @@ def test_weights_documents_truncation(tmp_path, capsys):
     cfg = write_config(tmp_path, SL2_CHAR)
     main(["weights", "--config", cfg])
     assert "infinite-dimensional" in capsys.readouterr().out
+
+
+WEIGHTS_SL3_EVAL = """\
+config: n=2 sigma=[2] module=evaluation(dim=2, s=-2/3, level=0) engine=general seed=11
+note: true weight spaces are infinite-dimensional; this census is truncated to \
+degree<=2, |mode|<=1, and counts monomials tensored with the first basis vector of V
+note: V carries no mode grading; those V contributions were treated as zero
+degree=0 mode=0 weight=(-1,1) count=1
+degree=1 mode=-1 weight=(-3,2) count=1
+degree=1 mode=-1 weight=(-2,0) count=1
+degree=1 mode=0 weight=(-3,2) count=1
+degree=1 mode=0 weight=(-2,0) count=1
+degree=1 mode=1 weight=(-3,2) count=1
+degree=1 mode=1 weight=(-2,0) count=1
+degree=2 mode=-2 weight=(-5,3) count=1
+degree=2 mode=-2 weight=(-4,1) count=1
+degree=2 mode=-2 weight=(-3,-1) count=1
+degree=2 mode=-1 weight=(-5,3) count=1
+degree=2 mode=-1 weight=(-4,1) count=2
+degree=2 mode=-1 weight=(-3,-1) count=1
+degree=2 mode=0 weight=(-5,3) count=2
+degree=2 mode=0 weight=(-4,1) count=3
+degree=2 mode=0 weight=(-3,-1) count=2
+degree=2 mode=1 weight=(-5,3) count=1
+degree=2 mode=1 weight=(-4,1) count=2
+degree=2 mode=1 weight=(-3,-1) count=1
+degree=2 mode=2 weight=(-5,3) count=1
+degree=2 mode=2 weight=(-4,1) count=1
+degree=2 mode=2 weight=(-3,-1) count=1
+"""
+
+
+def test_weights_sl3_evaluation_is_pinned(tmp_path, capsys):
+    # the first basis vector of the block representation is a weight vector,
+    # and an evaluation module carries no mode grading
+    cfg = dict(SL3_EVAL, module=dict(SL3_EVAL["module"], s="-2/3"))
+    rc = main(["weights", "--config", write_config(tmp_path, cfg)])
+    assert rc == 0
+    assert capsys.readouterr().out == WEIGHTS_SL3_EVAL
+
+
+def test_weights_without_a_weight_vector(capsys):
+    # conjugating the block representation by P = [[1,0],[1,1]] leaves the
+    # first basis vector off every Cartan eigenline
+    pd = parabolic_decompose(2, [2])
+    p, p_inv = [[Q(1), Q(0)], [Q(1), Q(1)]], [[Q(1), Q(0)], [Q(-1), Q(1)]]
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)]
+                for i in range(2)]
+
+    rho = [mul(mul(p, mat), p_inv) for mat in natural_block_rep(pd, 1)]
+    mod = evaluation_module(pd, rho, Q(1))
+    assert [mod.v_weight(0, h) for h in pd.cartan] == [None, None]
+    assert [mod.v_weight(1, h) for h in pd.cartan] == [0, -1]
+    job = cli.Job(pd=pd, module=mod, engine="general", max_mode=1, max_degree=1,
+                  samples=1, seed=0, output="text")
+    assert cli.cmd_weights(job) == 0
+    assert ("note: V carries no weight or mode grading"
+            in capsys.readouterr().out)
+
+
+def test_weights_inconsistent_character_is_semantic_error(tmp_path, capsys):
+    cfg = dict(SL2_CHAR, algebra={"n": 2, "sigma": []}, module={
+        "kind": "character", "level": "0",
+        "assignments": [{"element": "h1", "mode": 0, "value": "1"},
+                        {"element": "h1", "mode": 0, "value": "2"}]})
+    rc = main(["weights", "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == "error: inconsistent character values at mode 0\n"
+    assert captured.out == ""
 
 
 # --- delta selftest ---------------------------------------------------------------------------

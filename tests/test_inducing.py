@@ -72,6 +72,23 @@ def test_character_linearity_on_center():
     assert mod.act(combo, 0, 0) == {0: Q(1)}
 
 
+def test_character_accepts_consistent_dependent_assignments():
+    pd = parabolic_decompose(2, ())
+    h1, h2 = cartan_h(2, 1), cartan_h(2, 2)
+    mod = character_module(pd, [(h1, 0, Q(1)), (h2, 0, Q(2)), (h1 + h2, 0, Q(3))])
+    assert mod.v_weight(0, h1) == 1
+    assert mod.v_weight(0, h2) == 2
+
+
+def test_character_rejects_inconsistent_dependent_assignments():
+    pd = parabolic_decompose(2, ())
+    h1, h2 = cartan_h(2, 1), cartan_h(2, 2)
+    with pytest.raises(ValueError, match="inconsistent character values at mode 0"):
+        character_module(pd, [(h1, 0, Q(1)), (h2, 0, Q(2)), (h1 + h2, 0, Q(4))])
+    with pytest.raises(ValueError, match="inconsistent character values at mode 1"):
+        character_module(pd, [(h1, 1, Q(1)), (h1.scale(2), 1, Q(3))])
+
+
 # --- evaluation modules -------------------------------------------------------------
 
 def sl3_block_module(s=Q(1)):
@@ -285,13 +302,15 @@ def test_axiom_check_heisenberg_sl3():
 
 
 def test_axiom_check_catches_corrupted_rho():
-    pd = parabolic_decompose(2, {2})
-    rho = natural_block_rep(pd, 1)
-    rho[2] = [[Q(0), Q(2)], [Q(0), Q(0)]]
-    mod = evaluation_module(pd, rho, Q(1), check=False)
+    # corrupt a valid module after construction, past its own rho check
+    pd, mod = sl3_block_module()
+    rho = list(mod.rho)
+    rho[2] = ((Q(0), Q(2)), (Q(0), Q(0)))
+    mod.rho = tuple(rho)
+    mod._acts.clear()
     report = axiom_check(mod, 1, Sampler(25).v_states(mod, 5))
     assert not report.passed
-    assert report.failure is not None
+    assert report.failure.startswith("fails on basis pair (")
 
 
 def test_continuity_surrogate_finite_support():

@@ -104,7 +104,6 @@ def test_bernoulli_odd_vanish():
 def test_bernoulli_bound():
     with pytest.raises(ValueError):
         bernoulli(33)
-    assert bernoulli(33, bound=40) == 0
 
 
 # --- series expansion ---------------------------------------------------------------
