@@ -35,16 +35,18 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .fock import (
     FockState,
+    canonical_json,
     mono_from_pairs,
     mono_mode_sum,
     mono_weight,
-    state_from_text,
+    state_from_obj,
     state_to_text,
 )
 from .formal_dist import delta_identity_suite
@@ -67,6 +69,15 @@ class ParseError(Exception):
 
 class SemanticError(Exception):
     pass
+
+
+@contextmanager
+def _semantic(context: str = ""):
+    """Report a ValueError raised in the block as a SemanticError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SemanticError(context + str(exc)) from exc
 
 
 @dataclass
@@ -149,7 +160,7 @@ def _obj(value, where: str) -> dict:
 def build_module(pd: ParabolicData, desc: dict):
     kind = _require(desc, "kind", "module descriptor")
     level = _scalar(desc.get("level", "0"), "module level")
-    try:
+    with _semantic():
         if kind == "character":
             assignments = []
             for rec in _list(desc.get("assignments", []), "assignments"):
@@ -180,35 +191,34 @@ def build_module(pd: ParabolicData, desc: dict):
             lam = [_scalar(v, "highest weight")
                    for v in _list(_require(desc, "lam", "module"), "lam")]
             return heisenberg_fock(pd, lam, level)
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from exc
     raise ParseError(f"unknown module kind {kind!r}")
 
 
-def load_config(path: str) -> Job:
+def _read_json(path: str, what: str, malformed: str):
+    """Decode a JSON file; an unreadable file, bad UTF-8, bad JSON, deep nesting
+    or an integer past Python's digit limit raises ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config is not valid JSON: {exc}") from exc
-    obj = _obj(obj, "config")
+        raise ParseError(f"cannot read {what}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{malformed}: {exc}") from exc
+
+
+def load_config(path: str) -> Job:
+    obj = _obj(_read_json(path, "config", "config is not valid JSON"), "config")
     alg = _obj(_require(obj, "algebra", "config"), "algebra")
-    try:
+    with _semantic():
         pd = parabolic_decompose(_int(_require(alg, "n", "algebra"), "n"),
                                  [_int(s, "sigma entry")
                                   for s in _list(alg.get("sigma", []), "sigma")])
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from exc
     module = build_module(pd, _obj(_require(obj, "module", "config"), "module"))
     engine = obj.get("engine", "general")
     if engine not in ("general", "explicit"):
         raise ParseError(f"unknown engine {engine!r}")
-    try:
+    with _semantic():
         check_engine(pd, engine)
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from exc
     window = _obj(obj.get("window", {}), "window")
     max_mode = _int(window.get("max_mode", 3), "max_mode")
     max_degree = _int(window.get("max_degree", 3), "max_degree")
@@ -224,10 +234,8 @@ def load_config(path: str) -> Job:
 
 
 def make_realization(job: Job, operator_hook=None) -> Realization:
-    try:
+    with _semantic():
         return Realization(job.pd, job.module, job.engine, operator_hook)
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from exc
 
 
 def load_state(job: Job, spec: str) -> FockState:
@@ -236,19 +244,13 @@ def load_state(job: Job, spec: str) -> FockState:
         if not re.fullmatch(r"-?[0-9]+", index):
             raise ParseError(f"bad vacuum index in --state {spec!r}")
         v = int(index)
-        try:
+        with _semantic():
             job.module.check_v_index(v)
-        except ValueError as exc:
-            raise SemanticError(str(exc)) from exc
         return FockState.vacuum(v)
+    obj = _read_json(spec, "state file", "malformed state file")
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read state file: {exc}") from exc
-    try:
-        return state_from_text(text, job.module)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        return state_from_obj(obj, job.module)
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed state file: {exc}") from exc
     except ValueError as exc:
         raise SemanticError(str(exc)) from exc
@@ -309,19 +311,17 @@ def _flipped_realization(job: Job, flip: str) -> Realization:
         return op
 
     real = make_realization(job, operator_hook=hook)
-    try:
+    with _semantic(f"bad --flip spec {flip!r}: "):
         real.operator(elem, mode)
-    except ValueError as exc:
-        raise SemanticError(f"bad --flip spec {flip!r}: {exc}") from exc
     return real
 
 
-def _require_negative_modes(job: Job):
-    """Sweeps act in every mode down to -max_mode, and an evaluation module
-    at s = 0 defines no negative mode."""
-    if job.max_mode > 0 and job.module.kind == "evaluation" and job.module.s == 0:
-        raise SemanticError("an evaluation module at s = 0 leaves negative modes "
-                            "undefined; use s != 0 or max_mode 0")
+def _require_modes(job: Job, window: int):
+    """Reject a module that leaves a mode |mode| <= window undefined; such
+    modes are negative or large, so checking -window and window suffices."""
+    with _semantic(f"this command acts in modes |mode| <= {window}: "):
+        job.module.check_mode(-window)
+        job.module.check_mode(window)
 
 
 # --- commands ---------------------------------------------------------------------
@@ -333,14 +333,11 @@ def cmd_act(job: Job, generator: str, mode: int, state_spec: str,
         raise SemanticError("the central element has no modes; use --mode 0")
     state = load_state(job, state_spec)
     real = make_realization(job)
-    try:
+    with _semantic():
         result = real.act(elem, mode, state)
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from exc
-    try:
+    # a coefficient past Python's int-to-string limit
+    with _semantic("cannot write the result: "):
         text = state_to_text(result, job.module)
-    except ValueError as exc:  # a coefficient past Python's int-to-string limit
-        raise SemanticError(f"cannot write the result: {exc}") from exc
     _emit(text, out_path)
     return 0
 
@@ -356,7 +353,7 @@ def cmd_dump(job: Job, generator: str, mode: int, out_path: str | None) -> int:
 
 
 def cmd_check_bracket(job: Job, records_path: str | None, flip: str | None) -> int:
-    _require_negative_modes(job)
+    _require_modes(job, 2 * job.max_mode)  # the range bracket_sweep hoists
     real = _flipped_realization(job, flip) if flip else make_realization(job)
     # opened before sampling, so an unwritable path fails before the sweep
     records_file = _open_output(records_path, "records") if records_path else None
@@ -370,13 +367,13 @@ def cmd_check_bracket(job: Job, records_path: str | None, flip: str | None) -> i
     on_check = None
     if records_file is not None or job.output == "records":
         def on_check(a, b, m, n, si, ok):
-            records.append({"check": "bracket", "a": a, "b": b, "m": m, "n": n,
-                            "state": si, "status": "pass" if ok else "fail"})
+            records.append(canonical_json({
+                "check": "bracket", "a": a, "b": b, "m": m, "n": n, "state": si,
+                "status": "pass" if ok else "fail"}))
 
     checks, failure = bracket_sweep(real, job.max_mode, states, on_check)
     if job.output == "records":
-        lines.extend(json.dumps(rec, sort_keys=True, separators=(",", ":"))
-                     for rec in records)
+        lines.extend(records)
     if failure is not None:
         lines.append(f"FAIL at a={failure['a']} b={failure['b']} "
                      f"m={failure['m']} n={failure['n']} state={failure['state']}")
@@ -392,19 +389,15 @@ def cmd_check_bracket(job: Job, records_path: str | None, flip: str | None) -> i
 
 def _finish(lines, records, records_file):
     if records_file is not None:
-        _write_output(records_file, "".join(
-            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-            for rec in records), "records")
+        _write_output(records_file, "".join(rec + "\n" for rec in records),
+                      "records")
     sys.stdout.write("\n".join(lines) + "\n")
 
 
 def cmd_compare_engines(job: Job) -> int:
-    _require_negative_modes(job)
-    try:
-        gen = Realization(job.pd, job.module, "general")
-        exp = Realization(job.pd, job.module, "explicit")
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from exc
+    _require_modes(job, job.max_mode)
+    gen = make_realization(replace(job, engine="general"))
+    exp = make_realization(replace(job, engine="explicit"))
     smp = Sampler(job.seed)
     states = smp.fock_states(job.module, job.samples, job.max_degree, job.max_mode)
     lines = [_header(job)]

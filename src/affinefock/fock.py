@@ -174,6 +174,18 @@ def degree_component(state: FockState, degree: int) -> FockState:
                       if mono_degree(k[0]) == degree})
 
 
+def _common_grade(state: FockState, grade):
+    """grade(mono, v) when every term of the state shares it; None when two
+    terms differ, when grade is None on a term, or when the state is empty."""
+    result = None
+    for mono, v in state.terms:
+        g = grade(mono, v)
+        if g is None or (result is not None and g != result):
+            return None
+        result = g
+    return result
+
+
 def total_mode(state: FockState, module=None) -> int | None:
     """Common total mode of all terms, or None when mixed.
 
@@ -181,19 +193,10 @@ def total_mode(state: FockState, module=None) -> int | None:
     its vector when the module is mode-graded; modules whose vectors carry no
     mode grading make the result None unless the state is empty.
     """
-    result: int | None = None
-    for (mono, v), _ in state.terms.items():
-        base = mono_mode_sum(mono)
-        if module is not None:
-            vm = module.v_mode(v)
-            if vm is None:
-                return None
-            base += vm
-        if result is None:
-            result = base
-        elif result != base:
-            return None
-    return result
+    def grade(mono, v):
+        vm = 0 if module is None else module.v_mode(v)
+        return None if vm is None else mono_mode_sum(mono) + vm
+    return _common_grade(state, grade)
 
 
 def mono_weight(pd: ParabolicData, mono: tuple, h: LieElement) -> Fraction:
@@ -208,19 +211,10 @@ def h_weight(state: FockState, h: LieElement, pd: ParabolicData, module=None,
     A monomial contributes `mono_weight`; the V-factor contributes its own
     weight when the module provides one.
     """
-    result: Fraction | None = None
-    for (mono, v), _ in state.terms.items():
-        w = mono_weight(pd, mono, h)
-        if module is not None:
-            vw = module.v_weight(v, h)
-            if vw is None:
-                return None
-            w += vw
-        if result is None:
-            result = w
-        elif result != w:
-            return None
-    return result
+    def grade(mono, v):
+        vw = Q(0) if module is None else module.v_weight(v, h)
+        return None if vw is None else mono_weight(pd, mono, h) + vw
+    return _common_grade(state, grade)
 
 
 # --- serialization ----------------------------------------------------------
@@ -284,9 +278,13 @@ def state_from_obj(obj: dict, module=None) -> FockState:
     return FockState(terms)
 
 
+def canonical_json(obj) -> str:
+    """Sorted keys, compact separators: the encoding of states and records."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def state_to_text(state: FockState, module=None) -> str:
-    return json.dumps(state_to_obj(state, module), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return canonical_json(state_to_obj(state, module)) + "\n"
 
 
 def state_from_text(text: str, module=None) -> FockState:

@@ -129,11 +129,7 @@ class DeltaKernel:
     def __add__(self, other: "DeltaKernel") -> "DeltaKernel":
         out = dict(self.terms)
         for d, g in other.terms.items():
-            s = out.get(d, LaurentPoly.zero()) + g
-            if s.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = s
+            out[d] = out[d] + g if d in out else g
         return DeltaKernel(out)
 
     def __neg__(self):

@@ -23,7 +23,6 @@ representation by running `axiom_check` on its basis vectors in mode 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -101,6 +100,9 @@ class InducingModule:
 
     def v_mode(self, v_index: int) -> int | None:
         raise NotImplementedError
+
+    def check_mode(self, mode: int):
+        """Raise ValueError unless the module acts in this mode."""
 
     def check_v_index(self, v_index: int):
         raise NotImplementedError
@@ -215,9 +217,9 @@ class EvaluationModule(InducingModule):
     """Finite-dimensional Levi representation evaluated at a point.
 
     x (x) t^j acts by s^j rho(x_l); the nilradical part acts by zero.  With
-    s = 0 positive modes act by zero and negative modes are rejected.  Unless
-    |s| is 1, a mode with |j| > MAX_EVALUATION_MODE is rejected, since s^j
-    would grow without bound.
+    s = 0 positive modes act by zero.  `check_mode` rejects negative modes at
+    s = 0 and, unless |s| is 1, a mode with |j| > MAX_EVALUATION_MODE, since
+    s^j would grow without bound.
     """
 
     kind = "evaluation"
@@ -247,9 +249,9 @@ class EvaluationModule(InducingModule):
         self.rho = tuple(mats)
         self.dim = dim
         self.s = as_scalar(s)
-        report = axiom_check(self, 0, [{v: Q(1)} for v in range(dim)])
-        if not report.passed:
-            raise ValueError("rho is not a Levi representation: " + report.failure)
+        _checks, failure = axiom_check(self, 0, [{v: Q(1)} for v in range(dim)])
+        if failure is not None:
+            raise ValueError("rho is not a Levi representation: " + failure)
 
     def _column(self, x_l: LieElement, v_index: int) -> dict[int, Fraction]:
         """Column v_index of rho(x_l), as a sparse {row: entry}."""
@@ -260,19 +262,23 @@ class EvaluationModule(InducingModule):
                     col[row] += c * mat[row][v_index]
         return {row: val for row, val in enumerate(col) if val != 0}
 
-    def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
-        if x_l.is_zero():
-            return {}
+    def check_mode(self, mode: int):
         if self.s == 0:
             if mode < 0:
-                raise ValueError("negative modes are undefined at evaluation point 0")
-            if mode > 0:
-                return {}
+                raise ValueError(f"mode {mode} is undefined at evaluation point 0: "
+                                 "s = 0 has no negative powers")
         elif abs(self.s) != 1 and abs(mode) > MAX_EVALUATION_MODE:
             raise ValueError(
                 f"mode {mode} outside |mode| <= {MAX_EVALUATION_MODE} "
                 f"at evaluation point {self.s}")
+
+    def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
+        if x_l.is_zero():
+            return {}
+        self.check_mode(mode)
         scale = self.s ** mode
+        if not scale:
+            return {}
         return {row: c * scale for row, c in self._column(x_l, v_index).items()}
 
     def v_mode(self, v_index: int) -> int | None:
@@ -412,25 +418,15 @@ def natural_block_rep(pd: ParabolicData, block: int) -> list[list[list[Fraction]
     return mats
 
 
-@dataclass
-class AxiomReport:
-    passed: bool
-    checks: int
-    failure: str | None = None
-
-    def __str__(self):
-        if self.passed:
-            return f"PASS {self.checks} commutator checks"
-        return f"FAIL after {self.checks} checks: {self.failure}"
-
-
 def axiom_check(module: InducingModule, window: int,
-                states: Sequence[dict[int, Fraction]]) -> AxiomReport:
+                states: Sequence[dict[int, Fraction]]) -> tuple[int, str | None]:
     """Verify the mode-level bracket relations on the given V-vectors.
 
     For every ordered pair (x, y) of Levi basis elements and |m|, |n| within
     the window, the commutator of the separate actions must equal
     sigma([x_m, y_n]) including the central term (`lie.bracket_residual`).
+    Returns (checks_done, failure), failure being None or a message naming
+    the first failing check.
     """
     pd = module.pd
     checks = 0
@@ -443,9 +439,8 @@ def axiom_check(module: InducingModule, window: int,
                         res = bracket_residual(module.act_vec, x, m, y, n, vec,
                                                module.level)
                         if res:
-                            return AxiomReport(
-                                False, checks,
+                            return checks, (
                                 f"fails on basis pair ({i},{j}) x={x!r} y={y!r} "
                                 f"m={m} n={n} state#{si}: "
                                 f"[sigma(x_m), sigma(y_n)] - sigma([x_m,y_n]) = {res}")
-    return AxiomReport(True, checks)
+    return checks, None

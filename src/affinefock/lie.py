@@ -513,11 +513,7 @@ class LoopElement:
             raise ValueError("rank mismatch")
         terms = dict(self.terms)
         for m, el in other.terms.items():
-            s = terms.get(m, zero(self.n)) + el
-            if s.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+            terms[m] = terms[m] + el if m in terms else el
         return LoopElement(self.n, terms, self.central + other.central)
 
     def __neg__(self):

@@ -28,10 +28,10 @@ the annihilator modes that sum to -m, with a linear weight on the
 differentiated slot.  So each element's operator is built once and reused at
 every mode.
 
-Each operator's terms are compiled once, on their first application, to
-integer numerators over the LCM of their denominators plus per-term slot
-families and heads, and an element's operators at every mode share that
-kernel; `apply_operator` sums integer contributions over that LCM times the
+Each operator's terms are compiled when the operator is built, to integer
+numerators over the LCM of their denominators plus per-term slot families and
+heads, and an element's operators at every mode share that kernel;
+`apply_operator` sums integer contributions over that LCM times the
 state's common denominator and divides once at the end, so results are exact,
 and both the output order and the sequence of module calls follow term order,
 then slot-assignment order.
@@ -263,35 +263,23 @@ class Term:
 
 @dataclass(frozen=True)
 class NormalOrderedOperator:
-    """pi(a_m): the mode-free terms of a's operator, at mode m."""
+    """pi(a_m): the mode-free terms of a's operator, at mode m.
+
+    `compiled` is the integer form that `apply_operator` runs on, built from
+    the terms when the operator is constructed: (D, families, terms), D being
+    the LCM of the term denominators, families the distinct slot-family
+    tuples, and each term (index into families, D * coeff as an int, head
+    kind, head alpha or Levi element, mode-factor slot).  The mode is not part
+    of it, so `replace(op, mode=m)` carries one kernel to every mode.
+    """
 
     terms: tuple[Term, ...]
     mode: int
-    # one-slot holder of `compiled`, shared with the copies `at_mode` makes
-    _kernel: list = field(default_factory=list, init=False, repr=False,
-                          compare=False)
+    compiled: tuple | None = field(default=None, repr=False, compare=False)
 
-    def render(self) -> str:
-        return "\n".join(t.render(self.mode) for t in self.terms)
-
-    def at_mode(self, mode: int) -> "NormalOrderedOperator":
-        """The same terms at another mode, sharing the integer kernel."""
-        op = replace(self, mode=mode)
-        object.__setattr__(op, "_kernel", self._kernel)
-        return op
-
-    @property
-    def compiled(self) -> tuple:
-        """Integer form that `apply_operator` runs on, built on first use.
-
-        (D, families, terms): D is the LCM of the term denominators; families
-        lists the distinct slot-family tuples; each term becomes (index into
-        families, D * coeff as an int, head kind, head alpha or Levi element,
-        mode-factor slot).  The operator's mode is not part of it, so every
-        `at_mode` copy of an operator shares one kernel.
-        """
-        if self._kernel:
-            return self._kernel[0]
+    def __post_init__(self):
+        if self.compiled is not None:
+            return
         denom = lcm(*[t.coeff.denominator for t in self.terms])
         families: dict[tuple[int, ...], int] = {}
         terms = []
@@ -300,8 +288,11 @@ class NormalOrderedOperator:
             terms.append((families.setdefault(t.annihilators, len(families)),
                           t.coeff.numerator * (denom // t.coeff.denominator),
                           t.head_kind, head, t.mode_factor))
-        self._kernel.append((denom, tuple(families), tuple(terms)))
-        return self._kernel[0]
+        object.__setattr__(self, "compiled",
+                           (denom, tuple(families), tuple(terms)))
+
+    def render(self) -> str:
+        return "\n".join(t.render(self.mode) for t in self.terms)
 
     def with_flipped_term(self, index: int) -> "NormalOrderedOperator":
         """Negative-control helper: negate one term's coefficient."""
@@ -309,7 +300,7 @@ class NormalOrderedOperator:
             raise ValueError(f"term index {index} outside 0..{len(self.terms) - 1}")
         terms = list(self.terms)
         terms[index] = replace(terms[index], coeff=-terms[index].coeff)
-        return replace(self, terms=tuple(terms))
+        return replace(self, terms=tuple(terms), compiled=None)
 
 
 def _canonical_terms(pd: ParabolicData, raw: list[Term]) -> tuple[Term, ...]:
@@ -611,7 +602,7 @@ class Realization:
             else:
                 template = build_operator_explicit_sl(self.pd, a, m)
             self._templates[a] = template
-        op = template.at_mode(m)
+        op = replace(template, mode=m)
         if self.operator_hook is not None:
             op = self.operator_hook(a, m, op)
         self._cache[key] = op

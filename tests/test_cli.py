@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from collections import Counter
@@ -527,6 +528,31 @@ def act_on_state(tmp_path, state):
                  "f1", "--mode", "0", "--state", spec])
 
 
+UNREADABLE_JSON = {
+    "not UTF-8": b'{"terms": [], "x": "\xff"}',
+    "nested past the recursion limit": b"[" * 100_000 + b"]" * 100_000,
+    "integer past the digit limit": b'{"terms": [], "x": 1' + b"0" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_JSON)
+@pytest.mark.parametrize("target", ["config", "state"])
+def test_unreadable_json_is_parse_error(tmp_path, capsys, case, target):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNREADABLE_JSON[case])
+    if target == "config":
+        rc = main(["act", "--config", str(bad), "--generator", "f1",
+                   "--state", "vacuum"])
+    else:
+        rc = act_on_state(tmp_path, str(bad))
+    assert rc == 2
+    captured = capsys.readouterr()
+    prefix = ("error: config is not valid JSON: " if target == "config"
+              else "error: malformed state file: ")
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_parse_error_vacuum_index_not_integer(tmp_path, capsys):
     assert act_on_state(tmp_path, "vacuum:abc") == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -570,6 +596,67 @@ def test_compare_engines_rejects_evaluation_at_zero(tmp_path, capsys):
     assert rc == 3
     assert captured.err.startswith("error:") and "s = 0" in captured.err
     assert captured.out == ""
+
+
+SL3_EVAL_AT_TWO = dict(SL3_EVAL, module={"kind": "evaluation", "level": "0",
+                                         "rep": "block", "block": 1, "s": "2"})
+
+
+@pytest.mark.parametrize("command, cfg, max_mode, text", [
+    ("check-bracket", SL3_EVAL_AT_TWO, 40000, "mode -80000 outside |mode| <= 65536"),
+    ("compare-engines", SL3_EVAL_AT_TWO, 70000, "mode -70000 outside |mode| <= 65536"),
+    ("check-bracket", SL3_EVAL_AT_ZERO, 1, "s = 0"),
+    ("compare-engines", SL3_EVAL_AT_ZERO, 1, "s = 0"),
+])
+def test_sweep_window_past_the_evaluation_modes(tmp_path, capsys, command, cfg,
+                                                max_mode, text):
+    # check-bracket hoists actions in |mode| <= 2 * max_mode, compare-engines
+    # acts in |mode| <= max_mode; both are checked before any sampling
+    cfg = dict(cfg, window=dict(cfg["window"], max_mode=max_mode))
+    argv = [command, "--config", write_config(tmp_path, cfg)]
+    records = tmp_path / "records.jsonl"
+    if command == "check-bracket":
+        argv += ["--records", str(records)]
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert text in captured.err
+    assert captured.out == ""
+    assert not records.exists()
+
+
+def test_act_on_evaluation_at_zero_is_pinned(tmp_path, capsys):
+    """Exit codes and outputs of `act` at s = 0 over every generator, modes
+    -1..1 and three states, taken from the release before the mode rule of
+    the evaluation module was stated once.  Nilradical generators act by
+    zero on the vacuum even in negative modes."""
+    cfg = write_config(tmp_path, SL3_EVAL_AT_ZERO)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"terms": [
+        {"coeff": "1", "monomial": [[0, 1, 1], [1, 2, 1]], "v": 0}]}))
+    specs = {"vacuum": "vacuum", "vacuum:1": "vacuum:1", "state": str(state)}
+    failing, text = [], []
+    for gen in ("h1", "h2", "w1", "f1", "f2", "e1", "e2", "E2.3", "E3.2", "c"):
+        for mode in (-1, 0, 1):
+            for label, spec in specs.items():
+                rc = main(["act", "--config", cfg, "--generator", gen,
+                           "--mode", str(mode), "--state", spec])
+                captured = capsys.readouterr()
+                if rc:
+                    assert rc == 3 and captured.out == ""
+                    assert captured.err.count("\n") == 1
+                    failing.append((gen, mode, label))
+                text.append(f"{gen} {mode} {label} {rc}\n{captured.out}")
+                if gen in ("e1", "e2") and label != "state":
+                    assert (rc, captured.out) == (0, '{"terms":[]}\n')
+    assert failing == [(gen, mode, label)
+                       for gen, mode in [("h1", -1), ("h2", -1), ("w1", -1), ("E2.3", -1),
+                                         ("E3.2", -1), ("c", -1), ("c", 1)]
+                       for label in specs]
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == (
+        "26e9a4c92cf88e77b09249808f74343921fbf8d80194d8730a0fe7fbe22103ed")
 
 
 def test_parse_error_level_zero_denominator(tmp_path, capsys):

@@ -277,28 +277,32 @@ def test_axiom_check_character():
     pd = parabolic_decompose(2, {2})
     mod = character_module(pd, [(pd.center_basis[0], 0, Q(7, 5)),
                                 (pd.center_basis[0], 2, Q(-1))])
-    report = axiom_check(mod, 3, Sampler(21).v_states(mod, 20))
-    assert report.passed, str(report)
+    checks, failure = axiom_check(mod, 3, Sampler(21).v_states(mod, 20))
+    assert failure is None, failure
+    assert checks == len(pd.levi_basis) ** 2 * 7 ** 2 * 20
 
 
 def test_axiom_check_evaluation():
     pd, mod = sl3_block_module()
-    report = axiom_check(mod, 3, Sampler(22).v_states(mod, 20))
-    assert report.passed, str(report)
+    checks, failure = axiom_check(mod, 3, Sampler(22).v_states(mod, 20))
+    assert failure is None, failure
+    assert checks == len(pd.levi_basis) ** 2 * 7 ** 2 * 20
 
 
 def test_axiom_check_heisenberg():
     pd = parabolic_decompose(1, ())
     mod = heisenberg_fock(pd, [Q(1, 2)], Q(2))
-    report = axiom_check(mod, 3, Sampler(23).v_states(mod, 20))
-    assert report.passed, str(report)
+    checks, failure = axiom_check(mod, 3, Sampler(23).v_states(mod, 20))
+    assert failure is None, failure
+    assert checks == len(pd.levi_basis) ** 2 * 7 ** 2 * 20
 
 
 def test_axiom_check_heisenberg_sl3():
     pd = parabolic_decompose(2, ())
     mod = heisenberg_fock(pd, [Q(1), Q(-2)], Q(-3, 2))
-    report = axiom_check(mod, 2, Sampler(24).v_states(mod, 8))
-    assert report.passed, str(report)
+    checks, failure = axiom_check(mod, 2, Sampler(24).v_states(mod, 8))
+    assert failure is None, failure
+    assert checks == len(pd.levi_basis) ** 2 * 5 ** 2 * 8
 
 
 def test_axiom_check_catches_corrupted_rho():
@@ -308,9 +312,9 @@ def test_axiom_check_catches_corrupted_rho():
     rho[2] = ((Q(0), Q(2)), (Q(0), Q(0)))
     mod.rho = tuple(rho)
     mod._acts.clear()
-    report = axiom_check(mod, 1, Sampler(25).v_states(mod, 5))
-    assert not report.passed
-    assert report.failure.startswith("fails on basis pair (")
+    checks, failure = axiom_check(mod, 1, Sampler(25).v_states(mod, 5))
+    assert 0 < checks <= len(pd.levi_basis) ** 2 * 3 ** 2 * 5
+    assert failure.startswith("fails on basis pair (")
 
 
 def test_continuity_surrogate_finite_support():

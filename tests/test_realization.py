@@ -486,6 +486,29 @@ def test_sl5_borel_operators_golden_digest():
         "f28cbae0a47bb26e32de8ae0ec2150a2e7c9fc0210d13e528ba353302d1f1f81")
 
 
+def test_every_small_parabolic_renders_golden_digest():
+    """Every homogeneous basis operator of every parabolic of sl(2)..sl(4),
+    on the general engine and, where sigma = {2..n}, the closed-form engine.
+    Each template is built at mode 0 and rendered at mode -1."""
+    text = []
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            for sigma in itertools.combinations(range(1, n + 1), k):
+                pd = parabolic_decompose(n, sigma)
+                engines = ["general"]
+                if set(sigma) == set(range(2, n + 1)):
+                    engines.append("explicit")
+                for engine in engines:
+                    real = Realization(pd, character_module(pd), engine)
+                    for name, elem, _ in pd.homogeneous_basis:
+                        real.operator(elem, 0)
+                        text.append(f"{n} {sigma} {engine} {name}\n"
+                                    f"{real.operator(elem, -1).render()}\n")
+    assert len(text) == 184
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == (
+        "74dd8f8ab282b43a0e71a812b7b0a1001df12df48aa55247f28b15fb038eb93b")
+
+
 def test_sl6_borel_highest_root_golden_digest():
     """E1.6 on sl(6) Borel, the longest series of rank 5: 675 canonical terms
     at each mode, rendered and hashed."""
