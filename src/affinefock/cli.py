@@ -57,7 +57,7 @@ from .inducing import (
     natural_block_rep,
 )
 from .lie import ParabolicData, as_scalar, cartan_h, matrix_unit, parabolic_decompose
-from .realization import CENTRAL, Realization, bracket_sweep, check_engine
+from .realization import CENTRAL, Realization, bracket_sweep, check_engine, slot_reach
 from .sampling import Sampler
 
 Q = Fraction
@@ -355,10 +355,11 @@ def cmd_dump(job: Job, generator: str, mode: int, out_path: str | None) -> int:
 def cmd_check_bracket(job: Job, records_path: str | None, flip: str | None) -> int:
     _require_modes(job, 2 * job.max_mode)  # the range bracket_sweep hoists
     real = _flipped_realization(job, flip) if flip else make_realization(job)
-    # opened before sampling, so an unwritable path fails before the sweep
-    records_file = _open_output(records_path, "records") if records_path else None
     smp = Sampler(job.seed)
     states = smp.fock_states(job.module, job.samples, job.max_degree, job.max_mode)
+    _require_modes(job, 2 * job.max_mode + slot_reach(states))  # plus the slot modes
+    # opened before the sweep, so an unwritable path fails before any check
+    records_file = _open_output(records_path, "records") if records_path else None
     basis = job.pd.homogeneous_basis
     n_modes = 2 * job.max_mode + 1
     records = []
@@ -400,6 +401,7 @@ def cmd_compare_engines(job: Job) -> int:
     exp = make_realization(replace(job, engine="explicit"))
     smp = Sampler(job.seed)
     states = smp.fock_states(job.module, job.samples, job.max_degree, job.max_mode)
+    _require_modes(job, job.max_mode + slot_reach(states))
     lines = [_header(job)]
     bad = 0
     for name, elem, _ in job.pd.homogeneous_basis:

@@ -11,8 +11,9 @@ acts by zero and the central element acts by the level kappa:
   trace of a commutator of finite matrices vanishes.
 * ``heisenberg_fock`` -- for the Borel case (empty Sigma): the level-kappa
   Fock module of the Cartan loop algebra, with negative modes creating,
-  positive modes annihilating (scaled by kappa * n * Gram), and mode zero
-  acting by the highest weight.
+  positive modes n annihilating in each direction j (scaled by kappa * n *
+  (x, h_j), the pairing `lie.form`), and mode zero acting by the highest
+  weight.
 
 Every kind shares one public action, `InducingModule.act`, memoized per
 (x, mode, v_index); a kind supplies only its mathematics as `_act` on the
@@ -26,13 +27,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fock import int_triples, mono_d_var, mono_from_pairs, mono_mul_var
+from .fock import int_triples, mono_d_var, mono_from_pairs, mono_mode_sum, mono_mul_var
 from .lie import (
     LieElement,
     ParabolicData,
     add_to,
     as_scalar,
     bracket_residual,
+    cartan_coords,
     coords_in_basis,
     form,
     levi_blocks,  # noqa: F401  (public as affinefock.inducing.levi_blocks)
@@ -315,7 +317,6 @@ class HeisenbergFockModule(InducingModule):
         if len(lam) != pd.n:
             raise ValueError(f"need {pd.n} highest-weight values")
         self.lam = lam
-        self.gram = tuple(tuple(form(a, b) for b in pd.cartan) for a in pd.cartan)
         self._mono_by_index: list[tuple] = []
         self._index_by_mono: dict[tuple, int] = {}
         self.intern(())
@@ -329,7 +330,7 @@ class HeisenbergFockModule(InducingModule):
         return idx
 
     def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
-        coords = self.pd.cartan_coords(x_l)
+        coords = cartan_coords(x_l)
         if not any(coords):
             return {}
         mono = self._mono_by_index[v_index]
@@ -344,26 +345,20 @@ class HeisenbergFockModule(InducingModule):
                 if c == 0:
                     continue
                 add_to(out, self.intern(mono_mul_var(mono, i, r)), c)
-        else:
-            kappa = self.level
-            if kappa != 0:
-                for i, c in enumerate(coords):
-                    if c == 0:
-                        continue
-                    for j in range(self.pd.n):
-                        g = self.gram[i][j]
-                        if g == 0:
-                            continue
-                        hit = mono_d_var(mono, j, mode)
-                        if hit is None:
-                            continue
-                        exp, reduced = hit
-                        add_to(out, self.intern(reduced), c * kappa * mode * g * exp)
+        elif self.level != 0:
+            for j, h in enumerate(self.pd.cartan):
+                g = form(x_l, h)
+                if g == 0:
+                    continue
+                hit = mono_d_var(mono, j, mode)
+                if hit is None:
+                    continue
+                exp, reduced = hit
+                add_to(out, self.intern(reduced), self.level * mode * g * exp)
         return out
 
     def v_mode(self, v_index: int) -> int:
-        mono = self._mono_by_index[v_index]
-        return -sum(r * e for _, r, e in mono)
+        return -mono_mode_sum(self._mono_by_index[v_index])
 
     def check_v_index(self, v_index: int):
         if not 0 <= v_index < len(self._mono_by_index):

@@ -279,7 +279,7 @@ def build_sl(n: int) -> SimpleAlgebra:
     return SimpleAlgebra(n=n, names=names, basis=elems)
 
 
-def _partial_sums(a: LieElement) -> tuple[Fraction, ...]:
+def cartan_coords(a: LieElement) -> tuple[Fraction, ...]:
     """Coordinates over H_1..H_n of the diagonal of a: diag(d_1..d_{n+1})
     with zero sum equals sum_i (d_1 + ... + d_i) H_i."""
     return tuple(accumulate(a.entry(i, i) for i in range(1, a.n + 1)))
@@ -288,7 +288,7 @@ def _partial_sums(a: LieElement) -> tuple[Fraction, ...]:
 def coords_in_basis(a: LieElement) -> dict[str, Fraction]:
     """Nonzero coordinates of a in the canonical basis {H_i} + {E_ij}."""
     names, _elems, unit_index = _canonical_basis(a.n)
-    out = {names[k]: c for k, c in enumerate(_partial_sums(a)) if c}
+    out = {names[k]: c for k, c in enumerate(cartan_coords(a)) if c}
     for (i, j), c in a.entries.items():
         if i != j:
             out[names[unit_index[(i, j)]]] = c
@@ -443,10 +443,6 @@ class ParabolicData:
             out.append((self._alpha_index[(j, i)], c))
         out.sort()
         return out
-
-    def cartan_coords(self, a: LieElement) -> tuple[Fraction, ...]:
-        """Coordinates of the diagonal part of a over H_1..H_n (partial sums)."""
-        return _partial_sums(a)
 
     def center_coords(self, a: LieElement) -> tuple[Fraction, ...]:
         """Coefficients of proj_{z(l)}(a) over the center basis.

@@ -76,26 +76,19 @@ class _CentralElement:
 
 CENTRAL = _CentralElement()
 
-_bernoulli_cache: list[Fraction] = [Q(1)]
 
-
+@cache
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k in the convention with B_1 = -1/2.
 
-    Computed from the defining recurrence sum_{j<=k} C(k+1, j) B_j = 0.
+    Computed from the defining recurrence sum_{j<=k} C(k+1, j) B_j = [k = 0].
     """
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     if k > BERNOULLI_BOUND:
         raise ValueError(
             f"Bernoulli index {k} exceeds configured bound {BERNOULLI_BOUND}")
-    while len(_bernoulli_cache) <= k:
-        r = len(_bernoulli_cache)
-        acc = Q(0)
-        for j in range(r):
-            acc += comb(r + 1, j) * _bernoulli_cache[j]
-        _bernoulli_cache.append(-acc / (r + 1))
-    return _bernoulli_cache[k]
+    return (Q(k == 0) - sum(comb(k + 1, j) * bernoulli(j) for j in range(k))) / (k + 1)
 
 
 @cache
@@ -280,16 +273,12 @@ class NormalOrderedOperator:
     def __post_init__(self):
         if self.compiled is not None:
             return
-        denom = lcm(*[t.coeff.denominator for t in self.terms])
+        denom, nums = scale_to_integers([(t, t.coeff) for t in self.terms])
         families: dict[tuple[int, ...], int] = {}
-        terms = []
-        for t in self.terms:
-            head = t.head_alpha if t.head_kind == "create" else t.head_elem
-            terms.append((families.setdefault(t.annihilators, len(families)),
-                          t.coeff.numerator * (denom // t.coeff.denominator),
-                          t.head_kind, head, t.mode_factor))
-        object.__setattr__(self, "compiled",
-                           (denom, tuple(families), tuple(terms)))
+        terms = tuple((families.setdefault(t.annihilators, len(families)), num, t.head_kind,
+                       t.head_alpha if t.head_kind == "create" else t.head_elem,
+                       t.mode_factor) for t, num in nums)
+        object.__setattr__(self, "compiled", (denom, tuple(families), terms))
 
     def render(self) -> str:
         return "\n".join(t.render(self.mode) for t in self.terms)
@@ -479,7 +468,7 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
     integers over the operator's and the state's common denominators
     (`_apply_scaled`), and divided once at the end.
     """
-    total, items = _apply_scaled(op, _integer_terms(state), module)
+    total, items = _apply_scaled(op, scale_to_integers(state.terms.items()), module)
     return FockState.of({k: Q(v, total) for k, v in items})
 
 
@@ -525,12 +514,17 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
                         out[key] = s
                     else:
                         out.pop(key, None)
-    fracs = [v.denominator for v in out.values() if type(v) is not int]
-    if not fracs:
+    if all(type(v) is int for v in out.values()):
         return denom * scale, out.items()
-    den = lcm(*fracs)
-    return denom * scale * den, [(k, v.numerator * (den // v.denominator))
-                                 for k, v in out.items()]
+    den, items = scale_to_integers(out.items())
+    return denom * scale * den, items
+
+
+def scale_to_integers(pairs) -> tuple[int, list]:
+    """(L, [(key, L * c)]) for (key, exact scalar) pairs, L the LCM of their
+    denominators, so every L * c is an integer; the pairs keep their order."""
+    den = lcm(*[c.denominator for _, c in pairs])
+    return den, [(k, c.numerator * (den // c.denominator)) for k, c in pairs]
 
 
 def instantiate_operator(op: NormalOrderedOperator, window: int,
@@ -631,12 +625,9 @@ class Realization:
                         - self.act(b, n, self.act(a, m, state)))
         else:
             residual = FockState.of(bracket_residual(
-                self._act_terms, a, m, b, n, state.terms, self.module.level))
+                lambda x, k, terms: self.act(x, k, FockState.of(terms)).terms,
+                a, m, b, n, state.terms, self.module.level))
         return residual.is_zero(), residual
-
-    def _act_terms(self, a: LieElement, m: int, terms: dict) -> dict:
-        """`act` on the term dict of a state, for `lie.bracket_residual`."""
-        return self.act(a, m, FockState.of(terms)).terms
 
     def vacuum_expected(self, a: LieElement, m: int, v_index: int = 0) -> FockState:
         """1 (x) sigma(a_m) v, the required value of pi(a_m) on the vacuum."""
@@ -661,13 +652,13 @@ class Realization:
         return degree_component(state, len(seq)) == FockState(expected)
 
 
-def _integer_terms(state: FockState) -> tuple[int, list]:
-    """(S, [(key, numerator over S)]) for a state, S the LCM of its
-    denominators; the terms keep their order."""
-    terms = state.terms
-    scale = lcm(*[c.denominator for c in terms.values()])
-    return scale, [(k, c.numerator * (scale // c.denominator))
-                   for k, c in terms.items()]
+def slot_reach(states) -> int:
+    """mu, the largest sum of |n| * e over the monomials b(alpha, n)^e of states.
+    A head acts at its operator's mode plus the modes of the variables it removes,
+    and a created variable takes that mode, so k operators of |mode| <= M applied in
+    turn need the module in |mode| <= k * M + mu: 2 * max_mode + mu in `bracket_sweep`."""
+    return max((sum(abs(n) * e for _, n, e in mono)
+                for s in states for mono, _ in s.terms), default=0)
 
 
 def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
@@ -707,10 +698,10 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
     wide = 2 * max_mode
     modes = range(-max_mode, max_mode + 1)
 
-    P = [[[_integer_terms(real.act(elem, m, s)) for s in states]
+    P = [[[scale_to_integers(real.act(elem, m, s).terms.items()) for s in states]
           for m in range(-wide, wide + 1)]
          for _name, elem, _h in basis]
-    inputs = [_integer_terms(s) for s in states]
+    inputs = [scale_to_integers(s.terms.items()) for s in states]
 
     # minus the basis coordinates of each bracket [a, b]
     idx_of = {name: i for i, (name, _, _) in enumerate(basis)}

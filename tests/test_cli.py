@@ -607,11 +607,17 @@ SL3_EVAL_AT_TWO = dict(SL3_EVAL, module={"kind": "evaluation", "level": "0",
     ("compare-engines", SL3_EVAL_AT_TWO, 70000, "mode -70000 outside |mode| <= 65536"),
     ("check-bracket", SL3_EVAL_AT_ZERO, 1, "s = 0"),
     ("compare-engines", SL3_EVAL_AT_ZERO, 1, "s = 0"),
+    # past the window only with the slot modes mu of the sampled states
+    ("check-bracket", SL3_EVAL_AT_TWO, 30000,
+     "acts in modes |mode| <= 105065: mode -105065 outside |mode| <= 65536"),
+    ("compare-engines", SL3_EVAL_AT_TWO, 60000,
+     "acts in modes |mode| <= 102130: mode -102130 outside |mode| <= 65536"),
 ])
 def test_sweep_window_past_the_evaluation_modes(tmp_path, capsys, command, cfg,
                                                 max_mode, text):
     # check-bracket hoists actions in |mode| <= 2 * max_mode, compare-engines
-    # acts in |mode| <= max_mode; both are checked before any sampling
+    # acts in |mode| <= max_mode; both are checked before any sampling, and
+    # again after it with the slot modes mu added (`realization.slot_reach`)
     cfg = dict(cfg, window=dict(cfg["window"], max_mode=max_mode))
     argv = [command, "--config", write_config(tmp_path, cfg)]
     records = tmp_path / "records.jsonl"

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinefock.inducing import (
     MAX_EVALUATION_MODE,
@@ -17,6 +19,7 @@ from affinefock.inducing import (
 from affinefock.lie import (
     bracket,
     cartan_h,
+    diag_element,
     form,
     loop,
     loop_bracket,
@@ -225,6 +228,43 @@ def test_heisenberg_gram_mixing_sl3():
     # (h1, h2) = -1, so h1 at mode +1 sees the neighbour's variable
     assert mod.act(h1, 1, idx) == {0: Q(-1)}
     assert mod.act(h2, 1, idx) == {0: Q(2)}
+
+
+def _registered(mod) -> int:
+    """Number of V-monomials in a Cartan Fock module's registry."""
+    count = 0
+    while True:
+        try:
+            mod.check_v_index(count)
+        except ValueError:
+            return count
+        count += 1
+
+
+def test_heisenberg_registers_no_cancelled_monomial():
+    # w2 = (1/3, 1/3, -2/3) pairs to zero with h1, so removing y(0, 1) cancels
+    pd = parabolic_decompose(2, ())
+    mod = heisenberg_fock(pd, [Q(1), Q(2)], Q(1))
+    idx = mod.v_from_obj([[0, 1, 1], [1, 1, 2]])
+    out = mod.act(pd.center_basis[1], 1, idx)
+    assert [mod.v_to_obj(v) for v in out] == [[[0, 1, 1], [1, 1, 1]]]
+    assert _registered(mod) == 3
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_heisenberg_act_registers_only_its_result(data):
+    n = data.draw(st.integers(1, 3))
+    pd = parabolic_decompose(n, ())
+    mod = heisenberg_fock(pd, [Q(1)] * n, data.draw(st.sampled_from([Q(1), Q(-3, 2)])))
+    coords = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    x = diag_element(n, [b - a for a, b in zip([0] + coords, coords + [0])])
+    vmono = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 2),
+                                         st.integers(1, 2)), max_size=4))
+    idx = mod.v_from_obj([list(t) for t in vmono])
+    before = _registered(mod)
+    out = mod.act(x, data.draw(st.integers(-2, 2)), idx)
+    assert set(range(before, _registered(mod))) <= set(out)
 
 
 def test_heisenberg_v_mode():

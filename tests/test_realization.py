@@ -15,6 +15,7 @@ from affinefock.fock import (
     apply_annihilation,
     apply_creation,
     mono_from_pairs,
+    state_to_text,
 )
 from affinefock.formal_dist import LaurentPoly
 from affinefock.inducing import (
@@ -104,6 +105,15 @@ def test_bernoulli_odd_vanish():
 def test_bernoulli_bound():
     with pytest.raises(ValueError):
         bernoulli(33)
+
+
+def test_bernoulli_rejected_index_raises_on_every_call():
+    # a rejected index is never cached, before or after the valid range is filled
+    for _ in range(2):
+        for k in (33, -1):
+            with pytest.raises(ValueError):
+                bernoulli(k)
+        assert bernoulli(32) == bernoulli_oracle(32)[32]
 
 
 # --- series expansion ---------------------------------------------------------------
@@ -524,6 +534,36 @@ def test_sl6_borel_highest_root_golden_digest():
         assert hashlib.sha256(op.render().encode()).hexdigest() == digest
 
 
+def test_cartan_fock_actions_golden_digest():
+    """Realization.act of every basis, Levi-center and central generator at
+    modes -2..2 on level-kappa Cartan Fock modules of sl(2)..sl(4), on states
+    whose V-monomials mix several Cartan directions.  Each result is hashed
+    as its canonical text and as its ordered (key, coefficient) list, so the
+    registry indices and the term order are pinned too."""
+    text = []
+    for n, level in ((1, Q(3, 2)), (2, Q(-2)), (3, Q(5, 3))):
+        pd = parabolic_decompose(n, ())
+        mod = heisenberg_fock(pd, [Q(k + 1, 2) for k in range(n)], level)
+        real = Realization(pd, mod)
+        vmonos = [[], [[0, 1, 1], [n - 1, 1, 2]],
+                  [[k, 1 + k % 2, 1] for k in range(n)] + [[0, 2, 1]]]
+        fock = [[], [[0, 1, 1]], [[pd.num_alpha - 1, -1, 1], [0, 2, 2]]]
+        states = [FockState.of({(mono_from_pairs([tuple(t) for t in f]),
+                                 mod.v_from_obj(v)): Q(k + 1, 1 + k % 3)})
+                  for k, (f, v) in enumerate(itertools.product(fock, vmonos))]
+        gens = ([(name, el) for name, el, _ in pd.homogeneous_basis]
+                + list(zip(pd.center_names, pd.center_basis)) + [("c", CENTRAL)])
+        for name, el in gens:
+            for m in range(-2, 3):
+                for si, s in enumerate(states):
+                    res = real.act(el, m, s)
+                    text.append(f"{n} {name} {m} {si}\n{state_to_text(res, mod)}"
+                                f"{list(res.terms.items())!r}\n")
+    assert len(text) == 5 * 9 * (5 + 11 + 19)
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == (
+        "ab0f541a994c180d123324329d749324cdc73217579caf34c7f0618257b2d07e")
+
+
 def test_flipped_term_index_out_of_range():
     op = build_operator_general(PD_SL2, E_SL2, 1)
     for idx in (-1, len(op.terms)):
@@ -855,7 +895,7 @@ def test_bracket_sweep_on_fractional_evaluation_point_matches_check_bracket():
     for _, e, _ in pd.homogeneous_basis:
         for s in states:
             total, items = rz._apply_scaled(plain.operator(e, 1),
-                                            rz._integer_terms(s), mod)
+                                            rz.scale_to_integers(s.terms.items()), mod)
             assert all(type(v) is int for _, v in items)
             got = FockState.of({k: Q(v, total) for k, v in items})
             assert got == plain.act(e, 1, s)
