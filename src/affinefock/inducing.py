@@ -17,7 +17,9 @@ acts by zero and the central element acts by the level kappa:
 
 Every kind shares one public action, `InducingModule.act`, memoized per
 (x, mode, v_index); a kind supplies only its mathematics as `_act` on the
-Levi part of x.  The Cartan weight of a basis vector, `v_weight`, is read off
+Levi part of x.  A memo entry holds both forms of an action, built on one
+miss: the Fraction dict of `act` and the integers over their LCM of
+`act_scaled`.  The Cartan weight of a basis vector, `v_weight`, is read off
 the mode-0 action, and an evaluation module checks that rho is a Levi
 representation by running `axiom_check` on its basis vectors in mode 0.
 """
@@ -38,6 +40,7 @@ from .lie import (
     coords_in_basis,
     form,
     levi_blocks,  # noqa: F401  (public as affinefock.inducing.levi_blocks)
+    scale_to_integers,
 )
 
 Q = Fraction
@@ -63,7 +66,7 @@ class InducingModule:
     def __init__(self, pd: ParabolicData, level):
         self.pd = pd
         self.level = as_scalar(level)
-        self._acts: dict[tuple[LieElement, int, int], dict[int, Fraction]] = {}
+        self._acts: dict[tuple[LieElement, int, int], tuple[dict, tuple[int, list]]] = {}
 
     def act(self, x: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
         """x (x) t^mode on basis vector v_index, as a sparse {v_index: coeff}.
@@ -71,14 +74,19 @@ class InducingModule:
         Memoized per (x, mode, v_index): an error is raised again on every
         call and never stored, and callers must not mutate the result.
         """
-        key = (x, mode, v_index)
-        out = self._acts.get(key)
-        if out is None:
-            self.check_v_index(v_index)
-            if x.n != self.pd.n:
-                raise ValueError("rank mismatch between element and module")
-            out = self._acts[key] = self._act(self.pd.project(x, "l"), mode, v_index)
-        return out
+        return (self._acts.get((x, mode, v_index)) or self._fill(x, mode, v_index))[0]
+
+    def act_scaled(self, x: LieElement, mode: int, v_index: int) -> tuple[int, list]:
+        """`act` as (L, [(w, L * coeff), ...]), L the LCM of its denominators."""
+        return (self._acts.get((x, mode, v_index)) or self._fill(x, mode, v_index))[1]
+
+    def _fill(self, x: LieElement, mode: int, v_index: int) -> tuple[dict, tuple]:
+        self.check_v_index(v_index)
+        if x.n != self.pd.n:
+            raise ValueError("rank mismatch between element and module")
+        out = self._act(self.pd.project(x, "l"), mode, v_index)
+        entry = self._acts[x, mode, v_index] = (out, scale_to_integers(out.items()))
+        return entry
 
     def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
         """The action of the Levi element x_l; the nilradical acts by zero."""

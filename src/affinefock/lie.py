@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations
+from math import lcm
 from typing import Iterable, Mapping
 
 Q = Fraction
@@ -57,6 +58,13 @@ def add_to(acc: dict, key, c) -> None:
         acc[key] = s
     else:
         acc.pop(key, None)
+
+
+def scale_to_integers(pairs) -> tuple[int, list]:
+    """(L, [(key, L * c)]) for (key, exact scalar) pairs, L the LCM of their
+    denominators, so every L * c is an integer; the pairs keep their order."""
+    den = lcm(*[c.denominator for _, c in pairs])
+    return den, [(k, c.numerator * (den // c.denominator)) for k, c in pairs]
 
 
 class LieElement:

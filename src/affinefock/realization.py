@@ -30,11 +30,12 @@ every mode.
 
 Each operator's terms are compiled when the operator is built, to integer
 numerators over the LCM of their denominators plus per-term slot families and
-heads, and an element's operators at every mode share that kernel;
-`apply_operator` sums integer contributions over that LCM times the
-state's common denominator and divides once at the end, so results are exact,
-and both the output order and the sequence of module calls follow term order,
-then slot-assignment order.
+heads, and an element's operators at every mode share that kernel.  That
+kernel, `_apply_scaled`, is integer-only: Levi heads read the module's actions
+as integers (`act_scaled`), central heads the level's numerator, each over a
+denominator that joins the output's running LCM.  `apply_operator` divides
+once at the end, so results are exact, and both the output order and the
+sequence of module calls follow term order, then slot-assignment order.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .fock import FockState, degree_component, mono_mul_var
 from .formal_dist import LaurentPoly
@@ -58,6 +59,7 @@ from .lie import (
     diag_element,
     form,
     matrix_unit,
+    scale_to_integers,
 )
 
 Q = Fraction
@@ -465,22 +467,24 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
     the slot-mode sum: create a variable, or act on the V-factor through the
     inducing module; a central term keeps only the assignments whose slot
     modes sum to -m and scales by the level.  Contributions are summed as
-    integers over the operator's and the state's common denominators
-    (`_apply_scaled`), and divided once at the end.
+    integers over the operator's, the state's and the heads' common
+    denominators (`_apply_scaled`), and divided once at the end.
     """
     total, items = _apply_scaled(op, scale_to_integers(state.terms.items()), module)
     return FockState.of({k: Q(v, total) for k, v in items})
 
 
 def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
-    """`apply_operator` on integers: (S, items) to (T, items) in its order,
-    T being D * S (D the operator's LCM) times the LCM of any denominators
-    the module's actions or the level bring in, so numerators stay integers."""
+    """`apply_operator` on integers: (S, items) to (D * S * M, items) in its
+    order, D the operator's LCM and M the running LCM of the head denominators
+    (creator 1, Levi `act_scaled`, central the level's); a new denominator
+    grows M and every output value in place, keeping key order and zero sums."""
     denom, families, terms = op.compiled
     mode = op.mode
-    kappa = module.level
-    skip_central = kappa == 0
+    knum, kden = module.level.numerator, module.level.denominator
+    skip_central = knum == 0
     scale, items = scaled
+    lcm_m = 1
     out: dict = {}
     for (mono, vidx), cnum in items:
         found: list = [None] * len(families)
@@ -501,12 +505,17 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
                 new_mono = rem
                 if kind == "create":
                     new_mono = mono_mul_var(rem, head, mode + msum)
-                    vecs = ((vidx, 1),)
+                    den, vecs = 1, ((vidx, 1),)
                 elif kind == "levi":
-                    vecs = module.act(head, mode + msum, vidx).items()
+                    den, vecs = module.act_scaled(head, mode + msum, vidx)
                 else:
-                    vecs = ((vidx, kappa),)
-                f = num * mult * cnum
+                    den, vecs = kden, ((vidx, knum),)
+                if lcm_m % den:
+                    grow = den // gcd(lcm_m, den)
+                    lcm_m *= grow
+                    for key in out:
+                        out[key] *= grow
+                f = num * mult * cnum * (lcm_m // den)
                 for w, d in vecs:
                     key = (new_mono, w)
                     s = out.get(key, 0) + f * d
@@ -514,17 +523,7 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
                         out[key] = s
                     else:
                         out.pop(key, None)
-    if all(type(v) is int for v in out.values()):
-        return denom * scale, out.items()
-    den, items = scale_to_integers(out.items())
-    return denom * scale * den, items
-
-
-def scale_to_integers(pairs) -> tuple[int, list]:
-    """(L, [(key, L * c)]) for (key, exact scalar) pairs, L the LCM of their
-    denominators, so every L * c is an integer; the pairs keep their order."""
-    den = lcm(*[c.denominator for _, c in pairs])
-    return den, [(k, c.numerator * (den // c.denominator)) for k, c in pairs]
+    return denom * scale * lcm_m, out.items()
 
 
 def instantiate_operator(op: NormalOrderedOperator, window: int,

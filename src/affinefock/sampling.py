@@ -49,7 +49,8 @@ class Sampler:
         return Fraction(num, den)
 
     def monomial(self, num_alpha: int, max_degree: int, max_mode: int):
-        degree = self.randint(0, max_degree)
+        # with no Fock variables (Sigma = {1..n}) only the empty monomial exists
+        degree = self.randint(0, max_degree) if num_alpha else 0
         pairs = []
         for _ in range(degree):
             alpha = self.randint(0, num_alpha - 1)

@@ -283,6 +283,41 @@ def test_check_bracket_sl3_evaluation(tmp_path, capsys):
     assert "PASS 64 basis pairs" in capsys.readouterr().out
 
 
+# Sigma = {1..n}: p = g, there are no Fock variables, and every sampled state
+# is a vector in V times the vacuum monomial
+SL2_SIGMA_ALL = {"algebra": {"n": 1, "sigma": [1]},
+                 "module": {"kind": "character", "level": "0"}, "seed": 2024}
+
+SL3_SIGMA_ALL = {
+    "algebra": {"n": 2, "sigma": [1, 2]},
+    "module": {"kind": "evaluation", "level": "0", "rep": "block",
+               "block": 0, "s": "2/3"},
+    "window": {"max_mode": 1, "max_degree": 2, "samples": 3},
+    "seed": 11,
+}
+
+
+def test_check_bracket_without_fock_variables_character(tmp_path, capsys):
+    rc = main(["check-bracket", "--config", write_config(tmp_path, SL2_SIGMA_ALL)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "PASS 9 basis pairs x 49 mode pairs x 20 states (8820 checks)")
+
+
+def test_check_bracket_without_fock_variables_evaluation(tmp_path, capsys):
+    rc = main(["check-bracket", "--config", write_config(tmp_path, SL3_SIGMA_ALL)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "PASS 64 basis pairs x 9 mode pairs x 3 states (1728 checks)")
+
+
+def test_check_bracket_without_fock_variables_flip_fails(tmp_path, capsys):
+    rc = main(["check-bracket", "--config", write_config(tmp_path, SL3_SIGMA_ALL),
+               "--flip", "E1.2:1:0"])
+    assert rc == 1
+    assert "FAIL at" in capsys.readouterr().out
+
+
 def test_check_bracket_full_reference_window(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SL2_HEIS, window={
         "max_mode": 3, "max_degree": 3, "samples": 20}))

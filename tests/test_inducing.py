@@ -293,22 +293,31 @@ def _sl2_heisenberg():
 
 @pytest.mark.parametrize("build", [_sl2_character, _sl3_evaluation, _sl2_heisenberg])
 def test_act_computes_each_key_once(build, monkeypatch):
-    mod, x, mode, v = build()
-    calls = []
-    inner = mod._act
+    # one memo entry holds both forms, whichever of them is read first
+    for scaled_first in (False, True):
+        mod, x, mode, v = build()
+        calls = []
+        inner = mod._act
 
-    def counting(*args):
-        calls.append(args)
-        return inner(*args)
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
 
-    monkeypatch.setattr(mod, "_act", counting)
-    first = mod.act(x, mode, v)
-    registry = len(getattr(mod, "_mono_by_index", ()))
-    assert first
-    assert mod.act(x, mode, v) == first
-    assert len(calls) == 1
-    # a repeated creation interns nothing new
-    assert len(getattr(mod, "_mono_by_index", ())) == registry
+        monkeypatch.setattr(mod, "_act", counting)
+        entries = len(mod._acts)
+        scaled = mod.act_scaled(x, mode, v) if scaled_first else None
+        first = mod.act(x, mode, v)
+        registry = len(getattr(mod, "_mono_by_index", ()))
+        assert first
+        assert mod.act(x, mode, v) == first
+        assert mod.act_scaled(x, mode, v) == (scaled or mod.act_scaled(x, mode, v))
+        den, nums = mod.act_scaled(x, mode, v)
+        assert type(den) is int and all(type(num) is int for _, num in nums)
+        assert [(w, Q(num, den)) for w, num in nums] == list(first.items())
+        assert len(calls) == 1
+        assert len(mod._acts) == entries + 1
+        # a repeated creation interns nothing new
+        assert len(getattr(mod, "_mono_by_index", ())) == registry
 
 
 # --- axiom checker ----------------------------------------------------------------------

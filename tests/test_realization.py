@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import sys
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -884,7 +885,7 @@ def test_bracket_sweep_witness_matches_check_bracket_residual():
 
 def test_bracket_sweep_on_fractional_evaluation_point_matches_check_bracket():
     # At s = -2/3 the Levi heads act by non-integers, whose denominators
-    # _apply_scaled folds into each product's common denominator; the sweep
+    # _apply_scaled takes into each product's common denominator; the sweep
     # must still pass, and on a planted fault report check_bracket's residual.
     pd = PD_SL3_MAX
     mod = evaluation_module(pd, natural_block_rep(pd, 1), Q(-2, 3))
@@ -914,6 +915,70 @@ def test_bracket_sweep_on_fractional_evaluation_point_matches_check_bracket():
     assert not ok
     assert residual == failure["residual"]
     assert any(c.denominator % 3 == 0 for c in residual.terms.values())
+
+
+def _fractional_modules():
+    """Three modules whose actions or level bring denominators into
+    `_apply_scaled`: Cartan Fock on sl(2) Borel at level -3/2 with lambda =
+    1/3, a character of sl(4) {2,3} valued 7/3 at mode 0 and -1 at mode 2,
+    and the sl(3) {2} evaluation module at s = -2/3."""
+    pd4 = parabolic_decompose(3, {2, 3})
+    z = pd4.center_basis[0]
+    return [heisenberg_fock(PD_SL2, [Q(1, 3)], Q(-3, 2)),
+            character_module(pd4, [(z, 0, Q(7, 3)), (z, 2, Q(-1))]),
+            evaluation_module(PD_SL3_MAX, natural_block_rep(PD_SL3_MAX, 1), Q(-2, 3))]
+
+
+def test_apply_operator_on_fractional_modules_golden_digest():
+    """apply_operator of every basis element at modes -2..2 on sampled states
+    of the three fractional modules, hashed as canonical text and as the
+    ordered (key, coefficient) list, so values and term order are pinned."""
+    text = []
+    for k, mod in enumerate(_fractional_modules()):
+        real = Realization(mod.pd, mod)
+        states = Sampler(40 + k).fock_states(mod, 4, 2, 1)
+        for name, elem, _ in mod.pd.homogeneous_basis:
+            for m in range(-2, 3):
+                for si, s in enumerate(states):
+                    res = apply_operator(real.operator(elem, m), s, mod)
+                    text.append(f"{k} {name} {m} {si}\n{state_to_text(res, mod)}"
+                                f"{list(res.terms.items())!r}\n")
+    assert len(text) == 5 * 4 * (3 + 15 + 8)
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == (
+        "9701b9b02598c87c12ef650b5bfc6d1c50e70fe2572cc9bf22c15976e4004761")
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_apply_scaled_returns_integer_numerators(k):
+    mod = _fractional_modules()[k]
+    real = Realization(mod.pd, mod)
+    runs = []
+    for s in Sampler(40 + k).fock_states(mod, 4, 2, 1):
+        scaled = rz.scale_to_integers(s.terms.items())
+        for _, elem, _ in mod.pd.homogeneous_basis:
+            for m in range(-2, 3):
+                op = real.operator(elem, m)
+                total, items = rz._apply_scaled(op, scaled, mod)
+                assert type(total) is int and all(type(v) is int for _, v in items)
+                got = FockState.of({key: Q(v, total) for key, v in items})
+                assert got == real.act(elem, m, s)
+                runs.append((op, scaled))
+    # Once the module's memo is warm, the kernel does no Fraction arithmetic
+    # and no LCM fold: it reads only the level's numerator and denominator.
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add((frame.f_code.co_filename.rsplit("/", 1)[-1], frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        for op, scaled in runs:
+            rz._apply_scaled(op, scaled, mod)
+    finally:
+        sys.setprofile(None)
+    assert {name for f, name in seen if f == "fractions.py"} <= {"numerator", "denominator"}
+    assert not {name for _, name in seen} & {"scale_to_integers", "_fill", "_act"}
 
 
 def test_bracket_sweep_reports_in_row_order_with_one_application_per_check(
