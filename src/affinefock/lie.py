@@ -1,11 +1,11 @@
 """Exact finite-dimensional Lie theory for sl(n+1) over the rationals.
 
 Everything here is bit-exact: matrix entries, structure constants and form
-values are `fractions.Fraction`; no floating point enters anywhere in the
-package.  The module provides the traceless-matrix element type, the
-canonical basis and roots of type A_n, invariant forms, parabolic
-decompositions with their Sigma-height grading, and the mode-level bracket
-of the centrally extended loop algebra.
+values are `fractions.Fraction` (or, inside the series recursion, Python
+ints); no floating point enters anywhere in the package.  The module
+provides the traceless-matrix element type, the canonical basis and roots of
+type A_n, invariant forms, parabolic decompositions with their Sigma-height
+grading, and the mode-level bracket of the centrally extended loop algebra.
 
 Conventions
 -----------
@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, permutations
 from math import lcm
 from typing import Iterable, Mapping
@@ -70,7 +70,12 @@ def scale_to_integers(pairs) -> tuple[int, list]:
 class LieElement:
     """A traceless (n+1)x(n+1) matrix with sparse exact entries.
 
-    Immutable; safe to hash, share and use as a cache key.
+    Immutable; safe to hash, share and use as a cache key.  The constructor
+    coerces every entry to a Fraction, but elements that the adjoint series
+    builds with `_raw` (`realization._ad_multisets`, `ParabolicData.project`)
+    may hold int entries.  Such an element hashes and compares equal to its
+    Fraction twin, since an int and the equal Fraction share numerator,
+    denominator and hash.
     """
 
     __slots__ = ("n", "entries", "_hash")
@@ -386,8 +391,8 @@ class ParabolicData:
             (name, el, self.height_of(el)) for name, el in zip(names, elems))
 
         # adjoint action of the f-basis on each element reached by the series
-        # expansion, summed per letter multiset; filled lazily by the
-        # multiset recursion `realization._ad_multisets`
+        # expansion, summed per letter multiset, as int-entry elements;
+        # filled lazily by the multiset recursion `realization._ad_multisets`
         self.ad_multisets_cache: dict[LieElement, tuple] = {}
 
     # -- identity ----------------------------------------------------------
@@ -401,6 +406,19 @@ class ParabolicData:
 
     def __repr__(self):
         return f"ParabolicData(n={self.n}, sigma={sorted(self.sigma)})"
+
+    @cached_property
+    def f_basis_int(self) -> tuple[LieElement, ...]:
+        """`f_basis` with int entries, for the integer series recursion
+        (`realization._ad_multisets`).  Derived at first use, from whatever
+        `f_basis` holds then; a non-integral entry raises, never truncates."""
+        out = []
+        for f in self.f_basis:
+            den, nums = scale_to_integers(f.entries.items())
+            if den != 1:
+                raise ValueError(f"f-basis element {f!r} has a non-integral entry")
+            out.append(_raw(self.n, dict(nums)))
+        return tuple(out)
 
     @property
     def num_alpha(self) -> int:
@@ -427,7 +445,12 @@ class ParabolicData:
             raise ValueError("rank mismatch between element and parabolic data")
 
     def project(self, a: LieElement, part: str) -> LieElement:
-        """Component of a in ubar, l, u or p = l + u (entrywise by height)."""
+        """Component of a in ubar, l, u or p = l + u (entrywise by height).
+
+        Built without re-validation (`_raw`): a is already clean, and every
+        part stays traceless, because the diagonal has height 0, so l and p
+        keep all of it and ubar and u none.  So the entries keep their type,
+        and int entries from the series stay ints."""
         self._check_rank(a)
         if part not in ("ubar", "l", "u", "p"):
             raise ValueError(f"unknown part {part!r}")
@@ -440,7 +463,7 @@ class ParabolicData:
                     or (part == "p" and h >= 0))
             if keep:
                 out[(i, j)] = c
-        return LieElement(self.n, out)
+        return _raw(self.n, out)
 
     def ubar_coords(self, a: LieElement) -> list[tuple[int, Fraction]]:
         """Decompose an element of ubar over the f-basis; (alpha index, coeff)."""

@@ -28,6 +28,12 @@ the annihilator modes that sum to -m, with a linear weight on the
 differentiated slot.  So each element's operator is built once and reused at
 every mode.
 
+Construction is integer arithmetic too.  Every multiset sum W(S) of the
+series is a bracket of matrix units, so `_ad_multisets` keeps int entries;
+`series_expand` writes a = A/d with A integral, reads each series coefficient
+as an int over one LCM L (`_series_table`), and divides each word's value by
+L*d once, when it returns, giving the same exact Fraction values.
+
 Each operator's terms are compiled when the operator is built, to integer
 numerators over the LCM of their denominators plus per-term slot families and
 heads, and an element's operators at every mode share that kernel.  That
@@ -51,6 +57,7 @@ from .formal_dist import LaurentPoly
 from .lie import (
     LieElement,
     ParabolicData,
+    _raw,
     add_to,
     bracket,
     bracket_residual,
@@ -94,20 +101,22 @@ def bernoulli(k: int) -> Fraction:
 
 
 @cache
-def _coeff_flow(j: int) -> Fraction:
-    """Coefficient of x^j in x e^x / (e^x - 1), i.e. (-1)^j B_j / j!."""
-    return Q((-1) ** j) * bernoulli(j) / factorial(j)
+def _series_table(cap: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The series coefficients of word lengths 0..cap, as ints over one LCM.
 
-
-@cache
-def _coeff_exp_neg(j: int) -> Fraction:
-    return Q((-1) ** j, factorial(j))
-
-
-@cache
-def _coeff_g(j: int) -> Fraction:
-    """Coefficient of x^j in (e^x - 1)/x."""
-    return Q(1, factorial(j + 1))
+    Returns (L, E, G): E[i][j] = L (-1)^i/i! (-1)^j B_j/j!, the product of the
+    coefficients of x^i in exp(-x) and of x^j in F(x) = x e^x/(e^x - 1), and
+    G[j] = L/(j+1)!, the coefficient of x^j in G(x) = (e^x - 1)/x; L is the
+    least common denominator, so every entry is an int.  E[i][0] is the
+    exponential alone, since B_0 = 1.
+    """
+    exp_neg = [Q((-1) ** i, factorial(i)) for i in range(cap + 1)]
+    flow = [(-1) ** j * bernoulli(j) / factorial(j) for j in range(cap + 1)]
+    prods = [[e * f for f in flow] for e in exp_neg]
+    g = [Q(1, factorial(j + 1)) for j in range(cap + 1)]
+    den = lcm(*[c.denominator for row in prods + [g] for c in row])
+    return (den, tuple(tuple(int(c * den) for c in row) for row in prods),
+            tuple(int(c * den) for c in g))
 
 
 AdLevels = tuple[tuple[tuple[tuple[int, ...], LieElement], ...], ...]
@@ -128,6 +137,12 @@ def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0) -> AdLeve
     series computes brackets.  base is reached by a word of length depth, and
     the recursion terminates by grading nilpotency: a surviving word of
     length 2*depth_k + 2 raises AssertionError.
+
+    Every W(S) is a bracket of matrix units, so the recursion runs on
+    integers: it brackets the int-entry copies `pd.f_basis_int`, and a base
+    with int entries (as `series_expand` passes) gives int-entry sums, kept
+    without re-validation.  An int-entry element hashes and compares equal to
+    its Fraction twin, so the cache serves either.
     """
     cap = 2 * pd.depth_k + 2
     levels = pd.ad_multisets_cache.get(base)
@@ -138,7 +153,7 @@ def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0) -> AdLeve
             if depth >= cap:
                 raise AssertionError("adjoint series failed to truncate (grading bug)")
             sums: list[dict[tuple[int, ...], dict]] = [{}]  # levels 1, 2, ...
-            for beta, f in enumerate(pd.f_basis):
+            for beta, f in enumerate(pd.f_basis_int):
                 sub = _ad_multisets(pd, bracket(f, base), depth + 1)
                 sums.extend({} for _ in range(len(sub) - len(sums)))
                 for level_sums, level in zip(sums, sub):
@@ -148,7 +163,7 @@ def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0) -> AdLeve
                             add_to(acc, key, c)
             root_level = (((), base),)
             levels = (root_level,) + tuple(
-                tuple((s, LieElement(pd.n, acc)) for s, acc in sorted(level.items()) if acc)
+                tuple((s, _raw(pd.n, acc)) for s, acc in sorted(level.items()) if acc)
                 for level in sums)
         pd.ad_multisets_cache[base] = levels
     if depth + len(levels) - 2 >= cap:
@@ -174,11 +189,19 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
     y = (W_a(S1))_ubar contributes W_y(S2) at the multiset S1 + S2, from y's
     own memoized multiset levels.  Every contribution to a word is summed
     into that word's value with `add_to`.
+
+    The sums run on integers and divide once per word: a is written A/d with
+    A integral (`scale_to_integers`), the series expands A, each coefficient
+    is read as an int over the LCM L of `_series_table`, and each value is
+    divided by L*d when it is returned, as exact Fractions.
     """
     if a.n != pd.n:
         raise ValueError("rank mismatch")
     if pd.height_of(a) is None:
         raise ValueError("series expansion needs a Sigma-homogeneous element")
+    d, nums = scale_to_integers(a.entries.items())
+    a_int = _raw(pd.n, dict(nums))
+    den, exp_flow, g = _series_table(2 * pd.depth_k + 2)
     acc: dict = {}
 
     def add(word, x, c):
@@ -187,21 +210,21 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
             add_to(entries, key, c * v)
 
     if kind == "D":
-        for i, level in enumerate(_ad_multisets(pd, a)):
-            c1 = _coeff_exp_neg(i)
+        for i, level in enumerate(_ad_multisets(pd, a_int)):
+            row = exp_flow[i]
             for s1, x in level:
                 y = pd.project(x, "ubar")
                 if y.is_zero():
                     continue
                 for j, level2 in enumerate(_ad_multisets(pd, y)):
-                    c = c1 * _coeff_flow(j)
+                    c = row[j]
                     if c == 0:
                         continue
                     for s2, w in level2:
                         add(tuple(sorted(s1 + s2)), w, c)
     elif kind == "A":
-        for i, level in enumerate(_ad_multisets(pd, a)):
-            c = _coeff_exp_neg(i)
+        for i, level in enumerate(_ad_multisets(pd, a_int)):
+            c = exp_flow[i][0]
             for s, w in level:
                 add(s, pd.project(w, "p"), c)
     elif kind == "C":
@@ -209,16 +232,22 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
         # exp(ad u) is exactly this G-weighted pairing against d_z u; it is
         # assembled as the operator's central summand, never as a separate
         # operation.  The slot written first is the differentiated one.
-        for beta0 in range(pd.num_alpha):
-            for j, level in enumerate(_ad_multisets(pd, pd.f_basis[beta0])):
-                c = _coeff_g(j)
+        for beta0, f in enumerate(pd.f_basis_int):
+            for j, level in enumerate(_ad_multisets(pd, f)):
+                c = g[j]
                 for s, w in level:
-                    add_to(acc, (beta0,) + s, c * form(w, a))
+                    pairing = form(w, a_int)
+                    if pairing:
+                        add_to(acc, (beta0,) + s, c * pairing)
     else:
         raise ValueError(f"unknown series kind {kind!r}")
-    if kind != "C":
-        acc = {word: LieElement(pd.n, entries) for word, entries in acc.items() if entries}
-    return sorted(acc.items(), key=lambda pair: (len(pair[0]), pair[0]))
+    den *= d  # every sum is over L * d
+    if kind == "C":
+        out = {word: Q(v, den) for word, v in acc.items()}
+    else:
+        out = {word: _raw(pd.n, {k: Q(v, den) for k, v in entries.items()})
+               for word, entries in acc.items() if entries}
+    return sorted(out.items(), key=lambda pair: (len(pair[0]), pair[0]))
 
 
 @dataclass(frozen=True)
@@ -433,7 +462,8 @@ def _matches(families: tuple[int, ...], mono) -> tuple[tuple, ...]:
 
     The result depends only on its two arguments, and a sweep meets the same
     hoisted monomials with every operator, so it is memoized in one LRU table
-    of 2**14 entries, shared by all operators and modules.
+    of 2**14 entries, shared by all operators and modules; `bracket_sweep`
+    empties it when it returns.
     """
     if not families:
         return ((1, (), 0, mono),)
@@ -689,90 +719,96 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
     order, (a, b, m, n, state) nested in basis and mode order.  Returns
     (checks_done, failure), failure being None or a dict with the witness
     residual of the first failing check in that order.
+
+    The slot-match table `_matches` is emptied when the sweep returns or
+    raises, so a long-lived process keeps none of its entries.
     """
-    pd = real.pd
-    module = real.module
-    basis = pd.homogeneous_basis
-    kappa = module.level
-    wide = 2 * max_mode
-    modes = range(-max_mode, max_mode + 1)
+    try:
+        pd = real.pd
+        module = real.module
+        basis = pd.homogeneous_basis
+        kappa = module.level
+        wide = 2 * max_mode
+        modes = range(-max_mode, max_mode + 1)
 
-    P = [[[scale_to_integers(real.act(elem, m, s).terms.items()) for s in states]
-          for m in range(-wide, wide + 1)]
-         for _name, elem, _h in basis]
-    inputs = [scale_to_integers(s.terms.items()) for s in states]
+        P = [[[scale_to_integers(real.act(elem, m, s).terms.items()) for s in states]
+              for m in range(-wide, wide + 1)]
+             for _name, elem, _h in basis]
+        inputs = [scale_to_integers(s.terms.items()) for s in states]
 
-    # minus the basis coordinates of each bracket [a, b]
-    idx_of = {name: i for i, (name, _, _) in enumerate(basis)}
-    btab = [[tuple((idx_of[nm], -c)
-                   for nm, c in sorted(coords_in_basis(bracket(a, b)).items()))
-             for _, b, _ in basis]
-            for _, a, _ in basis]
+        # minus the basis coordinates of each bracket [a, b]
+        idx_of = {name: i for i, (name, _, _) in enumerate(basis)}
+        btab = [[tuple((idx_of[nm], -c)
+                       for nm, c in sorted(coords_in_basis(bracket(a, b)).items()))
+                 for _, b, _ in basis]
+                for _, a, _ in basis]
 
-    def residual(x, y, coords, p, si, central):
-        """x - y - [a,b]_{m+n} s - central s as a dict, or None when zero."""
-        parts = [(x, 1), (y, -1)]
-        parts.extend((P[k][p][si], c) for k, c in coords)
-        if central:
-            parts.append((inputs[si], central))
-        common = lcm(*[scale * c.denominator for (scale, _), c in parts])
-        acc: dict = {}
-        for (scale, items), c in parts:
-            f = c.numerator * (common // (scale * c.denominator))
-            for key, v in items:
-                t = acc.get(key, 0) + v * f
-                if t:
-                    acc[key] = t
+        def residual(x, y, coords, p, si, central):
+            """x - y - [a,b]_{m+n} s - central s as a dict, or None when zero."""
+            parts = [(x, 1), (y, -1)]
+            parts.extend((P[k][p][si], c) for k, c in coords)
+            if central:
+                parts.append((inputs[si], central))
+            common = lcm(*[scale * c.denominator for (scale, _), c in parts])
+            acc: dict = {}
+            for (scale, items), c in parts:
+                f = c.numerator * (common // (scale * c.denominator))
+                for key, v in items:
+                    t = acc.get(key, 0) + v * f
+                    if t:
+                        acc[key] = t
+                    else:
+                        del acc[key]
+            if not acc:
+                return None
+            return {k: Q(v, common) for k, v in acc.items()}
+
+        checks = 0
+        pending: dict = {}  # (j, i) -> verdict block of the mirror of (i, j)
+        for i, (aname, a, _) in enumerate(basis):
+            for j, (bname, b, _) in enumerate(basis):
+                if j < i:
+                    block = pending.pop((i, j))
                 else:
-                    del acc[key]
-        if not acc:
-            return None
-        return {k: Q(v, common) for k, v in acc.items()}
-
-    checks = 0
-    pending: dict = {}  # (j, i) -> verdict block of the mirror of (i, j)
-    for i, (aname, a, _) in enumerate(basis):
-        for j, (bname, b, _) in enumerate(basis):
-            if j < i:
-                block = pending.pop((i, j))
-            else:
-                diagonal = j == i
-                coords, mirror_coords = btab[i][j], btab[j][i]
-                block = {}
-                mirror_block = block if diagonal else {}
+                    diagonal = j == i
+                    coords, mirror_coords = btab[i][j], btab[j][i]
+                    block = {}
+                    mirror_block = block if diagonal else {}
+                    for m in modes:
+                        op_a, pa = real.operator(a, m), P[i][m + wide]
+                        for n in modes:
+                            if diagonal and n < m:
+                                continue
+                            mirror = not diagonal or n != m
+                            central = mirror_central = 0
+                            if kappa != 0 and m == -n:
+                                central = -central_coeff(a, b, m, n) * kappa
+                                if mirror:
+                                    mirror_central = -central_coeff(b, a, n, m) * kappa
+                            op_b, pb = real.operator(b, n), P[j][n + wide]
+                            p = m + n + wide
+                            row, mirror_row = [], []
+                            for si in range(len(states)):
+                                x = _apply_scaled(op_a, pb[si], module)
+                                y = _apply_scaled(op_b, pa[si], module) if mirror else x
+                                row.append(residual(x, y, coords, p, si, central))
+                                if mirror:
+                                    mirror_row.append(residual(y, x, mirror_coords, p,
+                                                               si, mirror_central))
+                            block[m, n] = row
+                            if mirror:
+                                mirror_block[n, m] = mirror_row
+                    if not diagonal:
+                        pending[j, i] = mirror_block
                 for m in modes:
-                    op_a, pa = real.operator(a, m), P[i][m + wide]
                     for n in modes:
-                        if diagonal and n < m:
-                            continue
-                        mirror = not diagonal or n != m
-                        central = mirror_central = 0
-                        if kappa != 0 and m == -n:
-                            central = -central_coeff(a, b, m, n) * kappa
-                            if mirror:
-                                mirror_central = -central_coeff(b, a, n, m) * kappa
-                        op_b, pb = real.operator(b, n), P[j][n + wide]
-                        p = m + n + wide
-                        row, mirror_row = [], []
-                        for si in range(len(states)):
-                            x = _apply_scaled(op_a, pb[si], module)
-                            y = _apply_scaled(op_b, pa[si], module) if mirror else x
-                            row.append(residual(x, y, coords, p, si, central))
-                            if mirror:
-                                mirror_row.append(residual(y, x, mirror_coords, p,
-                                                           si, mirror_central))
-                        block[m, n] = row
-                        if mirror:
-                            mirror_block[n, m] = mirror_row
-                if not diagonal:
-                    pending[j, i] = mirror_block
-            for m in modes:
-                for n in modes:
-                    for si, res in enumerate(block[m, n]):
-                        checks += 1
-                        if on_check is not None:
-                            on_check(aname, bname, m, n, si, res is None)
-                        if res is not None:
-                            return checks, {"a": aname, "b": bname, "m": m, "n": n,
-                                            "state": si, "residual": FockState(res)}
-    return checks, None
+                        for si, res in enumerate(block[m, n]):
+                            checks += 1
+                            if on_check is not None:
+                                on_check(aname, bname, m, n, si, res is None)
+                            if res is not None:
+                                return checks, {"a": aname, "b": bname, "m": m, "n": n,
+                                                "state": si, "residual": FockState(res)}
+        return checks, None
+    finally:
+        _matches.cache_clear()

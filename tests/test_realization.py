@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import sys
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from affinefock.lie import (
     form,
     matrix_unit,
     parabolic_decompose,
+    zero as zero_element,
 )
 import affinefock.realization as rz
 from affinefock.realization import (
@@ -52,6 +55,7 @@ from affinefock.realization import (
 from affinefock.sampling import Sampler
 
 Q = Fraction
+ROOT = Path(__file__).resolve().parents[1]
 
 PD_SL2 = parabolic_decompose(1, ())
 PD_SL3_MAX = parabolic_decompose(2, {2})
@@ -161,6 +165,55 @@ def test_series_truncation_guard_on_non_nilpotent_f_basis():
     pd.f_basis = (matrix_unit(2, 1, 2) + matrix_unit(2, 2, 1),)
     with pytest.raises(AssertionError, match="failed to truncate"):
         series_expand(pd, cartan_h(2, 1), "D")
+
+
+def test_series_refuses_non_integral_f_basis():
+    pd = parabolic_decompose(2, ())
+    pd.f_basis = (matrix_unit(2, 2, 1).scale(Q(1, 2)),)
+    with pytest.raises(ValueError, match="non-integral"):
+        series_expand(pd, cartan_h(2, 1), "D")
+
+
+LINEARITY_PDS = [parabolic_decompose(n, sigma)
+                 for n, sigma in ((1, ()), (2, ()), (2, (2,)), (3, ()), (3, (2,)))]
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_series_expand_is_linear_in_the_element(data):
+    # a = A/d is expanded as A and divided by d per word, so scaling a by q
+    # must scale every word's value by q and keep the words and their order
+    pd = data.draw(st.sampled_from(LINEARITY_PDS))
+    height = data.draw(st.sampled_from(sorted({h for *_, h in pd.homogeneous_basis})))
+    pool = [el for _, el, h in pd.homogeneous_basis if h == height]
+    if height == 0:
+        pool += list(pd.center_basis)
+    coeffs = data.draw(st.lists(RATIONALS, min_size=len(pool), max_size=len(pool)))
+    a = sum((el.scale(c) for el, c in zip(pool, coeffs)), zero_element(pd.n))
+    q = data.draw(RATIONALS.filter(bool))
+    for kind in ("D", "A", "C"):
+        base = series_expand(pd, a, kind)
+        scaled = series_expand(pd, a.scale(q), kind)
+        if kind == "C":
+            assert scaled == [(word, q * v) for word, v in base]
+            assert all(type(v) is Fraction for _, v in scaled)
+        else:
+            assert scaled == [(word, v.scale(q)) for word, v in base]
+            assert all(type(c) is Fraction for _, v in scaled for c in v.entries.values())
+
+
+def test_ad_multisets_cache_holds_int_entries_after_building():
+    # The series recursion is integer-only: every element it memoizes, keys
+    # and levels alike, must keep Python int entries, not Fractions.
+    pd = parabolic_decompose(3, ())
+    real = Realization(pd, character_module(pd))
+    for _, elem, _ in pd.homogeneous_basis:
+        real.operator(elem, 0)
+    assert pd.ad_multisets_cache
+    for base, levels in pd.ad_multisets_cache.items():
+        elements = [base] + [w for level in levels for _, w in level]
+        assert all(type(c) is int for w in elements for c in w.entries.values())
 
 
 def breadth_first_ad_levels(pd, base):
@@ -533,6 +586,47 @@ def test_sl6_borel_highest_root_golden_digest():
         op = build_operator_general(pd, elem, m)
         assert len(op.terms) == 675
         assert hashlib.sha256(op.render().encode()).hexdigest() == digest
+
+
+def test_sl5_borel_operators_match_benchmark_reference_digests():
+    """All seven modes of the construction benchmark, -3..3, from one
+    Realization, hashed per mode against perfbench/reference.json."""
+    ref = json.loads((ROOT / "perfbench" / "reference.json").read_text())["build-sl5-borel"]
+    pd = parabolic_decompose(4, ())
+    real = Realization(pd, character_module(pd))
+    assert len(pd.homogeneous_basis) == ref["operators_per_mode"]
+    for mode, digest in ref["sha256_by_mode"].items():
+        text = "".join(f"{name} {mode}\n{real.operator(elem, int(mode)).render()}\n"
+                       for name, elem, _ in pd.homogeneous_basis)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, mode
+    assert sorted(map(int, ref["sha256_by_mode"])) == list(range(-3, 4))
+
+
+def test_fractional_elements_render_golden_digest():
+    """Elements with non-integral entries, which the series writes as A/d
+    with d > 1: the Levi-center basis and -2/3 times every basis element, on
+    every parabolic of sl(2)..sl(4) and both engines where they apply.  Each
+    template is built at mode 0 and rendered at mode 2."""
+    text = []
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            for sigma in itertools.combinations(range(1, n + 1), k):
+                pd = parabolic_decompose(n, sigma)
+                engines = ["general"]
+                if set(sigma) == set(range(2, n + 1)):
+                    engines.append("explicit")
+                elems = list(zip(pd.center_names, pd.center_basis)) + [
+                    (f"-2/3*{name}", el.scale(Q(-2, 3)))
+                    for name, el, _ in pd.homogeneous_basis]
+                for engine in engines:
+                    real = Realization(pd, character_module(pd), engine)
+                    for name, elem in elems:
+                        real.operator(elem, 0)
+                        text.append(f"{n} {sigma} {engine} {name}\n"
+                                    f"{real.operator(elem, 2).render()}\n")
+    assert len(text) == 204
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == (
+        "1df371e450abd669364c365a1768c9bfb6e3a8e8b2c7e4b8c5975664c6747a6a")
 
 
 def test_cartan_fock_actions_golden_digest():
@@ -1073,3 +1167,29 @@ def test_apply_operator_same_on_cold_and_warm_match_cache():
         cold = apply_operator(op, state, mod)
         warm = apply_operator(op, state, mod)
         assert list(cold.terms.items()) == list(warm.terms.items())
+
+
+def test_bracket_sweep_leaves_match_table_empty_and_repeats_exactly():
+    # The slot-match table is process-global; a sweep must not leave its
+    # entries behind, and a second sweep in the same process, which starts
+    # from the emptied table, must report the same checks and failure.
+    mod = sl2_heis(Q(1), Q(1))
+    f1 = PD_SL2.f_basis[0]
+
+    def hook(a, m, op):
+        return op.with_flipped_term(0) if (a == f1 and m == 1) else op
+
+    states = Sampler(2024).fock_states(mod, 4, 2, 1)
+    runs = []
+    for _ in range(2):
+        seen = []
+        real = Realization(PD_SL2, mod, operator_hook=hook)
+        checks, failure = bracket_sweep(real, 1, states,
+                                        on_check=lambda *args: seen.append(args))
+        assert _matches.cache_info().currsize == 0
+        runs.append((checks, seen, {k: v for k, v in failure.items() if k != "residual"},
+                     list(failure["residual"].terms.items())))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 81
+    checks, _ = bracket_sweep(Realization(PD_SL2, mod), 1, states)
+    assert checks == 9 * 9 * 4 and _matches.cache_info().currsize == 0
