@@ -36,7 +36,6 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -80,16 +79,26 @@ def _semantic(context: str = ""):
         raise SemanticError(context + str(exc)) from exc
 
 
-@dataclass
 class Job:
-    pd: ParabolicData
-    module: object
-    engine: str
-    max_mode: int
-    max_degree: int
-    samples: int
-    seed: int
-    output: str
+    """A loaded config: parabolic, module, engine, check window and output mode."""
+
+    __slots__ = ("pd", "module", "engine", "max_mode", "max_degree", "samples", "seed",
+                 "output")
+
+    def __init__(self, pd: ParabolicData, module, engine: str, max_mode: int,
+                 max_degree: int, samples: int, seed: int, output: str):
+        self.pd = pd
+        self.module = module
+        self.engine = engine
+        self.max_mode = max_mode
+        self.max_degree = max_degree
+        self.samples = samples
+        self.seed = seed
+        self.output = output
+
+    def replace(self, **changes) -> Job:
+        """A copy with the named fields changed."""
+        return Job(**{name: getattr(self, name) for name in self.__slots__} | changes)
 
 
 def parse_generator(pd: ParabolicData, name: str):
@@ -397,8 +406,8 @@ def _finish(lines, records, records_file):
 
 def cmd_compare_engines(job: Job) -> int:
     _require_modes(job, job.max_mode)
-    gen = make_realization(replace(job, engine="general"))
-    exp = make_realization(replace(job, engine="explicit"))
+    gen = make_realization(job.replace(engine="general"))
+    exp = make_realization(job.replace(engine="explicit"))
     smp = Sampler(job.seed)
     states = smp.fock_states(job.module, job.samples, job.max_degree, job.max_mode)
     _require_modes(job, job.max_mode + slot_reach(states))

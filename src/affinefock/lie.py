@@ -20,7 +20,6 @@ Conventions
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, permutations
@@ -227,16 +226,23 @@ def form(a: LieElement, b: LieElement) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
 class Root:
-    """The root eps_i - eps_j of sl(n+1); positive iff i < j."""
+    """The root eps_i - eps_j of sl(n+1); positive iff i < j.  Immutable by
+    convention, compared and hashed by value."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
 
-    def __post_init__(self):
-        if self.i == self.j:
+    def __init__(self, i: int, j: int):
+        if i == j:
             raise ValueError("a root needs i != j")
+        self.i = i
+        self.j = j
+
+    def __eq__(self, other):
+        return isinstance(other, Root) and self.i == other.i and self.j == other.j
+
+    def __hash__(self):
+        return hash((self.i, self.j))
 
     def value_on(self, h: LieElement) -> Fraction:
         """alpha(h) for diagonal h."""
@@ -263,13 +269,15 @@ def _canonical_basis(n: int) -> tuple[tuple[str, ...], tuple[LieElement, ...], d
     return tuple(names), tuple(elems), unit_index
 
 
-@dataclass(frozen=True)
 class SimpleAlgebra:
     """The canonical basis of sl(n+1): Cartan elements first, then matrix units."""
 
-    n: int
-    names: tuple[str, ...]
-    basis: tuple[LieElement, ...]
+    __slots__ = ("n", "names", "basis")
+
+    def __init__(self, n: int, names: tuple[str, ...], basis: tuple[LieElement, ...]):
+        self.n = n
+        self.names = names
+        self.basis = basis
 
     @property
     def dim(self) -> int:

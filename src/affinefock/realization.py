@@ -46,7 +46,6 @@ sequence of module calls follow term order, then slot-assignment order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
@@ -197,7 +196,8 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
     """
     if a.n != pd.n:
         raise ValueError("rank mismatch")
-    if pd.height_of(a) is None:
+    height = pd.height_of(a)
+    if height is None:
         raise ValueError("series expansion needs a Sigma-homogeneous element")
     d, nums = scale_to_integers(a.entries.items())
     a_int = _raw(pd.n, dict(nums))
@@ -232,10 +232,15 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
         # exp(ad u) is exactly this G-weighted pairing against d_z u; it is
         # assembled as the operator's central summand, never as a separate
         # operation.  The slot written first is the differentiated one.
+        # W(S) of f_beta0 has Sigma-height -(h(beta0) + sum of h over S), and
+        # the form pairs only opposite heights, so other words pair to zero.
+        hts = [pd.height(root) for root in pd.delta_u]
         for beta0, f in enumerate(pd.f_basis_int):
             for j, level in enumerate(_ad_multisets(pd, f)):
                 c = g[j]
                 for s, w in level:
+                    if hts[beta0] + sum(hts[beta] for beta in s) != height:
+                        continue
                     pairing = form(w, a_int)
                     if pairing:
                         add_to(acc, (beta0,) + s, c * pairing)
@@ -250,7 +255,6 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
     return sorted(out.items(), key=lambda pair: (len(pair[0]), pair[0]))
 
 
-@dataclass(frozen=True)
 class Term:
     """One normal-ordered summand: annihilators (right) then a head (left).
 
@@ -259,15 +263,37 @@ class Term:
     the coefficient (the differentiated slot of central terms).  A term holds
     no mode: at operator mode m a creator or Levi head acts at m plus the sum
     of all slot modes, and a central term requires the slot modes to sum to -m.
+    Immutable by convention, compared and hashed field by field.
     """
 
-    coeff: Fraction
-    annihilators: tuple[int, ...]
-    head_kind: str  # "create" | "levi" | "central"
-    head_alpha: int | None = None
-    head_elem: LieElement | None = None
-    head_name: str | None = None
-    mode_factor: int | None = None
+    __slots__ = ("coeff", "annihilators", "head_kind", "head_alpha", "head_elem",
+                 "head_name", "mode_factor")
+
+    def __init__(self, coeff: Fraction, annihilators: tuple[int, ...],
+                 head_kind: str,  # "create" | "levi" | "central"
+                 head_alpha: int | None = None, head_elem: LieElement | None = None,
+                 head_name: str | None = None, mode_factor: int | None = None):
+        self.coeff = coeff
+        self.annihilators = annihilators
+        self.head_kind = head_kind
+        self.head_alpha = head_alpha
+        self.head_elem = head_elem
+        self.head_name = head_name
+        self.mode_factor = mode_factor
+
+    def fields(self) -> tuple:
+        """The constructor's arguments, in order."""
+        return (self.coeff, self.annihilators, self.head_kind, self.head_alpha,
+                self.head_elem, self.head_name, self.mode_factor)
+
+    def __eq__(self, other):
+        return isinstance(other, Term) and self.fields() == other.fields()
+
+    def __hash__(self):
+        return hash(self.fields())
+
+    def __repr__(self):
+        return f"Term{self.fields()!r}"
 
     def render(self, mode: int) -> str:
         bits = [str(self.coeff)]
@@ -285,31 +311,42 @@ class Term:
         return " * ".join(bits)
 
 
-@dataclass(frozen=True)
 class NormalOrderedOperator:
     """pi(a_m): the mode-free terms of a's operator, at mode m.
 
     `compiled` is the integer form that `apply_operator` runs on, built from
-    the terms when the operator is constructed: (D, families, terms), D being
-    the LCM of the term denominators, families the distinct slot-family
-    tuples, and each term (index into families, D * coeff as an int, head
-    kind, head alpha or Levi element, mode-factor slot).  The mode is not part
-    of it, so `replace(op, mode=m)` carries one kernel to every mode.
+    the terms when none is given: (D, families, terms), D being the LCM of
+    the term denominators, families the distinct slot-family tuples, and each
+    term (index into families, D * coeff as an int, head kind, head alpha or
+    Levi element, mode-factor slot).  The mode is not part of it, so
+    `Realization.operator` passes one template's kernel to every mode.
+    Immutable by convention; equality and hash ignore `compiled`.
     """
 
-    terms: tuple[Term, ...]
-    mode: int
-    compiled: tuple | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("terms", "mode", "compiled")
 
-    def __post_init__(self):
-        if self.compiled is not None:
-            return
-        denom, nums = scale_to_integers([(t, t.coeff) for t in self.terms])
-        families: dict[tuple[int, ...], int] = {}
-        terms = tuple((families.setdefault(t.annihilators, len(families)), num, t.head_kind,
-                       t.head_alpha if t.head_kind == "create" else t.head_elem,
-                       t.mode_factor) for t, num in nums)
-        object.__setattr__(self, "compiled", (denom, tuple(families), terms))
+    def __init__(self, terms: tuple[Term, ...], mode: int, compiled: tuple | None = None):
+        if compiled is None:
+            denom, nums = scale_to_integers([(t, t.coeff) for t in terms])
+            families: dict[tuple[int, ...], int] = {}
+            kernel = tuple((families.setdefault(t.annihilators, len(families)), num,
+                            t.head_kind,
+                            t.head_alpha if t.head_kind == "create" else t.head_elem,
+                            t.mode_factor) for t, num in nums)
+            compiled = (denom, tuple(families), kernel)
+        self.terms = terms
+        self.mode = mode
+        self.compiled = compiled
+
+    def __eq__(self, other):
+        return (isinstance(other, NormalOrderedOperator)
+                and self.terms == other.terms and self.mode == other.mode)
+
+    def __hash__(self):
+        return hash((self.terms, self.mode))
+
+    def __repr__(self):
+        return f"NormalOrderedOperator({self.terms!r}, {self.mode!r})"
 
     def render(self) -> str:
         return "\n".join(t.render(self.mode) for t in self.terms)
@@ -319,8 +356,9 @@ class NormalOrderedOperator:
         if not 0 <= index < len(self.terms):
             raise ValueError(f"term index {index} outside 0..{len(self.terms) - 1}")
         terms = list(self.terms)
-        terms[index] = replace(terms[index], coeff=-terms[index].coeff)
-        return replace(self, terms=tuple(terms), compiled=None)
+        flip = terms[index]
+        terms[index] = Term(-flip.coeff, *flip.fields()[1:])
+        return NormalOrderedOperator(tuple(terms), self.mode)
 
 
 def _canonical_terms(pd: ParabolicData, raw: list[Term]) -> tuple[Term, ...]:
@@ -625,7 +663,7 @@ class Realization:
             else:
                 template = build_operator_explicit_sl(self.pd, a, m)
             self._templates[a] = template
-        op = replace(template, mode=m)
+        op = NormalOrderedOperator(template.terms, m, template.compiled)
         if self.operator_hook is not None:
             op = self.operator_hook(a, m, op)
         self._cache[key] = op

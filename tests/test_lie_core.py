@@ -226,6 +226,12 @@ def test_parabolic_sl3_borel():
     assert pd.depth_k == 2
     assert pd.height(Root(1, 3)) == 2
     assert pd.height(Root(3, 1)) == -2
+    # value semantics, and never equal to a plain tuple
+    assert Root(1, 3) == Root(1, 3) and len({Root(1, 3), Root(1, 3)}) == 1
+    assert Root(1, 3) != Root(3, 1) and Root(1, 3) != (1, 3)
+    assert repr(Root(1, 3)) == "Root(1,3)"
+    with pytest.raises(ValueError):
+        Root(2, 2)
 
 
 def test_parabolic_rejects_bad_sigma():

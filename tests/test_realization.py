@@ -303,6 +303,10 @@ def test_canonical_terms_merge_split_cancel_and_order():
         Term(Q(5), (0, 0, 1), "central", mode_factor=2),
     )
     assert _canonical_terms(pd, raw) == expected
+    # terms compare and hash by value, so they serve as dict keys
+    index = {term: k for k, term in enumerate(expected)}
+    assert index[Term(Q(3), (0, 1), "create", head_alpha=0)] == 2
+    assert Term(Q(3), (0, 1), "create", head_alpha=1) not in index
     # the final order does not depend on the order of the raw terms
     assert _canonical_terms(pd, raw[::-1]) == expected
     assert _canonical_terms(pd, raw[3:] + raw[:3]) == expected
@@ -905,6 +909,11 @@ def test_operator_terms_do_not_depend_on_the_mode(n, sigma, engine):
             assert op.terms == terms
             served = real.operator(elem, m)
             assert served.mode == m and served.terms == terms
+            # every mode of one element runs on the template's kernel; an
+            # operator built apart has its own, and still compares equal
+            assert served.compiled is real.operator(elem, 0).compiled
+            assert op.compiled is not served.compiled
+            assert op == served and hash(op) == hash(served)
 
 
 def test_bracket_sweep_builds_each_element_once(monkeypatch):
@@ -933,6 +942,8 @@ def test_bracket_sweep_compiles_each_element_once():
     assert len(ops) == 75
     assert len({id(op.compiled) for op in ops}) == 15
     flipped = ops[0].with_flipped_term(0)
+    assert flipped != ops[0] and flipped.compiled is not ops[0].compiled
+    assert NormalOrderedOperator(ops[0].terms, ops[0].mode, ("any",)) == ops[0]
     denom, families, terms = ops[0].compiled
     assert flipped.compiled == (denom, families,
                                 ((terms[0][0], -terms[0][1]) + terms[0][2:],)
