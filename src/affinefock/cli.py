@@ -40,6 +40,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .fock import (
+    INDEX,
     FockState,
     canonical_json,
     mono_from_pairs,
@@ -106,25 +107,25 @@ def parse_generator(pd: ParabolicData, name: str):
         raise ParseError(f"generator names are strings, got {name!r}")
     if name == "c":
         return CENTRAL
-    m = re.fullmatch(r"h(\d+)", name)
+    m = re.fullmatch(f"h({INDEX})", name)
     if m:
         i = int(m.group(1))
         if not 1 <= i <= pd.n:
             raise ParseError(f"Cartan index out of range in {name!r}")
         return cartan_h(pd.n, i)
-    m = re.fullmatch(r"w(\d+)", name)
+    m = re.fullmatch(f"w({INDEX})", name)
     if m:
         label = f"w{int(m.group(1))}"
         if label not in pd.center_names:
             raise ParseError(f"{name!r} is not a center direction for this parabolic")
         return pd.center_basis[pd.center_names.index(label)]
-    m = re.fullmatch(r"([fe])(\d+)", name)
+    m = re.fullmatch(f"([fe])({INDEX})", name)
     if m:
         k = int(m.group(2))
         if not 1 <= k <= pd.num_alpha:
             raise ParseError(f"nilradical index out of range in {name!r}")
         return (pd.f_basis if m.group(1) == "f" else pd.e_basis)[k - 1]
-    m = re.fullmatch(r"E(\d+)\.(\d+)", name)
+    m = re.fullmatch(rf"E({INDEX})\.({INDEX})", name)
     if m:
         i, j = int(m.group(1)), int(m.group(2))
         if i == j or not (1 <= i <= pd.n + 1 and 1 <= j <= pd.n + 1):
@@ -250,7 +251,7 @@ def make_realization(job: Job, operator_hook=None) -> Realization:
 def load_state(job: Job, spec: str) -> FockState:
     if spec == "vacuum" or spec.startswith("vacuum:"):
         index = "0" if spec == "vacuum" else spec[len("vacuum:"):]
-        if not re.fullmatch(r"-?[0-9]+", index):
+        if not re.fullmatch(f"-?{INDEX}", index):
             raise ParseError(f"bad vacuum index in --state {spec!r}")
         v = int(index)
         with _semantic():

@@ -32,6 +32,10 @@ Monomial = tuple
 
 EMPTY_MONOMIAL: Monomial = ()
 
+#: an index as configs, flags and state files write it: ASCII digits (`int` also
+#: reads other scripts' digits), few enough to refuse a longer string unconverted
+INDEX = "[0-9]{1,9}"
+
 
 def int_triples(obj) -> list[tuple[int, int, int]]:
     """A JSON list of [int, int, int] triples, as tuples; TypeError otherwise."""
@@ -250,7 +254,7 @@ def state_from_obj(obj: dict, module=None) -> FockState:
         if not isinstance(vbasis, dict):
             raise TypeError(f"vbasis must be a JSON object, got {vbasis!r}")
         for key, desc in vbasis.items():
-            if not re.fullmatch(r"[0-9]+", key):
+            if not re.fullmatch(INDEX, key):
                 raise TypeError(f"vbasis key {key!r} is not a vector index")
             remap[int(key)] = module.v_from_obj(desc)
     terms: dict = {}

@@ -746,17 +746,19 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
     reaches zero is deleted, so witness values and key order are those of
     Fraction accumulation.
 
-    Ordered pairs (i, j) run in row order.  For j >= i, X and Y are applied
-    once per (m, n, s) and serve both the check (a, b, m, n, s) and its
-    mirror (b, a, n, m, s), each with its own residual, bracket coordinates
-    and central term; the mirror's verdicts (None on a pass, the residual on
-    a failure) wait in `pending` until pair (j, i) is reported.  On the
-    diagonal only n >= m is visited, and Y is X when n = m.
+    One pass visits the cells (a, b, m, n) in report order: ordered basis
+    pairs in row order, then modes.  A cell whose mirror (b, a, n, m) came
+    first takes its verdict row (None on a pass, the residual on a failure)
+    from `mirrors`.  Any other cell applies X and Y once per state; they
+    serve the cell's checks and its mirror's, each with its own residual,
+    bracket coordinates and central term, and the mirror's row is stored
+    unless the cell is its own mirror, where Y is X.
 
-    Reporting (on_check, the check count and the first failure) follows row
-    order, (a, b, m, n, state) nested in basis and mode order.  Returns
-    (checks_done, failure), failure being None or a dict with the witness
-    residual of the first failing check in that order.
+    Reporting (on_check, the check count and the first failure) follows
+    (a, b, m, n, state) nested in basis and mode order, and stops at the
+    first failing check, so no product is applied after that check's cell.
+    Returns (checks_done, failure), failure being None or a dict with the
+    witness residual of the first failing check in that order.
 
     The slot-match table `_matches` is emptied when the sweep returns or
     raises, so a long-lived process keeps none of its entries.
@@ -802,45 +804,32 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
             return {k: Q(v, common) for k, v in acc.items()}
 
         checks = 0
-        pending: dict = {}  # (j, i) -> verdict block of the mirror of (i, j)
+        mirrors: dict = {}  # (i, j, m, n) -> verdict row stored by its mirror cell
         for i, (aname, a, _) in enumerate(basis):
             for j, (bname, b, _) in enumerate(basis):
-                if j < i:
-                    block = pending.pop((i, j))
-                else:
-                    diagonal = j == i
-                    coords, mirror_coords = btab[i][j], btab[j][i]
-                    block = {}
-                    mirror_block = block if diagonal else {}
-                    for m in modes:
-                        op_a, pa = real.operator(a, m), P[i][m + wide]
-                        for n in modes:
-                            if diagonal and n < m:
-                                continue
-                            mirror = not diagonal or n != m
+                for m in modes:
+                    for n in modes:
+                        row = mirrors.pop((i, j, m, n), None)
+                        if row is None:
+                            own = (i, m) == (j, n)
                             central = mirror_central = 0
                             if kappa != 0 and m == -n:
                                 central = -central_coeff(a, b, m, n) * kappa
-                                if mirror:
-                                    mirror_central = -central_coeff(b, a, n, m) * kappa
+                                mirror_central = -central_coeff(b, a, n, m) * kappa
+                            op_a, pa = real.operator(a, m), P[i][m + wide]
                             op_b, pb = real.operator(b, n), P[j][n + wide]
                             p = m + n + wide
                             row, mirror_row = [], []
                             for si in range(len(states)):
                                 x = _apply_scaled(op_a, pb[si], module)
-                                y = _apply_scaled(op_b, pa[si], module) if mirror else x
-                                row.append(residual(x, y, coords, p, si, central))
-                                if mirror:
-                                    mirror_row.append(residual(y, x, mirror_coords, p,
-                                                               si, mirror_central))
-                            block[m, n] = row
-                            if mirror:
-                                mirror_block[n, m] = mirror_row
-                    if not diagonal:
-                        pending[j, i] = mirror_block
-                for m in modes:
-                    for n in modes:
-                        for si, res in enumerate(block[m, n]):
+                                y = x if own else _apply_scaled(op_b, pa[si], module)
+                                row.append(residual(x, y, btab[i][j], p, si, central))
+                                if not own:
+                                    mirror_row.append(residual(y, x, btab[j][i], p, si,
+                                                               mirror_central))
+                            if not own:
+                                mirrors[j, i, n, m] = mirror_row
+                        for si, res in enumerate(row):
                             checks += 1
                             if on_check is not None:
                                 on_check(aname, bname, m, n, si, res is None)

@@ -122,11 +122,33 @@ def test_act_round_trip(tmp_path):
 
 # --- exit codes ----------------------------------------------------------------------
 
-def test_parse_error_bad_generator(tmp_path, capsys):
-    cfg = write_config(tmp_path, SL2_CHAR)
-    rc = main(["act", "--config", cfg, "--generator", "zz", "--mode", "0",
-               "--state", "vacuum"])
+# An index is ASCII digits, refused unconverted when too long to be one: Python's
+# int() reads "\u0661" as 1 and raises past 4,300 digits.
+BAD_INDEX_NAMES = {"long": "h" + "1" * 5000, "arabic-h": "h\u0661",
+                   "arabic-E": "E\u0661.\u0662"}
+
+
+@pytest.mark.parametrize("name, where", [("zz", "act")] + [
+    pytest.param(name, where, id=f"{key}-{where}")
+    for key, name in BAD_INDEX_NAMES.items()
+    for where in ("act", "dump", "assignment")])
+def test_parse_error_bad_generator(tmp_path, capsys, name, where):
+    generator = name
+    cfg = SL2_CHAR
+    if where == "assignment":
+        generator = "f1"
+        cfg = dict(SL2_CHAR, module={"kind": "character", "level": "0", "assignments": [
+            {"element": name, "mode": 0, "value": "2"}]})
+    args = ["--config", write_config(tmp_path, cfg), "--generator", generator,
+            "--mode", "0"]
+    if where == "dump":
+        rc = main(["dump"] + args)
+    else:
+        rc = main(["act"] + args + ["--state", "vacuum"])
     assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_parse_error_bad_config(tmp_path):
@@ -609,9 +631,11 @@ def test_unreadable_json_is_parse_error(tmp_path, capsys, case, target):
     assert captured.out == ""
 
 
-def test_parse_error_vacuum_index_not_integer(tmp_path, capsys):
-    assert act_on_state(tmp_path, "vacuum:abc") == 2
-    assert capsys.readouterr().err.startswith("error:")
+@pytest.mark.parametrize("index", ["abc", pytest.param("1" * 5000, id="long")])
+def test_parse_error_vacuum_index_not_integer(tmp_path, capsys, index):
+    assert act_on_state(tmp_path, f"vacuum:{index}") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_parse_error_state_mode_float(tmp_path, capsys):
@@ -626,10 +650,12 @@ def test_parse_error_state_monomial_pair(tmp_path, capsys):
     assert "malformed state file" in capsys.readouterr().err
 
 
-def test_parse_error_state_vbasis_key(tmp_path, capsys):
-    state = {"terms": [{"coeff": "1", "monomial": [], "v": 0}], "vbasis": {"x": []}}
+@pytest.mark.parametrize("key", ["x", pytest.param("1" * 5000, id="long")])
+def test_parse_error_state_vbasis_key(tmp_path, capsys, key):
+    state = {"terms": [{"coeff": "1", "monomial": [], "v": 0}], "vbasis": {key: []}}
     assert act_on_state(tmp_path, state) == 2
-    assert "malformed state file" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "malformed state file" in captured.err and captured.err.count("\n") == 1
 
 
 # --- evaluation module at s = 0 --------------------------------------------------------------

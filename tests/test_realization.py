@@ -1086,22 +1086,27 @@ def test_apply_scaled_returns_integer_numerators(k):
     assert not {name for _, name in seen} & {"scale_to_integers", "_fill", "_act"}
 
 
-def test_bracket_sweep_reports_in_row_order_with_one_application_per_check(
-        monkeypatch):
-    # Checks are evaluated pair by pair but reported row by row; each operator
-    # product serves a check and its mirror, so the sweep applies B*(4M+1)*S
-    # hoisted actions plus one product per check, all through _apply_scaled.
-    mod = sl2_heis(Q(1), Q(1))
-    real = Realization(PD_SL2, mod)
-    calls = 0
+def count_apply_scaled(monkeypatch):
+    """Count the calls of realization._apply_scaled; returns the one-item counter."""
+    calls = [0]
     apply_scaled = rz._apply_scaled
 
     def counting_apply(op, scaled, module):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return apply_scaled(op, scaled, module)
 
     monkeypatch.setattr(rz, "_apply_scaled", counting_apply)
+    return calls
+
+
+def test_bracket_sweep_reports_in_row_order_with_one_application_per_check(
+        monkeypatch):
+    # Checks are reported row by row; each operator product serves a check and
+    # its mirror, so the sweep applies B*(4M+1)*S hoisted actions plus one
+    # product per check, all through _apply_scaled.
+    mod = sl2_heis(Q(1), Q(1))
+    real = Realization(PD_SL2, mod)
+    calls = count_apply_scaled(monkeypatch)
     states = Sampler(2024).fock_states(mod, 2, 2, 1)
     seen = []
     checks, failure = bracket_sweep(real, 1, states,
@@ -1112,7 +1117,29 @@ def test_bracket_sweep_reports_in_row_order_with_one_application_per_check(
     assert seen == [(a, b, m, n, si, True) for a, b, m, n, si
                     in itertools.product(names, names, modes, modes, range(2))]
     assert checks == len(seen) == 162
-    assert calls == 3 * 5 * 2 + (3 * 3) ** 2 * 2 == 192
+    assert calls[0] == 3 * 5 * 2 + (3 * 3) ** 2 * 2 == 192
+
+
+def test_bracket_sweep_applies_no_product_after_the_failing_cell(monkeypatch):
+    # pi(f1_1) with its first term flipped fails first at (H1, E2.1, -1, 1) on
+    # state 0, after 81 checks.  The sweep applies the B*(4M+1)*S hoisted
+    # actions, then per state X alone on the 3 cells (H1, H1, m, m) and X and
+    # Y on the other 15 cells it computed: 3 more on the H1 diagonal, the 9
+    # of (H1, E1.2) and (H1, E2.1)'s first 3, which end at the failing cell.
+    mod = sl2_heis(Q(1), Q(1))
+    f1 = PD_SL2.f_basis[0]
+
+    def hook(a, m, op):
+        return op.with_flipped_term(0) if (a == f1 and m == 1) else op
+
+    real = Realization(PD_SL2, mod, operator_hook=hook)
+    calls = count_apply_scaled(monkeypatch)
+    states = Sampler(2024).fock_states(mod, 4, 2, 1)
+    checks, failure = bracket_sweep(real, 1, states)
+    assert checks == 81
+    assert (failure["a"], failure["b"], failure["m"], failure["n"],
+            failure["state"]) == ("H1", "E2.1", -1, 1, 0)
+    assert calls[0] == 3 * 5 * 4 + (3 + 15 * 2) * 4 == 192
 
 
 def test_bracket_sweep_witness_after_mirrored_blocks():
