@@ -155,6 +155,18 @@ def _int(value, where: str) -> int:
     return value
 
 
+# An integer argument (--mode, and MODE and IDX of --flip): a sign and ASCII
+# digits, at most the 4,300 that int() converts.  int() alone would also read
+# other scripts' digits, surrounding whitespace and underscores.
+CLI_INTEGER = "-?[0-9]{1,4300}"
+
+
+def _cli_int(text: str, where: str) -> int:
+    if not re.fullmatch(CLI_INTEGER, text):
+        raise ParseError(f"{where} must be an integer, got {text!r}")
+    return int(text)
+
+
 def _list(value, where: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{where} must be a list, got {value!r}")
@@ -305,7 +317,7 @@ def _flipped_realization(job: Job, flip: str) -> Realization:
     try:
         gen, mode, idx = flip.split(":")
         elem = parse_generator(job.pd, gen)
-        mode, idx = int(mode), int(idx)
+        mode, idx = _cli_int(mode, "MODE"), _cli_int(idx, "IDX")
     except (ValueError, ParseError) as exc:
         raise ParseError(f"bad --flip spec {flip!r}: {exc}") from exc
     if elem is CENTRAL:
@@ -493,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_act = sub.add_parser("act", help="apply a realized generator to a state")
     p_act.add_argument("--config", required=True)
     p_act.add_argument("--generator", required=True)
-    p_act.add_argument("--mode", type=int, default=0)
+    p_act.add_argument("--mode", default="0")
     p_act.add_argument("--state", required=True,
                        help="state file, or 'vacuum' / 'vacuum:K'")
     p_act.add_argument("--out", default=None)
@@ -501,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump", help="print the canonical operator form")
     p_dump.add_argument("--config", required=True)
     p_dump.add_argument("--generator", required=True)
-    p_dump.add_argument("--mode", type=int, default=0)
+    p_dump.add_argument("--mode", default="0")
     p_dump.add_argument("--out", default=None)
 
     p_chk = sub.add_parser("check-bracket",
@@ -528,11 +540,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "delta-selftest":
             return cmd_delta_selftest()
+        mode = _cli_int(getattr(args, "mode", "0"), "--mode")
         job = load_config(args.config)
         if args.command == "act":
-            return cmd_act(job, args.generator, args.mode, args.state, args.out)
+            return cmd_act(job, args.generator, mode, args.state, args.out)
         if args.command == "dump":
-            return cmd_dump(job, args.generator, args.mode, args.out)
+            return cmd_dump(job, args.generator, mode, args.out)
         if args.command == "check-bracket":
             return cmd_check_bracket(job, args.records, args.flip)
         if args.command == "compare-engines":

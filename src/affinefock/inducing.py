@@ -22,6 +22,14 @@ miss: the Fraction dict of `act` and the integers over their LCM of
 `act_scaled`.  The Cartan weight of a basis vector, `v_weight`, is read off
 the mode-0 action, and an evaluation module checks that rho is a Levi
 representation by running `axiom_check` on its basis vectors in mode 0.
+
+A module also says which elements act by zero on all of V in every mode,
+exactly (`acts_by_zero`, memoized per element): by default those with no Levi
+part, and for a character those its functionals all vanish on.  `kernel`
+removes the terms of an operator's integer kernel that can add nothing on
+this module: such Levi heads, and central heads at level 0.  The apply kernel
+(`realization._apply_scaled`) runs what it returns, memoized per operator
+kernel, so a killed head never reaches `act_scaled`.
 """
 
 from __future__ import annotations
@@ -67,6 +75,8 @@ class InducingModule:
         self.pd = pd
         self.level = as_scalar(level)
         self._acts: dict[tuple[LieElement, int, int], tuple[dict, tuple[int, list]]] = {}
+        self._zero: dict[LieElement, bool] = {}
+        self._kernels: dict[int, tuple[tuple, tuple]] = {}
 
     def act(self, x: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
         """x (x) t^mode on basis vector v_index, as a sparse {v_index: coeff}.
@@ -91,6 +101,49 @@ class InducingModule:
     def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
         """The action of the Levi element x_l; the nilradical acts by zero."""
         raise NotImplementedError
+
+    def acts_by_zero(self, x: LieElement) -> bool:
+        """True when x (x) t^j acts by zero on every vector of V in every mode j.
+
+        Exact, never a guess: a True answer means `act(x, j, v)` is empty for
+        every j and v.  Memoized per element.
+        """
+        zero = self._zero.get(x)
+        if zero is None:
+            zero = self._zero[x] = self._acts_by_zero(x)
+        return zero
+
+    def _acts_by_zero(self, x: LieElement) -> bool:
+        """The kind's rule; by default x kills V when its Levi part is zero."""
+        return self.pd.project(x, "l").is_zero()
+
+    def kernel(self, compiled: tuple) -> tuple:
+        """An operator kernel (`NormalOrderedOperator.compiled`) without the
+        terms that act by zero on V: Levi heads that `acts_by_zero` kills, and
+        central heads at level 0.
+
+        The denominator D stays the operator's, so the integers the kernel
+        produces are unchanged, and the slot-family table holds only the
+        families of the terms kept, in their order of first use.  A dropped
+        term only ever added nothing, so the kernel's output keys and their
+        order are unchanged too.  Memoized per kernel by identity; the entry
+        holds the kernel itself, so its id is never reused.
+        """
+        hit = self._kernels.get(id(compiled))
+        if hit is not None:
+            return hit[1]
+        denom, families, terms = compiled
+        level_zero = self.level == 0
+        index: dict[int, int] = {}
+        kept = []
+        for fi, num, kind, head, mode_factor in terms:
+            if (kind == "levi" and self.acts_by_zero(head)
+                    or kind == "central" and level_zero):
+                continue
+            kept.append((index.setdefault(fi, len(index)), num, kind, head, mode_factor))
+        out = (denom, tuple(families[fi] for fi in index), tuple(kept))
+        self._kernels[id(compiled)] = (compiled, out)
+        return out
 
     def act_vec(self, x: LieElement, mode: int, vec: dict[int, Fraction],
                 ) -> dict[int, Fraction]:
@@ -204,6 +257,12 @@ class CharacterModule(InducingModule):
     @property
     def dim(self) -> int:
         return 1
+
+    def _acts_by_zero(self, x: LieElement) -> bool:
+        # center_coords reads only the diagonal, which the Levi part keeps
+        coords = self.pd.center_coords(x)
+        return all(sum((c * f for c, f in zip(coords, func)), Q(0)) == 0
+                   for func in self.chi.values())
 
     def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
         func = self.chi.get(mode)

@@ -36,12 +36,18 @@ L*d once, when it returns, giving the same exact Fraction values.
 
 Each operator's terms are compiled when the operator is built, to integer
 numerators over the LCM of their denominators plus per-term slot families and
-heads, and an element's operators at every mode share that kernel.  That
-kernel, `_apply_scaled`, is integer-only: Levi heads read the module's actions
-as integers (`act_scaled`), central heads the level's numerator, each over a
-denominator that joins the output's running LCM.  `apply_operator` divides
-once at the end, so results are exact, and both the output order and the
-sequence of module calls follow term order, then slot-assignment order.
+heads, and an element's operators at every mode share that kernel.  The
+inducing module trims it when the operator is first applied
+(`InducingModule.kernel`, memoized per kernel): it drops the Levi heads that
+act by zero on V, such as the nilradical or, for a character, every head off
+the center it sees, and the central heads at level 0.  So an operator stays
+valid for every module, and building one does no module work.  The apply
+kernel, `_apply_scaled`, is integer-only: creator heads add their values
+directly, Levi heads read the module's actions as integers (`act_scaled`),
+central heads the level's numerator, each over a denominator that joins the
+output's running LCM.  `apply_operator` divides once at the end, so results
+are exact, and both the output order and the sequence of module calls follow
+term order, then slot-assignment order.
 """
 
 from __future__ import annotations
@@ -545,12 +551,14 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
 def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
     """`apply_operator` on integers: (S, items) to (D * S * M, items) in its
     order, D the operator's LCM and M the running LCM of the head denominators
-    (creator 1, Levi `act_scaled`, central the level's); a new denominator
-    grows M and every output value in place, keeping key order and zero sums."""
-    denom, families, terms = op.compiled
+    (Levi `act_scaled`, central the level's); a new denominator grows M and
+    every output value in place, keeping key order and zero sums.  It runs the
+    module's `kernel` of the operator, which has dropped the terms that act by
+    zero on V, and a creator head adds its value directly, its denominator
+    being 1."""
+    denom, families, terms = module.kernel(op.compiled)
     mode = op.mode
     knum, kden = module.level.numerator, module.level.denominator
-    skip_central = knum == 0
     scale, items = scaled
     lcm_m = 1
     out: dict = {}
@@ -558,8 +566,6 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
         found: list = [None] * len(families)
         for fi, num, kind, head, mode_factor in terms:
             central = kind == "central"
-            if central and skip_central:
-                continue
             matches = found[fi]
             if matches is None:
                 matches = found[fi] = _matches(families[fi], mono)
@@ -570,14 +576,18 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
                     mult *= modes[mode_factor]
                     if not mult:
                         continue
-                new_mono = rem
                 if kind == "create":
-                    new_mono = mono_mul_var(rem, head, mode + msum)
-                    den, vecs = 1, ((vidx, 1),)
-                elif kind == "levi":
-                    den, vecs = module.act_scaled(head, mode + msum, vidx)
-                else:
+                    key = (mono_mul_var(rem, head, mode + msum), vidx)
+                    s = out.get(key, 0) + num * mult * cnum * lcm_m
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
+                    continue
+                if central:
                     den, vecs = kden, ((vidx, knum),)
+                else:
+                    den, vecs = module.act_scaled(head, mode + msum, vidx)
                 if lcm_m % den:
                     grow = den // gcd(lcm_m, den)
                     lcm_m *= grow
@@ -585,7 +595,7 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
                         out[key] *= grow
                 f = num * mult * cnum * (lcm_m // den)
                 for w, d in vecs:
-                    key = (new_mono, w)
+                    key = (rem, w)
                     s = out.get(key, 0) + f * d
                     if s:
                         out[key] = s

@@ -123,28 +123,43 @@ def test_act_round_trip(tmp_path):
 # --- exit codes ----------------------------------------------------------------------
 
 # An index is ASCII digits, refused unconverted when too long to be one: Python's
-# int() reads "\u0661" as 1 and raises past 4,300 digits.
+# int() reads "\u0661" as 1 and raises past 4,300 digits.  So is an integer
+# argument, --mode or MODE or IDX of --flip, where int() alone would also read
+# " 1_0" as 10.
 BAD_INDEX_NAMES = {"long": "h" + "1" * 5000, "arabic-h": "h\u0661",
                    "arabic-E": "E\u0661.\u0662"}
+BAD_INTEGER_ARGUMENTS = {"arabic": "\u0661", "spaced": " 1_0"}
 
 
 @pytest.mark.parametrize("name, where", [("zz", "act")] + [
     pytest.param(name, where, id=f"{key}-{where}")
     for key, name in BAD_INDEX_NAMES.items()
-    for where in ("act", "dump", "assignment")])
+    for where in ("act", "dump", "assignment")] + [
+    pytest.param(text, where, id=f"{key}-{where}")
+    for key, text in BAD_INTEGER_ARGUMENTS.items()
+    for where in ("act-mode", "dump-mode", "flip-mode", "flip-idx")] + [
+    pytest.param("1" * 5000, where, id=f"long-{where}")
+    for where in ("act-mode", "dump-mode")])
 def test_parse_error_bad_generator(tmp_path, capsys, name, where):
-    generator = name
+    generator, mode = name, "0"
     cfg = SL2_CHAR
     if where == "assignment":
         generator = "f1"
         cfg = dict(SL2_CHAR, module={"kind": "character", "level": "0", "assignments": [
             {"element": name, "mode": 0, "value": "2"}]})
-    args = ["--config", write_config(tmp_path, cfg), "--generator", generator,
-            "--mode", "0"]
-    if where == "dump":
-        rc = main(["dump"] + args)
+    elif where.endswith("-mode"):
+        generator, mode = "f1", name
+    if where.startswith("flip"):
+        flip = f"f1:{mode}:0" if where == "flip-mode" else f"f1:1:{name}"
+        rc = main(["check-bracket", "--config", write_config(tmp_path, cfg),
+                   "--flip", flip])
     else:
-        rc = main(["act"] + args + ["--state", "vacuum"])
+        args = ["--config", write_config(tmp_path, cfg), "--generator", generator,
+                "--mode", mode]
+        if where.startswith("dump"):
+            rc = main(["dump"] + args)
+        else:
+            rc = main(["act"] + args + ["--state", "vacuum"])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1

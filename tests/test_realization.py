@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -22,6 +23,7 @@ from affinefock.fock import (
 )
 from affinefock.formal_dist import LaurentPoly
 from affinefock.inducing import (
+    InducingModule,
     character_module,
     evaluation_module,
     heisenberg_fock,
@@ -53,6 +55,7 @@ from affinefock.realization import (
     series_expand,
 )
 from affinefock.sampling import Sampler
+from test_acceptance import sweep_configs
 
 Q = Fraction
 ROOT = Path(__file__).resolve().parents[1]
@@ -1140,6 +1143,135 @@ def test_bracket_sweep_applies_no_product_after_the_failing_cell(monkeypatch):
     assert (failure["a"], failure["b"], failure["m"], failure["n"],
             failure["state"]) == ("H1", "E2.1", -1, 1, 0)
     assert calls[0] == 3 * 5 * 4 + (3 + 15 * 2) * 4 == 192
+
+
+# --- the module's kernel: terms that act by zero on V are dropped -----------------------
+
+def _kernel_modules():
+    """The three fractional modules and the six modules of criterion 1."""
+    return _fractional_modules() + [mod for _label, _pd, mod in sweep_configs()]
+
+
+def _twin_keeping_every_term(mod):
+    """mod with the operator's own kernel: it drops no term, neither a head
+    that acts by zero nor a central term at level 0.  It shares mod's action
+    memo and vector registry, so vector indices agree."""
+    twin = copy.copy(mod)
+    twin.kernel = lambda compiled: compiled
+    return twin
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_acts_by_zero_only_for_heads_that_act_by_zero(k):
+    mod = _kernel_modules()[k]
+    sampler = Sampler(40 + k)
+    vs = sorted({v for s in sampler.fock_states(mod, 4, 2, 1) for _, v in s.terms}
+                | {mod.sample_v(sampler) for _ in range(4)})
+    killed = [x for _, x, _ in mod.pd.homogeneous_basis if mod.acts_by_zero(x)]
+    assert killed
+    for x in killed:
+        for j in range(-3, 4):
+            for v in vs:
+                assert mod.act(x, j, v) == {}
+
+
+def test_acts_by_zero_on_the_sl4_character_keeps_only_its_center_direction():
+    # Sigma = {2, 3}: z(l) is spanned by w1, the character sees only the
+    # center coordinate, and among the basis only H1 has one
+    mod = _fractional_modules()[1]
+    asked = []
+    rule = mod._acts_by_zero
+    mod._acts_by_zero = lambda x: asked.append(x) or rule(x)
+    for _ in range(2):
+        names = [name for name, x, _ in mod.pd.homogeneous_basis
+                 if not mod.acts_by_zero(x)]
+        assert names == ["H1"]
+    assert len(asked) == 15
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_module_kernel_gives_the_full_kernel_integers(k):
+    mod = _kernel_modules()[k]
+    twin = _twin_keeping_every_term(mod)
+    real = Realization(mod.pd, mod)
+    for s in Sampler(40 + k).fock_states(mod, 4, 2, 1):
+        scaled = rz.scale_to_integers(s.terms.items())
+        for _, elem, _ in mod.pd.homogeneous_basis:
+            for m in range(-2, 3):
+                op = real.operator(elem, m)
+                total, items = rz._apply_scaled(op, scaled, mod)
+                twin_total, twin_items = rz._apply_scaled(op, scaled, twin)
+                assert (total, list(items)) == (twin_total, list(twin_items))
+
+
+def test_module_kernel_drops_killed_heads_and_central_terms_at_level_zero():
+    mod = _fractional_modules()[1]
+    real = Realization(mod.pd, mod)
+    for _, elem, _ in mod.pd.homogeneous_basis:
+        compiled = real.operator(elem, 0).compiled
+        denom, families, terms = mod.kernel(compiled)
+        kept = [t for t in compiled[2]
+                if t[2] == "create" or (t[2] == "levi" and not mod.acts_by_zero(t[3]))]
+        assert denom == compiled[0]
+        assert [t[1:] for t in terms] == [t[1:] for t in kept]
+        assert [families[t[0]] for t in terms] == [compiled[1][t[0]] for t in kept]
+        assert set(families) == {compiled[1][t[0]] for t in kept}
+
+
+def test_sl4_character_sweep_reads_the_module_only_for_its_center_head(monkeypatch):
+    # The character kills 14 of the 15 basis heads, so only H1 reaches
+    # act_scaled; a kernel that keeps every term reads the module 3,126 times
+    # for the same checks.
+    mod = _fractional_modules()[1]
+    states = Sampler(2024).fock_states(mod, 2, 2, 1)
+    calls = []
+    act_scaled = InducingModule.act_scaled
+
+    def counting(module, x, mode, v_index):
+        calls.append(x)
+        return act_scaled(module, x, mode, v_index)
+
+    monkeypatch.setattr(InducingModule, "act_scaled", counting)
+    checks, failure = bracket_sweep(Realization(mod.pd, mod), 1, states)
+    assert failure is None and checks == 15 * 15 * 9 * 2
+    assert set(calls) == {cartan_h(3, 1)}
+    assert len(calls) == 439
+    calls.clear()
+    twin = _twin_keeping_every_term(mod)
+    assert bracket_sweep(Realization(mod.pd, twin), 1, states) == (checks, None)
+    assert len(calls) == 3126
+
+
+def test_module_kernel_is_memoized_per_operator_kernel():
+    mod = _fractional_modules()[1]
+    f1 = mod.pd.f_basis[0]
+    real = Realization(mod.pd, mod)
+    op = real.operator(f1, 1)
+    flipped = op.with_flipped_term(0)
+    kernel, flipped_kernel = mod.kernel(op.compiled), mod.kernel(flipped.compiled)
+    assert kernel is not flipped_kernel
+    assert mod.kernel(op.compiled) is kernel
+    assert mod.kernel(real.operator(f1, -1).compiled) is kernel
+    assert mod.kernel(flipped.compiled) is flipped_kernel
+    assert flipped_kernel[2][0][1] == -kernel[2][0][1]
+    assert flipped_kernel[2][1:] == kernel[2][1:]
+    state = Sampler(3).fock_states(mod, 1, 2, 1)[0]
+    assert apply_operator(flipped, state, mod) != apply_operator(op, state, mod)
+
+
+def test_module_shared_by_two_realizations_serves_both():
+    mod = _fractional_modules()[1]
+    general = Realization(mod.pd, mod)
+    explicit = Realization(mod.pd, mod, "explicit")
+    states = Sampler(5).fock_states(mod, 2, 2, 1)
+    before = len(mod._kernels)
+    for _, elem, _ in mod.pd.homogeneous_basis:
+        for s in states:
+            assert general.act(elem, 1, s) == explicit.act(elem, 1, s)
+        assert general.operator(elem, 1).compiled is not explicit.operator(elem, 1).compiled
+    assert len(mod._kernels) == before + 2 * 15
+    assert bracket_sweep(general, 1, states)[1] is None
+    assert bracket_sweep(explicit, 1, states)[1] is None
 
 
 def test_bracket_sweep_witness_after_mirrored_blocks():
