@@ -322,8 +322,7 @@ def _flipped_realization(job: Job, flip: str) -> Realization:
         raise ParseError(f"bad --flip spec {flip!r}: {exc}") from exc
     if elem is CENTRAL:
         raise SemanticError("the central element has no operator terms to flip")
-    if (elem not in [el for _, el, _ in job.pd.homogeneous_basis]
-            or abs(mode) > 2 * job.max_mode):
+    if elem not in job.pd.algebra.basis or abs(mode) > 2 * job.max_mode:
         raise SemanticError(f"bad --flip spec {flip!r}: the sweep applies only basis "
                             f"elements, in modes |mode| <= {2 * job.max_mode}")
 

@@ -15,13 +15,13 @@ acts by zero and the central element acts by the level kappa:
   (x, h_j), the pairing `lie.form`), and mode zero acting by the highest
   weight.
 
-Every kind shares one public action, `InducingModule.act`, memoized per
-(x, mode, v_index); a kind supplies only its mathematics as `_act` on the
-Levi part of x.  A memo entry holds both forms of an action, built on one
-miss: the Fraction dict of `act` and the integers over their LCM of
-`act_scaled`.  The Cartan weight of a basis vector, `v_weight`, is read off
-the mode-0 action, and an evaluation module checks that rho is a Levi
-representation by running `axiom_check` on its basis vectors in mode 0.
+Every kind shares one public action, memoized per (x, mode, v_index); a
+kind supplies only its mathematics as `_act` on the Levi part of x.  The
+memo holds one form, the integers over their LCM of `act_scaled`; `act`
+divides them into a new Fraction dict.  The Cartan weight of a basis vector,
+`v_weight`, is read off the mode-0 action, and an evaluation module checks
+that rho is a Levi representation by running `axiom_check` on its basis
+vectors in mode 0.
 
 A module also says which elements act by zero on all of V in every mode,
 exactly (`acts_by_zero`, memoized per element): by default those with no Levi
@@ -45,7 +45,6 @@ from .lie import (
     as_scalar,
     bracket_residual,
     cartan_coords,
-    coords_in_basis,
     form,
     levi_blocks,  # noqa: F401  (public as affinefock.inducing.levi_blocks)
     scale_to_integers,
@@ -61,8 +60,8 @@ def levi_coords(pd: ParabolicData, x: LieElement) -> list[Fraction]:
     """Coordinates of a Levi element over pd.levi_basis."""
     if not (pd.project(x, "u").is_zero() and pd.project(x, "ubar").is_zero()):
         raise ValueError("element is not in the Levi subalgebra")
-    coords = coords_in_basis(x)
-    return [coords.get(name, Q(0)) for name in pd.levi_names]
+    coords = dict(pd.algebra.coords(x))
+    return [coords.get(k, Q(0)) for k in pd.levi_positions]
 
 
 class InducingModule:
@@ -74,28 +73,28 @@ class InducingModule:
     def __init__(self, pd: ParabolicData, level):
         self.pd = pd
         self.level = as_scalar(level)
-        self._acts: dict[tuple[LieElement, int, int], tuple[dict, tuple[int, list]]] = {}
+        self._acts: dict[tuple[LieElement, int, int], tuple[int, list]] = {}
         self._zero: dict[LieElement, bool] = {}
         self._kernels: dict[int, tuple[tuple, tuple]] = {}
 
     def act(self, x: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
-        """x (x) t^mode on basis vector v_index, as a sparse {v_index: coeff}.
-
-        Memoized per (x, mode, v_index): an error is raised again on every
-        call and never stored, and callers must not mutate the result.
-        """
-        return (self._acts.get((x, mode, v_index)) or self._fill(x, mode, v_index))[0]
+        """x (x) t^mode on basis vector v_index, as a sparse {v_index: coeff}."""
+        den, nums = self.act_scaled(x, mode, v_index)
+        return {w: Q(num, den) for w, num in nums}
 
     def act_scaled(self, x: LieElement, mode: int, v_index: int) -> tuple[int, list]:
-        """`act` as (L, [(w, L * coeff), ...]), L the LCM of its denominators."""
-        return (self._acts.get((x, mode, v_index)) or self._fill(x, mode, v_index))[1]
+        """`act` as (L, [(w, L * coeff), ...]), L the LCM of its denominators.
 
-    def _fill(self, x: LieElement, mode: int, v_index: int) -> tuple[dict, tuple]:
-        self.check_v_index(v_index)
-        if x.n != self.pd.n:
-            raise ValueError("rank mismatch between element and module")
-        out = self._act(self.pd.project(x, "l"), mode, v_index)
-        entry = self._acts[x, mode, v_index] = (out, scale_to_integers(out.items()))
+        Memoized per (x, mode, v_index): an error is raised again on every
+        call and never stored.
+        """
+        entry = self._acts.get((x, mode, v_index))
+        if entry is None:
+            self.check_v_index(v_index)
+            if x.n != self.pd.n:
+                raise ValueError("rank mismatch between element and module")
+            out = self._act(self.pd.project(x, "l"), mode, v_index)
+            entry = self._acts[x, mode, v_index] = scale_to_integers(out.items())
         return entry
 
     def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:

@@ -203,7 +203,7 @@ def cartan_h(n: int, i: int) -> LieElement:
     """Simple coroot H_i = E_{ii} - E_{i+1,i+1}, shared like `matrix_unit`."""
     if not 1 <= i <= n:
         raise ValueError(f"Cartan index {i} outside 1..{n}")
-    return _canonical_basis(n)[1][i - 1]
+    return build_sl(n).basis[i - 1]
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
@@ -252,32 +252,28 @@ class Root:
         return f"Root({self.i},{self.j})"
 
 
-@cache
-def _canonical_basis(n: int) -> tuple[tuple[str, ...], tuple[LieElement, ...], dict]:
-    """The canonical basis of sl(n+1): H_1..H_n, then E_ij (i != j) by (i, j).
-
-    Returns (names, elements, position of E_ij by (i, j)).  Built and named
-    here once per rank; every list of basis elements shares these objects."""
-    names = [f"H{i}" for i in range(1, n + 1)]
-    elems = [LieElement(n, {(i, i): Fraction(1), (i + 1, i + 1): Fraction(-1)})
-             for i in range(1, n + 1)]
-    unit_index = {}
-    for i, j in permutations(range(1, n + 2), 2):
-        unit_index[(i, j)] = len(elems)
-        names.append(f"E{i}.{j}")
-        elems.append(matrix_unit(n, i, j))
-    return tuple(names), tuple(elems), unit_index
-
-
 class SimpleAlgebra:
-    """The canonical basis of sl(n+1): Cartan elements first, then matrix units."""
+    """sl(n+1) with its canonical basis: H_1..H_n, then E_ij (i != j) by (i, j).
 
-    __slots__ = ("n", "names", "basis")
+    Built once per rank (`build_sl`), so every list of basis elements shares
+    these objects, and the one reader of coordinates over that basis
+    (`coords`), which reads them by basis position."""
 
-    def __init__(self, n: int, names: tuple[str, ...], basis: tuple[LieElement, ...]):
+    __slots__ = ("n", "names", "basis", "unit_index")
+
+    def __init__(self, n: int):
+        names = [f"H{i}" for i in range(1, n + 1)]
+        elems = [LieElement(n, {(i, i): Fraction(1), (i + 1, i + 1): Fraction(-1)})
+                 for i in range(1, n + 1)]
+        unit_index = {}
+        for i, j in permutations(range(1, n + 2), 2):
+            unit_index[(i, j)] = len(elems)
+            names.append(f"E{i}.{j}")
+            elems.append(matrix_unit(n, i, j))
         self.n = n
-        self.names = names
-        self.basis = basis
+        self.names: tuple[str, ...] = tuple(names)
+        self.basis: tuple[LieElement, ...] = tuple(elems)
+        self.unit_index = unit_index
 
     @property
     def dim(self) -> int:
@@ -289,15 +285,27 @@ class SimpleAlgebra:
         except ValueError:
             raise KeyError(f"unknown basis name {name!r}") from None
 
+    def coords(self, a: LieElement) -> list[tuple[int, Fraction]]:
+        """Nonzero coordinates of a as (basis position, coefficient) pairs in
+        basis order: the Cartan part from `cartan_coords`, then each matrix
+        unit from its entry."""
+        out = [(k, c) for k, c in enumerate(cartan_coords(a)) if c]
+        out.extend((self.unit_index[p], c) for p, c in sorted(a.entries.items())
+                   if p[0] != p[1])
+        return out
+
+
+_sl = cache(SimpleAlgebra)  # one per rank
+
 
 def build_sl(n: int) -> SimpleAlgebra:
-    """Construct sl(n+1) with a deterministic basis ordering."""
-    if not isinstance(n, int) or n < 1:
+    """sl(n+1), built once per rank and shared.  The rank is checked before
+    the cache is read, since a bool would hit the entry of the equal int."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"rank must be a positive integer, got {n!r}")
     if n > MAX_RANK:
         raise ValueError(f"rank {n} exceeds supported maximum {MAX_RANK}")
-    names, elems, _unit_index = _canonical_basis(n)
-    return SimpleAlgebra(n=n, names=names, basis=elems)
+    return _sl(n)
 
 
 def cartan_coords(a: LieElement) -> tuple[Fraction, ...]:
@@ -307,23 +315,18 @@ def cartan_coords(a: LieElement) -> tuple[Fraction, ...]:
 
 
 def coords_in_basis(a: LieElement) -> dict[str, Fraction]:
-    """Nonzero coordinates of a in the canonical basis {H_i} + {E_ij}."""
-    names, _elems, unit_index = _canonical_basis(a.n)
-    out = {names[k]: c for k, c in enumerate(cartan_coords(a)) if c}
-    for (i, j), c in a.entries.items():
-        if i != j:
-            out[names[unit_index[(i, j)]]] = c
-    return out
+    """Nonzero coordinates of a in the canonical basis, by basis name."""
+    alg = build_sl(a.n)
+    return {alg.names[k]: c for k, c in alg.coords(a)}
 
 
 def killing_form(a: LieElement, b: LieElement) -> Fraction:
     """tr(ad(a) ad(b)) computed over the canonical basis of sl(n+1)."""
     a._check_rank(b)
-    names, elems, _unit_index = _canonical_basis(a.n)
+    alg = build_sl(a.n)
     total = Fraction(0)
-    for name, x in zip(names, elems):
-        y = bracket(a, bracket(b, x))
-        total += coords_in_basis(y).get(name, Fraction(0))
+    for k, x in enumerate(alg.basis):
+        total += dict(alg.coords(bracket(a, bracket(b, x)))).get(k, 0)
     return total
 
 
@@ -346,16 +349,17 @@ class ParabolicData:
     Its sign gives g = ubar + l + u; Delta(u) is the pairs i < j with
     b(i) < b(j), ordered by (height, i, j), with matched bases {f_alpha} of
     ubar and {e_alpha} of u; and the Levi center z(l) is the diagonal
-    constant on every block.  `cartan`, `levi_basis` and `homogeneous_basis`
-    hold the shared elements of the canonical basis (`build_sl`).
+    constant on every block.  `algebra` (`build_sl`) reads every coordinate;
+    `cartan`, `levi_basis` (at `levi_positions`) and `homogeneous_basis` hold
+    its basis elements.
     """
 
     def __init__(self, n: int, sigma: Iterable[int] = ()):
-        if not isinstance(n, int) or n < 1 or n > MAX_RANK:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n > MAX_RANK:
             raise ValueError(f"rank must be in 1..{MAX_RANK}, got {n!r}")
         sig = frozenset(sigma)
         for s in sig:
-            if not isinstance(s, int) or not 1 <= s <= n:
+            if isinstance(s, bool) or not isinstance(s, int) or not 1 <= s <= n:
                 raise ValueError(f"simple-root index {s!r} outside 1..{n}")
         self.n = n
         self.sigma = sig
@@ -374,13 +378,13 @@ class ParabolicData:
             matrix_unit(n, i, j) for _h, i, j in pos)
         self._alpha_index = {(i, j): k for k, (_h, i, j) in enumerate(pos)}
 
-        names, elems, unit_index = _canonical_basis(n)
+        alg = self.algebra = build_sl(n)
+        elems = alg.basis
         self.cartan: tuple[LieElement, ...] = elems[:n]
         sig_pos = [(i, j) for blk in self.blocks for i in blk for j in blk if i < j]
         units = sig_pos + [(j, i) for i, j in sig_pos]
-        levi = list(range(n)) + [unit_index[p] for p in units]
+        levi = self.levi_positions = tuple(range(n)) + tuple(alg.unit_index[p] for p in units)
         self.levi_basis: tuple[LieElement, ...] = tuple(elems[k] for k in levi)
-        self.levi_names: tuple[str, ...] = tuple(names[k] for k in levi)
 
         # center of the Levi: fundamental coweight-style elements, one per
         # simple root outside Sigma
@@ -396,7 +400,7 @@ class ParabolicData:
         self.center_names: tuple[str, ...] = tuple(cb_names)
 
         self.homogeneous_basis: tuple[tuple[str, LieElement, int], ...] = tuple(
-            (name, el, self.height_of(el)) for name, el in zip(names, elems))
+            (name, el, self.height_of(el)) for name, el in zip(alg.names, elems))
 
         # adjoint action of the f-basis on each element reached by the series
         # expansion, summed per letter multiset, as int-entry elements;
@@ -501,16 +505,14 @@ class ParabolicData:
                 and all(a.entry(s, s) == a.entry(s + 1, s + 1) for s in self.sigma))
 
     def decompose_p(self, a: LieElement) -> tuple[tuple[str, LieElement, Fraction], ...]:
-        """Split a p-element into canonical units: its `coords_in_basis`.
-
-        Deterministic order, that of the canonical basis: Cartan coordinates
-        first, then matrix units by (i, j).  Raises if a has a ubar component.
+        """Split a p-element into canonical units (name, unit, coefficient),
+        read by `algebra.coords` in basis order: Cartan coordinates first,
+        then matrix units by (i, j).  Raises if a has a ubar component.
         """
         if not self.project(a, "ubar").is_zero():
             raise ValueError("element has a component outside p")
-        coords = coords_in_basis(a)
-        return tuple((name, el, coords[name])
-                     for name, el, _h in self.homogeneous_basis if name in coords)
+        alg = self.algebra
+        return tuple((alg.names[k], alg.basis[k], c) for k, c in alg.coords(a))
 
 
 def parabolic_decompose(n: int, sigma: Iterable[int] = ()) -> ParabolicData:

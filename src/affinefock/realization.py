@@ -67,7 +67,6 @@ from .lie import (
     bracket,
     bracket_residual,
     central_coeff,
-    coords_in_basis,
     diag_element,
     form,
     matrix_unit,
@@ -752,7 +751,7 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
     those numerators by `_apply_scaled`.  A residual scales every part by
     L / (S * den(c)), L being the LCM of those products over its parts, and
     divides by L only for a failing check.  Parts are added in the order x,
-    -y, -[a,b] s by basis coordinate, central term, and a key whose sum
+    -y, -[a,b] s by basis position, central term, and a key whose sum
     reaches zero is deleted, so witness values and key order are those of
     Fraction accumulation.
 
@@ -786,12 +785,10 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
              for _name, elem, _h in basis]
         inputs = [scale_to_integers(s.terms.items()) for s in states]
 
-        # minus the basis coordinates of each bracket [a, b]
-        idx_of = {name: i for i, (name, _, _) in enumerate(basis)}
-        btab = [[tuple((idx_of[nm], -c)
-                       for nm, c in sorted(coords_in_basis(bracket(a, b)).items()))
-                 for _, b, _ in basis]
-                for _, a, _ in basis]
+        # minus the basis coordinates of each bracket [a, b], by basis position
+        alg = pd.algebra
+        btab = [[tuple((k, -c) for k, c in alg.coords(bracket(a, b))) for b in alg.basis]
+                for a in alg.basis]
 
         def residual(x, y, coords, p, si, central):
             """x - y - [a,b]_{m+n} s - central s as a dict, or None when zero."""

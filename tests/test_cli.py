@@ -16,7 +16,7 @@ import affinefock.cli as cli
 import affinefock.realization as rz
 from affinefock.cli import main
 from affinefock.inducing import evaluation_module, natural_block_rep
-from affinefock.lie import parabolic_decompose
+from affinefock.lie import matrix_unit, parabolic_decompose
 
 Q = Fraction
 
@@ -132,6 +132,11 @@ BAD_INTEGER_ARGUMENTS = {"arabic": "\u0661", "spaced": " 1_0"}
 
 
 @pytest.mark.parametrize("name, where", [("zz", "act")] + [
+    # out of range on sl(2): the Cartan index, the center of the Borel, the
+    # nilradical index and a diagonal matrix unit
+    pytest.param(name, "act", id=name) for name in ("h9", "w2", "f9", "E1.1")] + [
+    pytest.param(5, "assignment", id="integer-assignment"),
+    pytest.param("c", "assignment", id="central-assignment")] + [
     pytest.param(name, where, id=f"{key}-{where}")
     for key, name in BAD_INDEX_NAMES.items()
     for where in ("act", "dump", "assignment")] + [
@@ -161,6 +166,30 @@ def test_parse_error_bad_generator(tmp_path, capsys, name, where):
         else:
             rc = main(["act"] + args + ["--state", "vacuum"])
     assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, cfg, rc", [
+    pytest.param("act", dict(SL2_CHAR, module={"level": "0"}), 2, id="module-kind-missing"),
+    pytest.param("act", dict(SL2_CHAR, module={"kind": "odd"}), 2, id="module-kind"),
+    pytest.param("act", dict(SL3_EVAL, module=dict(SL3_EVAL["module"], rep="odd")), 2,
+                 id="evaluation-rep"),
+    pytest.param("act", dict(SL2_CHAR, engine="odd"), 2, id="engine"),
+    pytest.param("act", dict(SL2_CHAR, output="odd"), 2, id="output"),
+    pytest.param("act", dict(SL3_EVAL, module=dict(SL3_EVAL["module"], block=7)), 3,
+                 id="evaluation-block"),
+    pytest.param("act", dict(SL2_CHAR, window={"max_mode": -1}), 3, id="max-mode"),
+    pytest.param("dump", SL2_CHAR, 3, id="dump-central"),
+])
+def test_config_error_exit_codes(tmp_path, capsys, command, cfg, rc):
+    args = ["--config", write_config(tmp_path, cfg), "--mode", "0"]
+    if command == "act":
+        args += ["--generator", "f1", "--state", "vacuum"]
+    else:
+        args += ["--generator", "c"]
+    assert main([command] + args) == rc
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert captured.out == ""
@@ -417,6 +446,24 @@ def test_compare_engines_builds_each_operator_once(tmp_path, capsys, monkeypatch
     assert rc == 0
     pd = parabolic_decompose(2, [2])
     assert builds == Counter({elem: 1 for _, elem, _ in pd.homogeneous_basis})
+
+
+def test_compare_engines_reports_a_disagreeing_generator(tmp_path, capsys, monkeypatch):
+    build = rz.build_operator_explicit_sl
+
+    def flipped(pd, a, m):
+        op = build(pd, a, m)
+        return op.with_flipped_term(0) if a == matrix_unit(2, 2, 1) else op
+
+    monkeypatch.setattr(rz, "build_operator_explicit_sl", flipped)
+    rc = main(["compare-engines", "--config", write_config(tmp_path, SL3_EVAL_AT_TWO)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    lines = captured.out.splitlines()
+    assert "E2.1: structural=MISMATCH action=MISMATCH" in lines
+    assert sum("MISMATCH" in line for line in lines) == 1
+    assert lines[-1] == "FAIL 1 generators disagree"
+    assert captured.err == ""
 
 
 def test_compare_engines_rejects_borel_sl3(tmp_path):

@@ -104,6 +104,23 @@ def test_build_sl_rejects_bad_rank():
         build_sl(99)
 
 
+def test_build_sl_rejects_a_bool_rank():
+    # checked before the cache is read, where True would find sl(2)
+    assert build_sl(1).dim == 3
+    with pytest.raises(ValueError):
+        build_sl(True)
+
+
+def test_parabolic_rejects_a_bool_rank():
+    with pytest.raises(ValueError):
+        parabolic_decompose(True)
+
+
+def test_parabolic_rejects_a_bool_sigma_entry():
+    with pytest.raises(ValueError):
+        parabolic_decompose(2, [True])
+
+
 def test_trace_invariant_enforced():
     with pytest.raises(ValueError):
         LieElement(1, {(1, 1): Q(1)})

@@ -687,6 +687,16 @@ def test_act_f_on_vacuum():
     assert real.act(F_SL2, 0, FockState.vacuum(0)) == mono_state([(0, 0, 1)], coeff=Q(-1))
 
 
+def test_realization_rejects_a_module_of_another_parabolic():
+    with pytest.raises(ValueError, match="different parabolic"):
+        Realization(PD_SL3_MAX, sl2_char())
+
+
+def test_realization_rejects_an_unknown_engine():
+    with pytest.raises(ValueError, match="unknown engine 'odd'"):
+        Realization(PD_SL2, sl2_char(), engine="odd")
+
+
 def test_vacuum_property_all_kinds():
     mods = [
         (PD_SL2, sl2_heis(Q(1, 2), Q(1))),
@@ -696,10 +706,10 @@ def test_vacuum_property_all_kinds():
     for pd, mod in mods:
         real = Realization(pd, mod)
         vac = FockState.vacuum(0)
-        for name, elem in zip(pd.levi_names, pd.levi_basis):
+        for k, elem in zip(pd.levi_positions, pd.levi_basis):
             for m in range(-3, 4):
                 assert real.act(elem, m, vac) == real.vacuum_expected(elem, m), \
-                    (mod.kind, name, m)
+                    (mod.kind, pd.algebra.names[k], m)
         for elem in pd.e_basis:
             for m in range(-3, 4):
                 assert real.act(elem, m, vac).is_zero()
