@@ -388,10 +388,16 @@ def cmd_check_bracket(job: Job, records_path: str | None, flip: str | None) -> i
 
     on_check = None
     if records_file is not None or job.output == "records":
+        # canonical_json of the whole record: the (a, b) prefix, encoded once
+        # per pair, then the remaining keys in sorted order
+        prefixes: dict = {}
+
         def on_check(a, b, m, n, si, ok):
-            records.append(canonical_json({
-                "check": "bracket", "a": a, "b": b, "m": m, "n": n, "state": si,
-                "status": "pass" if ok else "fail"}))
+            head = prefixes.get((a, b))
+            if head is None:
+                head = prefixes[a, b] = canonical_json({"a": a, "b": b})[:-1]
+            records.append(f'{head},"check":"bracket","m":{m},"n":{n},"state":{si},'
+                           f'"status":"{"pass" if ok else "fail"}"}}')
 
     checks, failure = bracket_sweep(real, job.max_mode, states, on_check)
     if job.output == "records":

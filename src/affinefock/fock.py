@@ -21,9 +21,10 @@ import json
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import product
 from typing import Iterable
 
-from .lie import LieElement, ParabolicData, add_to, as_scalar
+from .lie import LieElement, ParabolicData, add_to, as_scalar, scale_to_integers
 
 Q = Fraction
 
@@ -70,6 +71,106 @@ def mono_mul_var(mono: Monomial, alpha: int, mode: int) -> Monomial:
     if idx < len(mono) and mono[idx][:2] == (alpha, mode):
         return mono[:idx] + ((alpha, mode, mono[idx][2] + 1),) + mono[idx + 1:]
     return mono[:idx] + ((alpha, mode, 1),) + mono[idx:]
+
+
+def mono_matches(families: tuple[int, ...], mono: Monomial) -> tuple[tuple, ...]:
+    """Ordered assignments of annihilator slots to the variables of `mono`.
+
+    Slot i runs over the positions of family `families[i]` in monomial order,
+    so the assignments come in the order of nested loops over the slots.  Each
+    slot contributes minus the exponent it finds, which it then lowers by one.
+    Returns (multiplicity, slot modes, mode sum, remaining monomial) tuples.
+    A pure function of its arguments; `MonomialTable.match` memoizes it.
+    """
+    if not families:
+        return ((1, (), 0, mono),)
+    positions: dict[int, list[int]] = {}
+    for p, (a, _n, _e) in enumerate(mono):
+        positions.setdefault(a, []).append(p)
+    out = []
+    for combo in product(*[positions.get(a, ()) for a in families]):
+        rem = list(mono)
+        mult = 1
+        for p in combo:
+            a, n, e = rem[p]
+            if not e:
+                break
+            mult *= -e
+            rem[p] = (a, n, e - 1)
+        else:
+            modes = tuple([mono[p][1] for p in combo])
+            out.append((mult, modes, sum(modes), tuple([v for v in rem if v[2]])))
+    return tuple(out)
+
+
+class MonomialTable:
+    """Monomials interned as small ints, with the products the apply kernel
+    asks for memoized by id.
+
+    `monos[i]` is the monomial of id i and `ids` the inverse map; ids count up
+    from 0 in order of first interning and are stable until `clear`.
+    `times[(i, alpha, mode)]` is the id of `mono_mul_var(monos[i], alpha,
+    mode)`, and `matches[(families, i)]` is `mono_matches(families, monos[i])`
+    with each remaining monomial replaced by its id.  Both fill on a miss
+    (`mul_var`, `match`), so the kernel hashes pairs of ints, not nested
+    tuples, and computes each distinct product once.  Each inducing module
+    owns one table (`InducingModule.monomials`); it grows with the distinct
+    monomials the module's states reach, and `realization.bracket_sweep`
+    empties it when it returns.
+    """
+
+    __slots__ = ("ids", "monos", "times", "matches")
+
+    def __init__(self):
+        self.ids: dict[Monomial, int] = {}
+        self.monos: list[Monomial] = []
+        self.times: dict[tuple[int, int, int], int] = {}
+        self.matches: dict[tuple[tuple[int, ...], int], tuple] = {}
+
+    def clear(self) -> None:
+        """Forget every monomial; ids handed out before are void."""
+        self.ids.clear()
+        self.monos.clear()
+        self.times.clear()
+        self.matches.clear()
+
+    def intern(self, mono: Monomial) -> int:
+        i = self.ids.get(mono)
+        if i is None:
+            i = self.ids[mono] = len(self.monos)
+            self.monos.append(mono)
+        return i
+
+    def mul_var(self, i: int, alpha: int, mode: int) -> int:
+        """The id of monos[i] * b(alpha, mode), through `times`."""
+        key = (i, alpha, mode)
+        j = self.times.get(key)
+        if j is None:
+            j = self.times[key] = self.intern(mono_mul_var(self.monos[i], alpha, mode))
+        return j
+
+    def match(self, families: tuple[int, ...], i: int) -> tuple:
+        """`mono_matches(families, monos[i])` with remaining monomials as ids."""
+        key = (families, i)
+        hit = self.matches.get(key)
+        if hit is None:
+            hit = self.matches[key] = tuple(
+                (mult, modes, msum, self.intern(rem))
+                for mult, modes, msum, rem in mono_matches(families, self.monos[i]))
+        return hit
+
+    def scaled(self, state: "FockState") -> tuple[int, list]:
+        """A state as integers over one denominator, keyed by (monomial id, v):
+        (S, [((id, v), S * coeff), ...]) in term order."""
+        scale, items = scale_to_integers(state.terms.items())
+        intern = self.intern
+        return scale, [((intern(mono), v), num) for (mono, v), num in items]
+
+    def unscaled(self, total: int, items) -> "FockState":
+        """Inverse of `scaled`: integers over total, keyed by id, as a state
+        in item order; the items hold no zero."""
+        monos = self.monos
+        return FockState.of({(monos[i], v): Q(num, total) for (i, v), num in items})
 
 
 def mono_d_var(mono: Monomial, alpha: int, mode: int) -> tuple[int, Monomial] | None:

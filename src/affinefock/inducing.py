@@ -29,7 +29,10 @@ part, and for a character those its functionals all vanish on.  `kernel`
 removes the terms of an operator's integer kernel that can add nothing on
 this module: such Levi heads, and central heads at level 0.  The apply kernel
 (`realization._apply_scaled`) runs what it returns, memoized per operator
-kernel, so a killed head never reaches `act_scaled`.
+kernel, so a killed head never reaches `act_scaled`.  The module also owns the
+`MonomialTable` that the apply kernel keys its states by, so the slot matches
+and creator products of every operator applied on the module are computed
+once.
 """
 
 from __future__ import annotations
@@ -37,7 +40,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fock import int_triples, mono_d_var, mono_from_pairs, mono_mode_sum, mono_mul_var
+from .fock import (
+    MonomialTable,
+    int_triples,
+    mono_d_var,
+    mono_from_pairs,
+    mono_mode_sum,
+    mono_mul_var,
+)
 from .lie import (
     LieElement,
     ParabolicData,
@@ -76,6 +86,7 @@ class InducingModule:
         self._acts: dict[tuple[LieElement, int, int], tuple[int, list]] = {}
         self._zero: dict[LieElement, bool] = {}
         self._kernels: dict[int, tuple[tuple, tuple]] = {}
+        self.monomials = MonomialTable()
 
     def act(self, x: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
         """x (x) t^mode on basis vector v_index, as a sparse {v_index: coeff}."""

@@ -32,6 +32,13 @@ Q = Fraction
 MAX_RANK = 12
 
 
+def check_rank(n) -> None:
+    """Raise ValueError unless n is an int in 1..MAX_RANK.  A bool is refused:
+    True == 1, so it would pass for rank 1 and find that rank's cache entries."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_RANK:
+        raise ValueError(f"rank must be an integer in 1..{MAX_RANK}, got {n!r}")
+
+
 def as_scalar(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact scalar; bools
     and floats are rejected.
@@ -80,8 +87,7 @@ class LieElement:
     __slots__ = ("n", "entries", "_hash")
 
     def __init__(self, n: int, entries: Mapping[tuple[int, int], Fraction] | None = None):
-        if not 1 <= n <= MAX_RANK:
-            raise ValueError(f"rank {n} outside supported range 1..{MAX_RANK}")
+        check_rank(n)
         clean: dict[tuple[int, int], Fraction] = {}
         size = n + 1
         trace = Fraction(0)
@@ -181,18 +187,25 @@ def zero(n: int) -> LieElement:
     return LieElement(n, {})
 
 
-@cache
 def matrix_unit(n: int, i: int, j: int) -> LieElement:
     """E_{ij} for i != j (off-diagonal units are traceless).
 
     Shared: every call with the same arguments returns the same object, so
-    caches keyed by Levi units find their entries by identity."""
+    caches keyed by Levi units find their entries by identity.  The rank is
+    checked before the cache is read, as in `build_sl`."""
+    check_rank(n)
+    return _matrix_unit(n, i, j)
+
+
+@cache
+def _matrix_unit(n: int, i: int, j: int) -> LieElement:
     if i == j:
         raise ValueError("diagonal matrix units are not traceless; use diag_element")
     return LieElement(n, {(i, j): Fraction(1)})
 
 
 def diag_element(n: int, values: Iterable) -> LieElement:
+    check_rank(n)
     vals = [as_scalar(v) for v in values]
     if len(vals) != n + 1:
         raise ValueError(f"need {n + 1} diagonal values")
@@ -301,10 +314,7 @@ _sl = cache(SimpleAlgebra)  # one per rank
 def build_sl(n: int) -> SimpleAlgebra:
     """sl(n+1), built once per rank and shared.  The rank is checked before
     the cache is read, since a bool would hit the entry of the equal int."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"rank must be a positive integer, got {n!r}")
-    if n > MAX_RANK:
-        raise ValueError(f"rank {n} exceeds supported maximum {MAX_RANK}")
+    check_rank(n)
     return _sl(n)
 
 
@@ -355,8 +365,7 @@ class ParabolicData:
     """
 
     def __init__(self, n: int, sigma: Iterable[int] = ()):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n > MAX_RANK:
-            raise ValueError(f"rank must be in 1..{MAX_RANK}, got {n!r}")
+        check_rank(n)
         sig = frozenset(sigma)
         for s in sig:
             if isinstance(s, bool) or not isinstance(s, int) or not 1 <= s <= n:

@@ -45,15 +45,18 @@ valid for every module, and building one does no module work.  The apply
 kernel, `_apply_scaled`, is integer-only: creator heads add their values
 directly, Levi heads read the module's actions as integers (`act_scaled`),
 central heads the level's numerator, each over a denominator that joins the
-output's running LCM.  `apply_operator` divides once at the end, so results
-are exact, and both the output order and the sequence of module calls follow
-term order, then slot-assignment order.
+output's running LCM.  It keys states by (monomial id, v) in the module's
+`fock.MonomialTable`, which memoizes each slot match and creator product by
+id, so it hashes pairs of ints and computes each distinct product once per
+module.  `apply_operator` interns its state, divides once at the end and
+reads the ids back, so results are exact, and both the output order and the
+sequence of module calls follow term order, then slot-assignment order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from itertools import product
 from math import comb, factorial, gcd, lcm
 
@@ -494,80 +497,55 @@ def _block_unit_minus_trace(n: int, j: int, i: int) -> LieElement:
 
 # --- applying operators to states ------------------------------------------------
 
-@lru_cache(maxsize=2 ** 14)
-def _matches(families: tuple[int, ...], mono) -> tuple[tuple, ...]:
-    """Ordered assignments of annihilator slots to the variables of `mono`.
-
-    Slot i runs over the positions of family `families[i]` in monomial order,
-    so the assignments come in the order of nested loops over the slots.  Each
-    slot contributes minus the exponent it finds, which it then lowers by one.
-    Returns (multiplicity, slot modes, mode sum, remaining monomial) tuples.
-
-    The result depends only on its two arguments, and a sweep meets the same
-    hoisted monomials with every operator, so it is memoized in one LRU table
-    of 2**14 entries, shared by all operators and modules; `bracket_sweep`
-    empties it when it returns.
-    """
-    if not families:
-        return ((1, (), 0, mono),)
-    positions: dict[int, list[int]] = {}
-    for p, (a, _n, _e) in enumerate(mono):
-        positions.setdefault(a, []).append(p)
-    out = []
-    for combo in product(*[positions.get(a, ()) for a in families]):
-        rem = list(mono)
-        mult = 1
-        for p in combo:
-            a, n, e = rem[p]
-            if not e:
-                break
-            mult *= -e
-            rem[p] = (a, n, e - 1)
-        else:
-            modes = tuple([mono[p][1] for p in combo])
-            out.append((mult, modes, sum(modes), tuple([v for v in rem if v[2]])))
-    return tuple(out)
-
-
 def apply_operator(op: NormalOrderedOperator, state: FockState, module,
                    ) -> FockState:
     """Evaluate a normal-ordered operator on a state, exactly and finitely.
 
     For each state monomial, annihilator slots are matched against the
     variables actually present (ordered assignments, each contributing a
-    factor of minus the running exponent; see `_matches`, whose table is
-    shared by every call).  The head then acts at the operator's mode m plus
-    the slot-mode sum: create a variable, or act on the V-factor through the
-    inducing module; a central term keeps only the assignments whose slot
-    modes sum to -m and scales by the level.  Contributions are summed as
-    integers over the operator's, the state's and the heads' common
-    denominators (`_apply_scaled`), and divided once at the end.
+    factor of minus the running exponent; see `mono_matches`).  The head then
+    acts at the operator's mode m plus the slot-mode sum: create a variable,
+    or act on the V-factor through the inducing module; a central term keeps
+    only the assignments whose slot modes sum to -m and scales by the level.
+    The state is interned in the module's `MonomialTable`, which outlives the
+    call, so its matches and creator products are computed once per module.
+    Contributions are summed as integers over the operator's, the state's and
+    the heads' common denominators (`_apply_scaled`), and divided once at the
+    end, when the ids are read back in output order.
     """
-    total, items = _apply_scaled(op, scale_to_integers(state.terms.items()), module)
-    return FockState.of({k: Q(v, total) for k, v in items})
+    table = module.monomials
+    return table.unscaled(*_apply_scaled(op, table.scaled(state), module))
 
 
 def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
-    """`apply_operator` on integers: (S, items) to (D * S * M, items) in its
-    order, D the operator's LCM and M the running LCM of the head denominators
-    (Levi `act_scaled`, central the level's); a new denominator grows M and
-    every output value in place, keeping key order and zero sums.  It runs the
+    """`apply_operator` on integers keyed by (monomial id, v) in the module's
+    `MonomialTable`: (S, items) to (D * S * M, items) in its order, D the
+    operator's LCM and M the running LCM of the head denominators (Levi
+    `act_scaled`, central the level's); a new denominator grows M and every
+    output value in place, keeping key order and zero sums.  It runs the
     module's `kernel` of the operator, which has dropped the terms that act by
     zero on V, and a creator head adds its value directly, its denominator
-    being 1."""
+    being 1.  Slot matches and creator products are read from the table, and
+    computed only on a miss."""
     denom, families, terms = module.kernel(op.compiled)
+    table = module.monomials
+    matched, match = table.matches, table.match
+    times, mul_var = table.times, table.mul_var
     mode = op.mode
     knum, kden = module.level.numerator, module.level.denominator
     scale, items = scaled
     lcm_m = 1
     out: dict = {}
-    for (mono, vidx), cnum in items:
+    for (mid, vidx), cnum in items:
         found: list = [None] * len(families)
         for fi, num, kind, head, mode_factor in terms:
             central = kind == "central"
             matches = found[fi]
             if matches is None:
-                matches = found[fi] = _matches(families[fi], mono)
+                matches = matched.get((families[fi], mid))
+                if matches is None:
+                    matches = match(families[fi], mid)
+                found[fi] = matches
             for mult, modes, msum, rem in matches:
                 if central and msum != -mode:
                     continue
@@ -576,7 +554,10 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
                     if not mult:
                         continue
                 if kind == "create":
-                    key = (mono_mul_var(rem, head, mode + msum), vidx)
+                    created = times.get((rem, head, mode + msum))
+                    if created is None:
+                        created = mul_var(rem, head, mode + msum)
+                    key = (created, vidx)
                     s = out.get(key, 0) + num * mult * cnum * lcm_m
                     if s:
                         out[key] = s
@@ -745,15 +726,16 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
     hoisted out of the loops, and bracket values are resolved through their
     basis coordinates.
 
-    Every state has one form, integers over a common denominator S: the
-    hoisted actions and the input states are converted once, and each
-    product X = pi(a_m) pi(b_n) s or Y = pi(b_n) pi(a_m) s is applied to
-    those numerators by `_apply_scaled`.  A residual scales every part by
+    Every state has one form, integers over a common denominator S keyed by
+    (monomial id, v) in the module's `MonomialTable`: the hoisted actions and
+    the input states are converted and interned once, and each product
+    X = pi(a_m) pi(b_n) s or Y = pi(b_n) pi(a_m) s is applied to those
+    numerators by `_apply_scaled`.  A residual scales every part by
     L / (S * den(c)), L being the LCM of those products over its parts, and
-    divides by L only for a failing check.  Parts are added in the order x,
-    -y, -[a,b] s by basis position, central term, and a key whose sum
-    reaches zero is deleted, so witness values and key order are those of
-    Fraction accumulation.
+    divides by L and reads the ids back only for the reported failure.  Parts
+    are added in the order x, -y, -[a,b] s by basis position, central term,
+    and a key whose sum reaches zero is deleted, so witness values and key
+    order are those of Fraction accumulation.
 
     One pass visits the cells (a, b, m, n) in report order: ordered basis
     pairs in row order, then modes.  A cell whose mirror (b, a, n, m) came
@@ -769,9 +751,10 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
     Returns (checks_done, failure), failure being None or a dict with the
     witness residual of the first failing check in that order.
 
-    The slot-match table `_matches` is emptied when the sweep returns or
-    raises, so a long-lived process keeps none of its entries.
+    The module's `MonomialTable` is emptied when the sweep returns or raises,
+    so a long-lived process keeps none of its entries.
     """
+    table = real.module.monomials
     try:
         pd = real.pd
         module = real.module
@@ -780,10 +763,10 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
         wide = 2 * max_mode
         modes = range(-max_mode, max_mode + 1)
 
-        P = [[[scale_to_integers(real.act(elem, m, s).terms.items()) for s in states]
+        P = [[[table.scaled(real.act(elem, m, s)) for s in states]
               for m in range(-wide, wide + 1)]
              for _name, elem, _h in basis]
-        inputs = [scale_to_integers(s.terms.items()) for s in states]
+        inputs = [table.scaled(s) for s in states]
 
         # minus the basis coordinates of each bracket [a, b], by basis position
         alg = pd.algebra
@@ -791,7 +774,7 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
                 for a in alg.basis]
 
         def residual(x, y, coords, p, si, central):
-            """x - y - [a,b]_{m+n} s - central s as a dict, or None when zero."""
+            """x - y - [a,b]_{m+n} s - central s as (L, items), or None when zero."""
             parts = [(x, 1), (y, -1)]
             parts.extend((P[k][p][si], c) for k, c in coords)
             if central:
@@ -808,7 +791,7 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
                         del acc[key]
             if not acc:
                 return None
-            return {k: Q(v, common) for k, v in acc.items()}
+            return common, acc.items()
 
         checks = 0
         mirrors: dict = {}  # (i, j, m, n) -> verdict row stored by its mirror cell
@@ -842,7 +825,7 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
                                 on_check(aname, bname, m, n, si, res is None)
                             if res is not None:
                                 return checks, {"a": aname, "b": bname, "m": m, "n": n,
-                                                "state": si, "residual": FockState(res)}
+                                                "state": si, "residual": table.unscaled(*res)}
         return checks, None
     finally:
-        _matches.cache_clear()
+        table.clear()

@@ -15,6 +15,7 @@ import pytest
 import affinefock.cli as cli
 import affinefock.realization as rz
 from affinefock.cli import main
+from affinefock.fock import canonical_json
 from affinefock.inducing import evaluation_module, natural_block_rep
 from affinefock.lie import matrix_unit, parabolic_decompose
 
@@ -291,6 +292,25 @@ def test_check_bracket_record_stream_on_stdout(tmp_path, capsys):
     stream = [line for line in out.splitlines() if line.startswith("{")]
     assert len(stream) == 9 * 9
     assert json.loads(stream[0])["check"] == "bracket"
+
+
+@pytest.mark.parametrize("flip", [None, "e1:1:1"])
+def test_check_bracket_records_are_canonical_json(tmp_path, capsys, flip):
+    # each record line is the canonical encoding of its own object, in the
+    # file and in the stdout stream, on a passing and on a failing run
+    cfg = write_config(tmp_path, dict(SL2_HEIS, output="records"))
+    records = tmp_path / "records.jsonl"
+    rc = main(["check-bracket", "--config", cfg, "--records", str(records)]
+              + (["--flip", flip] if flip else []))
+    assert rc == (1 if flip else 0)
+    lines = records.read_text().splitlines()
+    stream = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("{")]
+    assert stream == lines and len(lines) > 9
+    assert all(line == canonical_json(json.loads(line)) for line in lines)
+    statuses = Counter(json.loads(line)["status"] for line in lines)
+    assert statuses == ({"pass": len(lines) - 1, "fail": 1} if flip
+                        else {"pass": len(lines)})
 
 
 def test_check_bracket_flip_fails_with_witness(tmp_path, capsys):

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from affinefock.fock import (
     FockState,
+    MonomialTable,
     apply_annihilation,
     apply_creation,
     h_weight,
     mono_from_pairs,
+    mono_matches,
     mono_mul,
     mono_mul_var,
     pbw_degree,
@@ -198,6 +200,61 @@ def test_mono_mul_merges_exponents():
 def test_mono_mul_var_matches_mono_from_pairs(exps, alpha, mode):
     mono = mono_from_pairs((a, n, e) for (a, n), e in exps.items())
     assert mono_mul_var(mono, alpha, mode) == mono_from_pairs(list(mono) + [(alpha, mode, 1)])
+
+
+monomials = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(-3, 3)),
+                            st.integers(1, 3), max_size=5).map(
+    lambda exps: mono_from_pairs((a, n, e) for (a, n), e in exps.items()))
+
+
+@given(st.lists(monomials, min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=6),
+       st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
+                max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_monomial_table_agrees_with_the_monomial_functions(monos, factors, families):
+    table = MonomialTable()
+    ids = [table.intern(m) for m in monos]
+    assert [table.monos[i] for i in ids] == monos
+    for m, i in zip(monos, ids):
+        for alpha, mode in factors:
+            j = table.mul_var(i, alpha, mode)
+            assert table.monos[j] == mono_mul_var(m, alpha, mode)
+            assert table.times[i, alpha, mode] == j
+            assert table.mul_var(i, alpha, mode) == j
+        for fam in [()] + families:
+            matched = table.match(fam, i)
+            assert [(mult, modes, msum, table.monos[r]) for mult, modes, msum, r
+                    in matched] == list(mono_matches(fam, m))
+            assert table.match(fam, i) is matched
+    # ids are stable: re-interning, after the table has grown, finds every one
+    assert [table.intern(m) for m in monos] == ids
+    assert all(table.ids[mono] == i for i, mono in enumerate(table.monos))
+    assert len(table.ids) == len(table.monos)
+    table.clear()
+    assert (table.ids, table.monos, table.times, table.matches) == ({}, [], {}, {})
+
+
+def test_mono_matches_lowers_exponents_in_slot_order():
+    # each slot contributes minus the exponent it finds, then lowers it
+    mono = mono_from_pairs([(0, -1, 1), (0, 2, 3), (1, 0, 1)])
+    assert mono_matches((), mono) == ((1, (), 0, mono),)
+    assert mono_matches((1,), mono) == ((-1, (0,), 0, ((0, -1, 1), (0, 2, 3))),)
+    assert mono_matches((0, 0), mono) == (
+        (3, (-1, 2), 1, ((0, 2, 2), (1, 0, 1))),
+        (3, (2, -1), 1, ((0, 2, 2), (1, 0, 1))),
+        (6, (2, 2), 4, ((0, -1, 1), (0, 2, 1), (1, 0, 1))))
+    assert mono_matches((2,), mono) == ()
+
+
+def test_monomial_table_scaled_round_trips_a_state_in_order():
+    mod = char_mod(PD2, Q(1))
+    table = MonomialTable()
+    for s in Sampler(8).fock_states(mod, 5, 3, 2):
+        scale, items = table.scaled(s)
+        assert all(type(v) is int for _, v in items)
+        back = table.unscaled(scale, items)
+        assert list(back.terms.items()) == list(s.terms.items())
 
 
 # --- serialization -----------------------------------------------------------------

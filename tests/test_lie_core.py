@@ -111,6 +111,30 @@ def test_build_sl_rejects_a_bool_rank():
         build_sl(True)
 
 
+def test_lie_element_rejects_a_bool_rank():
+    assert LieElement(1, {(1, 2): 1}).n == 1
+    with pytest.raises(ValueError):
+        LieElement(True, {(1, 2): 1})
+
+
+def test_diag_element_rejects_a_bool_rank():
+    assert diag_element(1, [1, -1]) == cartan_h(1, 1)
+    with pytest.raises(ValueError):
+        diag_element(True, [1, -1])
+
+
+def test_matrix_unit_rejects_a_bool_rank_before_its_cache():
+    # True == 1, so the shared unit of rank 1 must neither be returned for a
+    # bool rank nor be created with one; asked first, either way round
+    with pytest.raises(ValueError):
+        matrix_unit(True, 2, 1)
+    assert type(matrix_unit(1, 2, 1).n) is int
+    unit = matrix_unit(1, 1, 2)
+    with pytest.raises(ValueError):
+        matrix_unit(True, 1, 2)
+    assert matrix_unit(1, 1, 2) is unit and type(unit.n) is int
+
+
 def test_parabolic_rejects_a_bool_rank():
     with pytest.raises(ValueError):
         parabolic_decompose(True)

@@ -45,7 +45,6 @@ from affinefock.realization import (
     Term,
     _ad_multisets,
     _canonical_terms,
-    _matches,
     apply_operator,
     bernoulli,
     bracket_sweep,
@@ -1014,9 +1013,9 @@ def test_bracket_sweep_on_fractional_evaluation_point_matches_check_bracket():
     for _, e, _ in pd.homogeneous_basis:
         for s in states:
             total, items = rz._apply_scaled(plain.operator(e, 1),
-                                            rz.scale_to_integers(s.terms.items()), mod)
+                                            mod.monomials.scaled(s), mod)
             assert all(type(v) is int for _, v in items)
-            got = FockState.of({k: Q(v, total) for k, v in items})
+            got = mod.monomials.unscaled(total, items)
             assert got == plain.act(e, 1, s)
     f1 = pd.f_basis[0]
 
@@ -1072,17 +1071,18 @@ def test_apply_scaled_returns_integer_numerators(k):
     real = Realization(mod.pd, mod)
     runs = []
     for s in Sampler(40 + k).fock_states(mod, 4, 2, 1):
-        scaled = rz.scale_to_integers(s.terms.items())
+        scaled = mod.monomials.scaled(s)
         for _, elem, _ in mod.pd.homogeneous_basis:
             for m in range(-2, 3):
                 op = real.operator(elem, m)
                 total, items = rz._apply_scaled(op, scaled, mod)
                 assert type(total) is int and all(type(v) is int for _, v in items)
-                got = FockState.of({key: Q(v, total) for key, v in items})
+                got = mod.monomials.unscaled(total, items)
                 assert got == real.act(elem, m, s)
                 runs.append((op, scaled))
-    # Once the module's memo is warm, the kernel does no Fraction arithmetic
-    # and no LCM fold: it reads only the level's numerator and denominator.
+    # Once the module's memos are warm, the kernel does no Fraction arithmetic
+    # and no LCM fold: it reads only the level's numerator and denominator,
+    # and its monomial table computes no product and no slot match.
     seen = set()
 
     def profile(frame, event, arg):
@@ -1096,7 +1096,8 @@ def test_apply_scaled_returns_integer_numerators(k):
     finally:
         sys.setprofile(None)
     assert {name for f, name in seen if f == "fractions.py"} <= {"numerator", "denominator"}
-    assert not {name for _, name in seen} & {"scale_to_integers", "_fill", "_act"}
+    assert not {name for _, name in seen} & {"scale_to_integers", "_fill", "_act",
+                                             "mono_mul_var", "mono_matches"}
 
 
 def count_apply_scaled(monkeypatch):
@@ -1165,7 +1166,8 @@ def _kernel_modules():
 def _twin_keeping_every_term(mod):
     """mod with the operator's own kernel: it drops no term, neither a head
     that acts by zero nor a central term at level 0.  It shares mod's action
-    memo and vector registry, so vector indices agree."""
+    memo, vector registry and monomial table, so vector indices and monomial
+    ids agree."""
     twin = copy.copy(mod)
     twin.kernel = lambda compiled: compiled
     return twin
@@ -1205,7 +1207,7 @@ def test_module_kernel_gives_the_full_kernel_integers(k):
     twin = _twin_keeping_every_term(mod)
     real = Realization(mod.pd, mod)
     for s in Sampler(40 + k).fock_states(mod, 4, 2, 1):
-        scaled = rz.scale_to_integers(s.terms.items())
+        scaled = mod.monomials.scaled(s)
         for _, elem, _ in mod.pd.homogeneous_basis:
             for m in range(-2, 3):
                 op = real.operator(elem, m)
@@ -1335,22 +1337,29 @@ def test_bracket_sweep_golden_witness_with_fractional_central_term():
         (((), 1), Q(4)), (((), 2), Q(9, 2))]
 
 
+def _table_is_empty(table):
+    return (table.ids, table.monos, table.times, table.matches) == ({}, [], {}, {})
+
+
 def test_apply_operator_same_on_cold_and_warm_match_cache():
-    assert _matches.cache_info().maxsize is not None
     pd = PD_SL3_BOREL
     mod = heisenberg_fock(pd, [Q(1), Q(-2)], Q(1, 3))
+    table = mod.monomials
+    assert _table_is_empty(table)
     state = FockState({(mono_from_pairs([(0, 1, 2), (1, -1, 1), (2, 0, 1)]), 0): Q(2, 3),
                        (mono_from_pairs([(0, -1, 1), (0, 1, 1), (2, 1, 2)]), 0): Q(-1)})
     for _, elem, _ in pd.homogeneous_basis:
         op = build_operator_general(pd, elem, 1)
-        _matches.cache_clear()
+        table.clear()
         cold = apply_operator(op, state, mod)
+        # the table outlives the call, so the second call is served from it
+        assert table.matches and table.monos
         warm = apply_operator(op, state, mod)
         assert list(cold.terms.items()) == list(warm.terms.items())
 
 
 def test_bracket_sweep_leaves_match_table_empty_and_repeats_exactly():
-    # The slot-match table is process-global; a sweep must not leave its
+    # The module's monomial table outlives a call; a sweep must not leave its
     # entries behind, and a second sweep in the same process, which starts
     # from the emptied table, must report the same checks and failure.
     mod = sl2_heis(Q(1), Q(1))
@@ -1366,10 +1375,10 @@ def test_bracket_sweep_leaves_match_table_empty_and_repeats_exactly():
         real = Realization(PD_SL2, mod, operator_hook=hook)
         checks, failure = bracket_sweep(real, 1, states,
                                         on_check=lambda *args: seen.append(args))
-        assert _matches.cache_info().currsize == 0
+        assert _table_is_empty(mod.monomials)
         runs.append((checks, seen, {k: v for k, v in failure.items() if k != "residual"},
                      list(failure["residual"].terms.items())))
     assert runs[0] == runs[1]
     assert runs[0][0] == 81
     checks, _ = bracket_sweep(Realization(PD_SL2, mod), 1, states)
-    assert checks == 9 * 9 * 4 and _matches.cache_info().currsize == 0
+    assert checks == 9 * 9 * 4 and _table_is_empty(mod.monomials)
