@@ -205,7 +205,6 @@ def _matrix_unit(n: int, i: int, j: int) -> LieElement:
 
 
 def diag_element(n: int, values: Iterable) -> LieElement:
-    check_rank(n)
     vals = [as_scalar(v) for v in values]
     if len(vals) != n + 1:
         raise ValueError(f"need {n + 1} diagonal values")
