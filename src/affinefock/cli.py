@@ -22,6 +22,7 @@ Module descriptors:
     {"kind": "evaluation", "level": "0", "rep": "block", "block": 1, "s": "1"}
     {"kind": "evaluation", "level": "0", "rep": "trivial", "dim": 1, "s": "1"}
     {"kind": "heisenberg_fock", "level": "1", "lam": ["1", "-2"]}
+A trivial evaluation module's dim is at most `inducing.MAX_EVALUATION_DIM`.
 
 Generator names: `c` (central), `hI` (Cartan coroot), `wR` (center of the
 Levi), `fK` / `eK` (1-based nilradical enumeration), `EI.J` (matrix unit).
@@ -51,6 +52,7 @@ from .fock import (
 )
 from .formal_dist import delta_identity_suite
 from .inducing import (
+    MAX_EVALUATION_DIM,
     character_module,
     evaluation_module,
     heisenberg_fock,
@@ -205,6 +207,9 @@ def build_module(pd: ParabolicData, desc: dict):
                 rho = natural_block_rep(pd, block)
             elif rep == "trivial":
                 dim = _int(desc.get("dim", 1), "evaluation dim")
+                if dim > MAX_EVALUATION_DIM:
+                    raise SemanticError(f"evaluation dim {dim} above the bound "
+                                        f"{MAX_EVALUATION_DIM}")
                 rho = [[[Q(0)] * dim for _ in range(dim)] for _ in pd.levi_basis]
             else:
                 raise ParseError(f"unknown evaluation rep {rep!r}")

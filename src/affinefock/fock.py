@@ -116,7 +116,8 @@ class MonomialTable:
     tuples, and computes each distinct product once.  Each inducing module
     owns one table (`InducingModule.monomials`); it grows with the distinct
     monomials the module's states reach, and `realization.bracket_sweep`
-    empties it when it returns.
+    empties it when it returns.  The Cartan Fock module keeps its V-basis in
+    a second table (`HeisenbergFockModule.vbasis`), which nothing empties.
     """
 
     __slots__ = ("ids", "monos", "times", "matches")

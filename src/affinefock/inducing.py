@@ -24,15 +24,16 @@ that rho is a Levi representation by running `axiom_check` on its basis
 vectors in mode 0.
 
 A module also says which elements act by zero on all of V in every mode,
-exactly (`acts_by_zero`, memoized per element): by default those with no Levi
-part, and for a character those its functionals all vanish on.  `kernel`
-removes the terms of an operator's integer kernel that can add nothing on
-this module: such Levi heads, and central heads at level 0.  The apply kernel
-(`realization._apply_scaled`) runs what it returns, memoized per operator
-kernel, so a killed head never reaches `act_scaled`.  The module also owns the
-`MonomialTable` that the apply kernel keys its states by, so the slot matches
-and creator products of every operator applied on the module are computed
-once.
+exactly (`acts_by_zero`): by default those with no Levi part, and for a
+character those its functionals all vanish on.  `kernel` is where an
+operator's terms become integers: in one pass it writes them over the LCM of
+all their denominators and keeps only the terms that can add something on
+this module, dropping such Levi heads and central heads at level 0.  The
+apply kernel (`realization._apply_scaled`) runs what it returns, memoized per
+terms tuple, so a killed head never reaches `act_scaled`.  The module also
+owns the `MonomialTable` that the apply kernel keys its states by, so the slot
+matches and creator products of every operator applied on the module are
+computed once.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ Q = Fraction
 
 # largest |mode| of an evaluation module at |s| not in {0, 1}, where s ** mode grows
 MAX_EVALUATION_MODE = 2 ** 16
+# largest dim of the CLI's trivial evaluation module: dim**2 entries per Levi element
+MAX_EVALUATION_DIM = 64
 
 
 def levi_coords(pd: ParabolicData, x: LieElement) -> list[Fraction]:
@@ -84,7 +87,6 @@ class InducingModule:
         self.pd = pd
         self.level = as_scalar(level)
         self._acts: dict[tuple[LieElement, int, int], tuple[int, list]] = {}
-        self._zero: dict[LieElement, bool] = {}
         self._kernels: dict[int, tuple[tuple, tuple]] = {}
         self.monomials = MonomialTable()
 
@@ -116,43 +118,41 @@ class InducingModule:
         """True when x (x) t^j acts by zero on every vector of V in every mode j.
 
         Exact, never a guess: a True answer means `act(x, j, v)` is empty for
-        every j and v.  Memoized per element.
+        every j and v.  By default x kills V when its Levi part is zero.
         """
-        zero = self._zero.get(x)
-        if zero is None:
-            zero = self._zero[x] = self._acts_by_zero(x)
-        return zero
-
-    def _acts_by_zero(self, x: LieElement) -> bool:
-        """The kind's rule; by default x kills V when its Levi part is zero."""
         return self.pd.project(x, "l").is_zero()
 
-    def kernel(self, compiled: tuple) -> tuple:
-        """An operator kernel (`NormalOrderedOperator.compiled`) without the
-        terms that act by zero on V: Levi heads that `acts_by_zero` kills, and
-        central heads at level 0.
+    def kernel(self, terms: tuple) -> tuple:
+        """An operator's terms as the integer kernel that
+        `realization._apply_scaled` runs on this module: (D, families, kept).
 
-        The denominator D stays the operator's, so the integers the kernel
-        produces are unchanged, and the slot-family table holds only the
-        families of the terms kept, in their order of first use.  A dropped
-        term only ever added nothing, so the kernel's output keys and their
-        order are unchanged too.  Memoized per kernel by identity; the entry
-        holds the kernel itself, so its id is never reused.
+        D is the LCM of the denominators of all the terms, dropped ones too,
+        so the kernel produces the integers of every term.  A kept term is
+        (index into families, D * coeff as an int, head kind, head alpha or
+        Levi element, mode-factor slot), and families holds the slot families
+        of the kept terms in order of first use.  Dropped are the Levi heads
+        that `acts_by_zero` kills and central heads at level 0: they only ever
+        added nothing, so the output keys and their order are unchanged.
+        Memoized per terms tuple by identity; the entry holds the tuple, so
+        its id is never reused.
         """
-        hit = self._kernels.get(id(compiled))
+        hit = self._kernels.get(id(terms))
         if hit is not None:
             return hit[1]
-        denom, families, terms = compiled
+        denom, nums = scale_to_integers([(t, t.coeff) for t in terms])
         level_zero = self.level == 0
-        index: dict[int, int] = {}
+        families: dict[tuple[int, ...], int] = {}
         kept = []
-        for fi, num, kind, head, mode_factor in terms:
-            if (kind == "levi" and self.acts_by_zero(head)
+        for t, num in nums:
+            kind = t.head_kind
+            if (kind == "levi" and self.acts_by_zero(t.head_elem)
                     or kind == "central" and level_zero):
                 continue
-            kept.append((index.setdefault(fi, len(index)), num, kind, head, mode_factor))
-        out = (denom, tuple(families[fi] for fi in index), tuple(kept))
-        self._kernels[id(compiled)] = (compiled, out)
+            kept.append((families.setdefault(t.annihilators, len(families)), num, kind,
+                         t.head_alpha if kind == "create" else t.head_elem,
+                         t.mode_factor))
+        out = (denom, tuple(families), tuple(kept))
+        self._kernels[id(terms)] = (terms, out)
         return out
 
     def act_vec(self, x: LieElement, mode: int, vec: dict[int, Fraction],
@@ -268,8 +268,9 @@ class CharacterModule(InducingModule):
     def dim(self) -> int:
         return 1
 
-    def _acts_by_zero(self, x: LieElement) -> bool:
-        # center_coords reads only the diagonal, which the Levi part keeps
+    def acts_by_zero(self, x: LieElement) -> bool:
+        # every functional vanishes on x; center_coords reads only the
+        # diagonal, which the Levi part keeps
         coords = self.pd.center_coords(x)
         return all(sum((c * f for c, f in zip(coords, func)), Q(0)) == 0
                    for func in self.chi.values())
@@ -378,9 +379,10 @@ class HeisenbergFockModule(InducingModule):
     """Level-kappa Fock module of the Cartan loop algebra (Borel case only).
 
     V is the polynomial space on variables y(i, r) for Cartan direction i and
-    depth r >= 1 (mode -r).  Basis monomials are interned into an index
-    registry in order of first use, so indices are reproducible for a fixed
-    computation; serialized states carry an explicit basis table.
+    depth r >= 1 (mode -r).  Basis monomials are interned in order of first
+    use in the module's own `MonomialTable`, `vbasis`, which no sweep empties,
+    so indices are reproducible for a fixed computation; serialized states
+    carry an explicit basis table.
     """
 
     kind = "heisenberg_fock"
@@ -394,23 +396,17 @@ class HeisenbergFockModule(InducingModule):
         if len(lam) != pd.n:
             raise ValueError(f"need {pd.n} highest-weight values")
         self.lam = lam
-        self._mono_by_index: list[tuple] = []
-        self._index_by_mono: dict[tuple, int] = {}
+        self.vbasis = MonomialTable()
         self.intern(())
 
     def intern(self, vmono: tuple) -> int:
-        idx = self._index_by_mono.get(vmono)
-        if idx is None:
-            idx = len(self._mono_by_index)
-            self._mono_by_index.append(vmono)
-            self._index_by_mono[vmono] = idx
-        return idx
+        """The vector index of a V-monomial."""
+        return self.vbasis.intern(vmono)
 
     def _act(self, x_l: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
         coords = cartan_coords(x_l)
         if not any(coords):
             return {}
-        mono = self._mono_by_index[v_index]
         out: dict[int, Fraction] = {}
         if mode == 0:
             val = sum((c * l for c, l in zip(coords, self.lam)), Q(0))
@@ -421,13 +417,13 @@ class HeisenbergFockModule(InducingModule):
             for i, c in enumerate(coords):
                 if c == 0:
                     continue
-                add_to(out, self.intern(mono_mul_var(mono, i, r)), c)
+                add_to(out, self.vbasis.mul_var(v_index, i, r), c)
         elif self.level != 0:
             for j, h in enumerate(self.pd.cartan):
                 g = form(x_l, h)
                 if g == 0:
                     continue
-                hit = mono_d_var(mono, j, mode)
+                hit = mono_d_var(self.vbasis.monos[v_index], j, mode)
                 if hit is None:
                     continue
                 exp, reduced = hit
@@ -435,10 +431,10 @@ class HeisenbergFockModule(InducingModule):
         return out
 
     def v_mode(self, v_index: int) -> int:
-        return -mono_mode_sum(self._mono_by_index[v_index])
+        return -mono_mode_sum(self.vbasis.monos[v_index])
 
     def check_v_index(self, v_index: int):
-        if not 0 <= v_index < len(self._mono_by_index):
+        if not 0 <= v_index < len(self.vbasis.monos):
             raise ValueError(f"v index {v_index} not registered in this module")
 
     def sample_v(self, sampler) -> int:
@@ -451,7 +447,7 @@ class HeisenbergFockModule(InducingModule):
         return self.intern(mono)
 
     def v_to_obj(self, v_index: int):
-        return [[i, r, e] for i, r, e in self._mono_by_index[v_index]]
+        return [[i, r, e] for i, r, e in self.vbasis.monos[v_index]]
 
     def v_from_obj(self, obj) -> int:
         triples = int_triples(obj)

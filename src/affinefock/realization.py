@@ -34,15 +34,14 @@ series is a bracket of matrix units, so `_ad_multisets` keeps int entries;
 as an int over one LCM L (`_series_table`), and divides each word's value by
 L*d once, when it returns, giving the same exact Fraction values.
 
-Each operator's terms are compiled when the operator is built, to integer
-numerators over the LCM of their denominators plus per-term slot families and
-heads, and an element's operators at every mode share that kernel.  The
-inducing module trims it when the operator is first applied
-(`InducingModule.kernel`, memoized per kernel): it drops the Levi heads that
-act by zero on V, such as the nilradical or, for a character, every head off
-the center it sees, and the central heads at level 0.  So an operator stays
-valid for every module, and building one does no module work.  The apply
-kernel, `_apply_scaled`, is integer-only: creator heads add their values
+An operator is its terms, and an element's operators at every mode share one
+terms tuple.  The inducing module compiles it when an operator is first
+applied (`InducingModule.kernel`, memoized per tuple), to integer numerators
+over the LCM of all the term denominators, and drops the terms that act by
+zero on V: Levi heads such as the nilradical or, for a character, every head
+off the center it sees, and the central heads at level 0.  So an operator
+stays valid for every module, and building one does no module work.  The
+apply kernel, `_apply_scaled`, is integer-only: creator heads add their values
 directly, Levi heads read the module's actions as integers (`act_scaled`),
 central heads the level's numerator, each over a denominator that joins the
 output's running LCM.  It keys states by (monomial id, v) in the module's
@@ -322,29 +321,17 @@ class Term:
 class NormalOrderedOperator:
     """pi(a_m): the mode-free terms of a's operator, at mode m.
 
-    `compiled` is the integer form that `apply_operator` runs on, built from
-    the terms when none is given: (D, families, terms), D being the LCM of
-    the term denominators, families the distinct slot-family tuples, and each
-    term (index into families, D * coeff as an int, head kind, head alpha or
-    Levi element, mode-factor slot).  The mode is not part of it, so
-    `Realization.operator` passes one template's kernel to every mode.
-    Immutable by convention; equality and hash ignore `compiled`.
+    The terms do not depend on the mode, so `Realization.operator` passes one
+    template's terms tuple to every mode, and the inducing module compiles
+    that tuple once into the integer kernel `apply_operator` runs on
+    (`InducingModule.kernel`, memoized per tuple).  Immutable by convention.
     """
 
-    __slots__ = ("terms", "mode", "compiled")
+    __slots__ = ("terms", "mode")
 
-    def __init__(self, terms: tuple[Term, ...], mode: int, compiled: tuple | None = None):
-        if compiled is None:
-            denom, nums = scale_to_integers([(t, t.coeff) for t in terms])
-            families: dict[tuple[int, ...], int] = {}
-            kernel = tuple((families.setdefault(t.annihilators, len(families)), num,
-                            t.head_kind,
-                            t.head_alpha if t.head_kind == "create" else t.head_elem,
-                            t.mode_factor) for t, num in nums)
-            compiled = (denom, tuple(families), kernel)
+    def __init__(self, terms: tuple[Term, ...], mode: int):
         self.terms = terms
         self.mode = mode
-        self.compiled = compiled
 
     def __eq__(self, other):
         return (isinstance(other, NormalOrderedOperator)
@@ -507,8 +494,10 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
     acts at the operator's mode m plus the slot-mode sum: create a variable,
     or act on the V-factor through the inducing module; a central term keeps
     only the assignments whose slot modes sum to -m and scales by the level.
-    The state is interned in the module's `MonomialTable`, which outlives the
-    call, so its matches and creator products are computed once per module.
+    The state is interned in the module's `MonomialTable`, which lives as
+    long as the module, so its matches and creator products are computed once
+    per module; a caller that applies batches of unrelated states empties it
+    between batches with `module.monomials.clear()`.
     Contributions are summed as integers over the operator's, the state's and
     the heads' common denominators (`_apply_scaled`), and divided once at the
     end, when the ids are read back in output order.
@@ -523,11 +512,11 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
     operator's LCM and M the running LCM of the head denominators (Levi
     `act_scaled`, central the level's); a new denominator grows M and every
     output value in place, keeping key order and zero sums.  It runs the
-    module's `kernel` of the operator, which has dropped the terms that act by
-    zero on V, and a creator head adds its value directly, its denominator
-    being 1.  Slot matches and creator products are read from the table, and
-    computed only on a miss."""
-    denom, families, terms = module.kernel(op.compiled)
+    module's `kernel` of the operator's terms, their integers over D without
+    the terms that act by zero on V, and a creator head adds its value
+    directly, its denominator being 1.  Slot matches and creator products are
+    read from the table, and computed only on a miss."""
+    denom, families, terms = module.kernel(op.terms)
     table = module.monomials
     matched, match = table.matches, table.match
     times, mul_var = table.times, table.mul_var
@@ -653,14 +642,16 @@ class Realization:
             else:
                 template = build_operator_explicit_sl(self.pd, a, m)
             self._templates[a] = template
-        op = NormalOrderedOperator(template.terms, m, template.compiled)
+        op = NormalOrderedOperator(template.terms, m)
         if self.operator_hook is not None:
             op = self.operator_hook(a, m, op)
         self._cache[key] = op
         return op
 
     def act(self, a, m: int, state: FockState) -> FockState:
-        """pi(a_m) state; the central sentinel acts by the level."""
+        """pi(a_m) state; the central sentinel acts by the level.  The state's
+        monomials stay interned in the module's `MonomialTable` for the
+        module's life; `module.monomials.clear()` empties it between batches."""
         if a is CENTRAL:
             return state.scale(self.module.level)
         if a.is_zero():

@@ -16,7 +16,7 @@ import affinefock.cli as cli
 import affinefock.realization as rz
 from affinefock.cli import main
 from affinefock.fock import canonical_json
-from affinefock.inducing import evaluation_module, natural_block_rep
+from affinefock.inducing import MAX_EVALUATION_DIM, evaluation_module, natural_block_rep
 from affinefock.lie import matrix_unit, parabolic_decompose
 
 Q = Fraction
@@ -919,6 +919,25 @@ def test_empty_evaluation_module_is_semantic_error(tmp_path, capsys, command, di
     assert rc == 3
     assert captured.err.startswith("error:") and "positive dimension" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("dim, rc", [(MAX_EVALUATION_DIM, 0), (MAX_EVALUATION_DIM + 1, 3),
+                                     (30_000, 3)])
+def test_large_evaluation_module_is_refused_before_it_is_built(tmp_path, capsys, dim, rc):
+    # a trivial rep of dim d allocates d**2 entries per Levi element and checks
+    # the axioms on d vectors; dim 1,000 once took 45 s and dim 30,000 ran out
+    # of memory
+    cfg = dict(SL3_EVAL, module={"kind": "evaluation", "level": "0",
+                                 "rep": "trivial", "dim": dim, "s": "1"})
+    start = time.perf_counter()
+    assert main(["dump", "--config", write_config(tmp_path, cfg),
+                 "--generator", "h1"]) == rc
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    if rc == 3:
+        assert captured.err == (f"error: evaluation dim {dim} above the bound "
+                                f"{MAX_EVALUATION_DIM}\n")
+        assert captured.out == ""
 
 
 def test_act_rejects_a_mode_on_the_central_element(tmp_path, capsys):

@@ -307,7 +307,7 @@ def test_act_computes_each_key_once(build, monkeypatch):
         entries = len(mod._acts)
         scaled = mod.act_scaled(x, mode, v) if scaled_first else None
         first = mod.act(x, mode, v)
-        registry = len(getattr(mod, "_mono_by_index", ()))
+        vbasis = len(mod.vbasis.monos) if mod.needs_vbasis else 0
         assert first
         assert mod.act(x, mode, v) == first
         assert mod.act_scaled(x, mode, v) == (scaled or mod.act_scaled(x, mode, v))
@@ -316,8 +316,11 @@ def test_act_computes_each_key_once(build, monkeypatch):
         assert [(w, Q(num, den)) for w, num in nums] == list(first.items())
         assert len(calls) == 1
         assert len(mod._acts) == entries + 1
-        # a repeated creation interns nothing new
-        assert len(getattr(mod, "_mono_by_index", ())) == registry
+        if mod.needs_vbasis:
+            # a repeated creation interns nothing new; the first one went
+            # through the V-basis table's product memo
+            assert len(mod.vbasis.monos) == vbasis
+            assert mod.vbasis.times[v, 0, -mode] == vbasis - 1
 
 
 # --- axiom checker ----------------------------------------------------------------------

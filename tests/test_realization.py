@@ -7,7 +7,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -50,6 +50,7 @@ from affinefock.realization import (
     bracket_sweep,
     build_operator_explicit_sl,
     build_operator_general,
+    check_engine,
     instantiate_operator,
     series_expand,
 )
@@ -921,10 +922,13 @@ def test_operator_terms_do_not_depend_on_the_mode(n, sigma, engine):
             assert op.terms == terms
             served = real.operator(elem, m)
             assert served.mode == m and served.terms == terms
-            # every mode of one element runs on the template's kernel; an
-            # operator built apart has its own, and still compares equal
-            assert served.compiled is real.operator(elem, 0).compiled
-            assert op.compiled is not served.compiled
+            # every mode of one element shares the template's terms, and so
+            # one kernel on the module; an operator built apart has its own
+            # terms, and still compares equal
+            assert served.terms is real.operator(elem, 0).terms
+            assert real.module.kernel(served.terms) is real.module.kernel(
+                real.operator(elem, 0).terms)
+            assert op.terms is not served.terms
             assert op == served and hash(op) == hash(served)
 
 
@@ -952,14 +956,13 @@ def test_bracket_sweep_compiles_each_element_once():
     assert failure is None and checks == 15 * 15 * 9
     ops = list(real._cache.values())
     assert len(ops) == 75
-    assert len({id(op.compiled) for op in ops}) == 15
+    assert len({id(op.terms) for op in ops}) == 15
+    assert len(real.module._kernels) == 15
     flipped = ops[0].with_flipped_term(0)
-    assert flipped != ops[0] and flipped.compiled is not ops[0].compiled
-    assert NormalOrderedOperator(ops[0].terms, ops[0].mode, ("any",)) == ops[0]
-    denom, families, terms = ops[0].compiled
-    assert flipped.compiled == (denom, families,
-                                ((terms[0][0], -terms[0][1]) + terms[0][2:],)
-                                + terms[1:])
+    assert flipped != ops[0] and flipped.terms is not ops[0].terms
+    denom, families, terms = _compile_every_term(ops[0].terms)
+    assert _compile_every_term(flipped.terms) == (
+        denom, families, ((terms[0][0], -terms[0][1]) + terms[0][2:],) + terms[1:])
 
 
 @pytest.mark.parametrize("order", [(1, 2, 0), (2, 0, 1)])
@@ -1163,13 +1166,39 @@ def _kernel_modules():
     return _fractional_modules() + [mod for _label, _pd, mod in sweep_configs()]
 
 
+def _compile_every_term(terms):
+    """An operator's terms as (D, families, kernel terms) with every term kept,
+    compiled here apart from `InducingModule.kernel`: D the LCM of the term
+    denominators, families the slot-family tuples in order of first use, and
+    each term (family index, D * coeff, head kind, head, mode-factor slot)."""
+    denom = lcm(*[t.coeff.denominator for t in terms])
+    families: list = []
+    kernel = []
+    for t in terms:
+        if t.annihilators not in families:
+            families.append(t.annihilators)
+        num = t.coeff * denom
+        assert num.denominator == 1
+        kernel.append((families.index(t.annihilators), num.numerator, t.head_kind,
+                       t.head_alpha if t.head_kind == "create" else t.head_elem,
+                       t.mode_factor))
+    return denom, tuple(families), tuple(kernel)
+
+
 def _twin_keeping_every_term(mod):
-    """mod with the operator's own kernel: it drops no term, neither a head
-    that acts by zero nor a central term at level 0.  It shares mod's action
-    memo, vector registry and monomial table, so vector indices and monomial
-    ids agree."""
+    """mod with `_compile_every_term` as its kernel: it drops no term, neither
+    a head that acts by zero nor a central term at level 0.  It shares mod's
+    action memo, vector basis and monomial table, so vector indices and
+    monomial ids agree."""
     twin = copy.copy(mod)
-    twin.kernel = lambda compiled: compiled
+    compiled: dict = {}
+
+    def kernel(terms):
+        if id(terms) not in compiled:
+            compiled[id(terms)] = (terms, _compile_every_term(terms))
+        return compiled[id(terms)][1]
+
+    twin.kernel = kernel
     return twin
 
 
@@ -1191,14 +1220,18 @@ def test_acts_by_zero_on_the_sl4_character_keeps_only_its_center_direction():
     # Sigma = {2, 3}: z(l) is spanned by w1, the character sees only the
     # center coordinate, and among the basis only H1 has one
     mod = _fractional_modules()[1]
+    names = [name for name, x, _ in mod.pd.homogeneous_basis
+             if not mod.acts_by_zero(x)]
+    assert names == ["H1"]
+    # the rule runs once per Levi term when an operator is compiled, and never
+    # again for that operator on this module
     asked = []
-    rule = mod._acts_by_zero
-    mod._acts_by_zero = lambda x: asked.append(x) or rule(x)
+    rule = mod.acts_by_zero
+    mod.acts_by_zero = lambda x: asked.append(x) or rule(x)
+    op = Realization(mod.pd, mod).operator(cartan_h(3, 1), 0)
     for _ in range(2):
-        names = [name for name, x, _ in mod.pd.homogeneous_basis
-                 if not mod.acts_by_zero(x)]
-        assert names == ["H1"]
-    assert len(asked) == 15
+        mod.kernel(op.terms)
+    assert len(asked) == sum(t.head_kind == "levi" for t in op.terms) > 0
 
 
 @pytest.mark.parametrize("k", range(9))
@@ -1217,17 +1250,37 @@ def test_module_kernel_gives_the_full_kernel_integers(k):
 
 
 def test_module_kernel_drops_killed_heads_and_central_terms_at_level_zero():
+    # mod.kernel is the full compile of every term, filtered: on the nine
+    # kernel modules, with every engine that serves the parabolic, and on
+    # flipped operators, which compile their own kernels
+    for mod in _kernel_modules():
+        engines = []
+        for engine in ("general", "explicit"):
+            try:
+                check_engine(mod.pd, engine)
+            except ValueError:
+                continue
+            engines.append(engine)
+        for engine in engines:
+            real = Realization(mod.pd, mod, engine)
+            for _, elem, _ in mod.pd.homogeneous_basis:
+                op = real.operator(elem, 0)
+                for terms in (op.terms, op.with_flipped_term(0).terms):
+                    full = _compile_every_term(terms)
+                    denom, families, kernel = mod.kernel(terms)
+                    kept = [t for t in full[2] if t[2] == "create"
+                            or t[2] == "levi" and not mod.acts_by_zero(t[3])
+                            or t[2] == "central" and mod.level != 0]
+                    assert denom == full[0]
+                    assert [t[1:] for t in kernel] == [t[1:] for t in kept]
+                    assert [families[t[0]] for t in kernel] == [full[1][t[0]] for t in kept]
+                    assert list(families) == list(dict.fromkeys(full[1][t[0]] for t in kept))
+        assert engines[0] == "general"
+    # D is the LCM over every term: a dropped term's denominator stays in it
     mod = _fractional_modules()[1]
-    real = Realization(mod.pd, mod)
-    for _, elem, _ in mod.pd.homogeneous_basis:
-        compiled = real.operator(elem, 0).compiled
-        denom, families, terms = mod.kernel(compiled)
-        kept = [t for t in compiled[2]
-                if t[2] == "create" or (t[2] == "levi" and not mod.acts_by_zero(t[3]))]
-        assert denom == compiled[0]
-        assert [t[1:] for t in terms] == [t[1:] for t in kept]
-        assert [families[t[0]] for t in terms] == [compiled[1][t[0]] for t in kept]
-        assert set(families) == {compiled[1][t[0]] for t in kept}
+    terms = (Term(Q(1), (), "create", head_alpha=0),
+             Term(Q(1, 3), (0,), "levi", head_elem=mod.pd.e_basis[0], head_name="e1"))
+    assert mod.kernel(terms) == (3, ((),), ((0, 3, "create", 0, None),))
 
 
 def test_sl4_character_sweep_reads_the_module_only_for_its_center_head(monkeypatch):
@@ -1260,11 +1313,11 @@ def test_module_kernel_is_memoized_per_operator_kernel():
     real = Realization(mod.pd, mod)
     op = real.operator(f1, 1)
     flipped = op.with_flipped_term(0)
-    kernel, flipped_kernel = mod.kernel(op.compiled), mod.kernel(flipped.compiled)
+    kernel, flipped_kernel = mod.kernel(op.terms), mod.kernel(flipped.terms)
     assert kernel is not flipped_kernel
-    assert mod.kernel(op.compiled) is kernel
-    assert mod.kernel(real.operator(f1, -1).compiled) is kernel
-    assert mod.kernel(flipped.compiled) is flipped_kernel
+    assert mod.kernel(op.terms) is kernel
+    assert mod.kernel(real.operator(f1, -1).terms) is kernel
+    assert mod.kernel(flipped.terms) is flipped_kernel
     assert flipped_kernel[2][0][1] == -kernel[2][0][1]
     assert flipped_kernel[2][1:] == kernel[2][1:]
     state = Sampler(3).fock_states(mod, 1, 2, 1)[0]
@@ -1280,7 +1333,7 @@ def test_module_shared_by_two_realizations_serves_both():
     for _, elem, _ in mod.pd.homogeneous_basis:
         for s in states:
             assert general.act(elem, 1, s) == explicit.act(elem, 1, s)
-        assert general.operator(elem, 1).compiled is not explicit.operator(elem, 1).compiled
+        assert general.operator(elem, 1).terms is not explicit.operator(elem, 1).terms
     assert len(mod._kernels) == before + 2 * 15
     assert bracket_sweep(general, 1, states)[1] is None
     assert bracket_sweep(explicit, 1, states)[1] is None
