@@ -3,19 +3,14 @@
 The package realizes the induced modules attached to a parabolic subalgebra
 of sl(n+1) as polynomial Fock spaces tensored with an inducing module, builds
 the image of every affine generator as a finite normal-ordered operator, and
-verifies the bracket relations by exact computation on states.
+verifies the bracket relations by exact computation on states.  It holds
+what the command line and the benchmark run; the reference implementations
+that only the tests compare against (the loop algebra and the Killing form,
+single creation and annihilation, gradings of a state, the PBW and vacuum
+checks) live with the tests, in `tests/oracles.py`.
 """
 
-from .fock import (
-    FockState,
-    apply_annihilation,
-    apply_creation,
-    h_weight,
-    pbw_degree,
-    state_from_text,
-    state_to_text,
-    total_mode,
-)
+from .fock import FockState, state_to_text
 from .formal_dist import (
     DeltaKernel,
     LaurentPoly,
@@ -33,7 +28,6 @@ from .inducing import (
 )
 from .lie import (
     LieElement,
-    LoopElement,
     ParabolicData,
     Root,
     bracket,
@@ -41,10 +35,6 @@ from .lie import (
     cartan_h,
     diag_element,
     form,
-    killing_form,
-    loop,
-    loop_bracket,
-    loop_central,
     matrix_unit,
     parabolic_decompose,
 )
@@ -66,15 +56,12 @@ __all__ = [
     "FockState",
     "LaurentPoly",
     "LieElement",
-    "LoopElement",
     "NormalOrderedOperator",
     "ParabolicData",
     "Realization",
     "Root",
     "Sampler",
     "annihilation_check",
-    "apply_annihilation",
-    "apply_creation",
     "axiom_check",
     "bernoulli",
     "bracket",
@@ -88,20 +75,12 @@ __all__ = [
     "diag_element",
     "evaluation_module",
     "form",
-    "h_weight",
     "heisenberg_fock",
-    "killing_form",
-    "loop",
-    "loop_bracket",
-    "loop_central",
     "matrix_unit",
     "multiply_by_field",
     "natural_block_rep",
     "parabolic_decompose",
-    "pbw_degree",
     "residue_pair",
     "series_expand",
-    "state_from_text",
     "state_to_text",
-    "total_mode",
 ]

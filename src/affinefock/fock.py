@@ -57,10 +57,6 @@ def mono_from_pairs(pairs: Iterable[tuple[int, int, int]]) -> Monomial:
     return tuple(sorted((a, n, e) for (a, n), e in acc.items()))
 
 
-def mono_degree(mono: Monomial) -> int:
-    return sum(e for _, _, e in mono)
-
-
 def mono_mode_sum(mono: Monomial) -> int:
     return sum(n * e for _, n, e in mono)
 
@@ -184,10 +180,6 @@ def mono_d_var(mono: Monomial, alpha: int, mode: int) -> tuple[int, Monomial] | 
     return None
 
 
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return mono_from_pairs(list(m1) + list(m2))
-
-
 class FockState:
     """Exact linear combination of monomial (x) V-basis-vector terms."""
 
@@ -250,77 +242,9 @@ class FockState:
         return FockState.of({k: c * v for k, v in self.terms.items()})
 
 
-def apply_creation(state: FockState, alpha: int, mode: int) -> FockState:
-    """Multiplication by b(alpha, mode); raises the polynomial degree by one."""
-    return FockState.of({(mono_mul_var(mono, alpha, mode), v): c
-                         for (mono, v), c in state.terms.items()})
-
-
-def apply_annihilation(state: FockState, alpha: int, mode: int) -> FockState:
-    """Minus the partial derivative in b(alpha, mode); kills the vacuum."""
-    out: dict = {}
-    for (mono, v), c in state.terms.items():
-        hit = mono_d_var(mono, alpha, mode)
-        if hit is None:
-            continue
-        exp, reduced = hit
-        add_to(out, (reduced, v), -exp * c)
-    return FockState.of(out)
-
-
-def pbw_degree(state: FockState) -> int:
-    """Degree of the highest monomial; 0 for the zero state."""
-    if not state.terms:
-        return 0
-    return max(mono_degree(mono) for mono, _ in state.terms)
-
-
-def degree_component(state: FockState, degree: int) -> FockState:
-    return FockState({k: c for k, c in state.terms.items()
-                      if mono_degree(k[0]) == degree})
-
-
-def _common_grade(state: FockState, grade):
-    """grade(mono, v) when every term of the state shares it; None when two
-    terms differ, when grade is None on a term, or when the state is empty."""
-    result = None
-    for mono, v in state.terms:
-        g = grade(mono, v)
-        if g is None or (result is not None and g != result):
-            return None
-        result = g
-    return result
-
-
-def total_mode(state: FockState, module=None) -> int | None:
-    """Common total mode of all terms, or None when mixed.
-
-    The mode of a term is the mode sum of its monomial plus the V-grading of
-    its vector when the module is mode-graded; modules whose vectors carry no
-    mode grading make the result None unless the state is empty.
-    """
-    def grade(mono, v):
-        vm = 0 if module is None else module.v_mode(v)
-        return None if vm is None else mono_mode_sum(mono) + vm
-    return _common_grade(state, grade)
-
-
 def mono_weight(pd: ParabolicData, mono: tuple, h: LieElement) -> Fraction:
     """h-weight of a monomial: each variable b(alpha, n) shifts it by -alpha(h)."""
     return -sum((e * pd.delta_u[a].value_on(h) for a, _n, e in mono), Q(0))
-
-
-def h_weight(state: FockState, h: LieElement, pd: ParabolicData, module=None,
-             ) -> Fraction | None:
-    """Common h-eigenvalue of all terms, or None when mixed.
-
-    A monomial contributes `mono_weight`; the V-factor contributes its own
-    weight when the module provides one.
-    """
-    def grade(mono, v):
-        vw = Q(0) if module is None else module.v_weight(v, h)
-        return None if vw is None else mono_weight(pd, mono, h) + vw
-    return _common_grade(state, grade)
 
 
 # --- serialization ----------------------------------------------------------
@@ -391,7 +315,3 @@ def canonical_json(obj) -> str:
 
 def state_to_text(state: FockState, module=None) -> str:
     return canonical_json(state_to_obj(state, module)) + "\n"
-
-
-def state_from_text(text: str, module=None) -> FockState:
-    return state_from_obj(json.loads(text), module)

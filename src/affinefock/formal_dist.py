@@ -88,10 +88,6 @@ class LaurentPoly:
             p = LaurentPoly({m - 1: m * c for m, c in p.coeffs.items() if m != 0})
         return p
 
-    def residue(self) -> Fraction:
-        """Coefficient of z^{-1}."""
-        return self.coeffs.get(-1, Q(0))
-
 
 class DeltaKernel:
     """sum_d g_d(w) * d^d_w delta(z-w) with distinct derivative orders."""

@@ -21,7 +21,7 @@ memo holds one form, the integers over their LCM of `act_scaled`; `act`
 divides them into a new Fraction dict.  The Cartan weight of a basis vector,
 `v_weight`, is read off the mode-0 action, and an evaluation module checks
 that rho is a Levi representation by running `axiom_check` on its basis
-vectors in mode 0.
+vectors in mode 0, unless every matrix is zero, which is a representation.
 
 A module also says which elements act by zero on all of V in every mode,
 exactly (`acts_by_zero`): by default those with no Levi part, and for a
@@ -195,14 +195,14 @@ class InducingModule:
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve an exact linear system with full column rank; None if inconsistent.
+    """Solve an exact linear system of one or more rows; None if inconsistent.
 
     Gaussian elimination over Q; free columns (rank-deficient input) are set
     to zero, which keeps the answer deterministic.
     """
     m = [row[:] + [r] for row, r in zip(rows, rhs)]
     nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
+    ncols = len(rows[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -239,8 +239,7 @@ class CharacterModule(InducingModule):
     kind = "character"
 
     def __init__(self, pd: ParabolicData,
-                 assignments: Iterable[tuple[LieElement, int, Fraction]] = (),
-                 level=0):
+                 assignments: Iterable[tuple[LieElement, int, Fraction]], level):
         super().__init__(pd, level)
         if self.level != 0:
             raise ValueError("a one-dimensional module forces level 0")
@@ -263,10 +262,6 @@ class CharacterModule(InducingModule):
     def describe(self) -> str:
         modes = ",".join(str(m) for m in sorted(self.chi))
         return f"character(modes=[{modes}], level={self.level})"
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     def acts_by_zero(self, x: LieElement) -> bool:
         # every functional vanishes on x; center_coords reads only the
@@ -329,9 +324,11 @@ class EvaluationModule(InducingModule):
         self.rho = tuple(mats)
         self.dim = dim
         self.s = as_scalar(s)
-        _checks, failure = axiom_check(self, 0, [{v: Q(1)} for v in range(dim)])
-        if failure is not None:
-            raise ValueError("rho is not a Levi representation: " + failure)
+        # zero matrices are a representation: [rho(x), rho(y)] = 0 = rho([x, y])
+        if any(v for mat in mats for row in mat for v in row):
+            _checks, failure = axiom_check(self, 0, [{v: Q(1)} for v in range(dim)])
+            if failure is not None:
+                raise ValueError("rho is not a Levi representation: " + failure)
 
     def _column(self, x_l: LieElement, v_index: int) -> dict[int, Fraction]:
         """Column v_index of rho(x_l), as a sparse {row: entry}."""

@@ -4,8 +4,10 @@ Everything here is bit-exact: matrix entries, structure constants and form
 values are `fractions.Fraction` (or, inside the series recursion, Python
 ints); no floating point enters anywhere in the package.  The module
 provides the traceless-matrix element type, the canonical basis and roots of
-type A_n, invariant forms, parabolic decompositions with their Sigma-height
-grading, and the mode-level bracket of the centrally extended loop algebra.
+type A_n, the trace form, parabolic decompositions with their Sigma-height
+grading, and the affine bracket as the package checks it: the central
+coefficient of [a_m, b_n] and the bracket relation's residual on one vector
+of a representation.
 
 Conventions
 -----------
@@ -287,16 +289,6 @@ class SimpleAlgebra:
         self.basis: tuple[LieElement, ...] = tuple(elems)
         self.unit_index = unit_index
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def element(self, name: str) -> LieElement:
-        try:
-            return self.basis[self.names.index(name)]
-        except ValueError:
-            raise KeyError(f"unknown basis name {name!r}") from None
-
     def coords(self, a: LieElement) -> list[tuple[int, Fraction]]:
         """Nonzero coordinates of a as (basis position, coefficient) pairs in
         basis order: the Cartan part from `cartan_coords`, then each matrix
@@ -321,22 +313,6 @@ def cartan_coords(a: LieElement) -> tuple[Fraction, ...]:
     """Coordinates over H_1..H_n of the diagonal of a: diag(d_1..d_{n+1})
     with zero sum equals sum_i (d_1 + ... + d_i) H_i."""
     return tuple(accumulate(a.entry(i, i) for i in range(1, a.n + 1)))
-
-
-def coords_in_basis(a: LieElement) -> dict[str, Fraction]:
-    """Nonzero coordinates of a in the canonical basis, by basis name."""
-    alg = build_sl(a.n)
-    return {alg.names[k]: c for k, c in alg.coords(a)}
-
-
-def killing_form(a: LieElement, b: LieElement) -> Fraction:
-    """tr(ad(a) ad(b)) computed over the canonical basis of sl(n+1)."""
-    a._check_rank(b)
-    alg = build_sl(a.n)
-    total = Fraction(0)
-    for k, x in enumerate(alg.basis):
-        total += dict(alg.coords(bracket(a, bracket(b, x)))).get(k, 0)
-    return total
 
 
 def levi_blocks(pd: ParabolicData) -> list[list[int]]:
@@ -527,82 +503,11 @@ def parabolic_decompose(n: int, sigma: Iterable[int] = ()) -> ParabolicData:
     return ParabolicData(n, sigma)
 
 
-class LoopElement:
-    """Finite sum of a_m = a (x) t^m plus a central coefficient."""
-
-    __slots__ = ("n", "terms", "central")
-
-    def __init__(self, n: int, terms: Mapping[int, LieElement] | None = None,
-                 central: Fraction = Fraction(0)):
-        self.n = n
-        self.terms: dict[int, LieElement] = {}
-        for m, el in (terms or {}).items():
-            if el.n != n:
-                raise ValueError("rank mismatch inside loop element")
-            if not el.is_zero():
-                self.terms[m] = el
-        self.central = as_scalar(central)
-
-    def __eq__(self, other):
-        return (isinstance(other, LoopElement) and self.n == other.n
-                and self.terms == other.terms and self.central == other.central)
-
-    def __repr__(self):
-        body = " + ".join(f"({el!r})_{m}" for m, el in sorted(self.terms.items()))
-        if self.central:
-            body = f"{body} + {self.central}*c" if body else f"{self.central}*c"
-        return f"LoopElement({body or '0'})"
-
-    def __add__(self, other: "LoopElement") -> "LoopElement":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        terms = dict(self.terms)
-        for m, el in other.terms.items():
-            terms[m] = terms[m] + el if m in terms else el
-        return LoopElement(self.n, terms, self.central + other.central)
-
-    def __neg__(self):
-        return LoopElement(self.n, {m: -el for m, el in self.terms.items()}, -self.central)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "LoopElement":
-        c = as_scalar(c)
-        return LoopElement(self.n, {m: el.scale(c) for m, el in self.terms.items()},
-                           c * self.central)
-
-    def is_zero(self) -> bool:
-        return not self.terms and self.central == 0
-
-
-def loop(a: LieElement, m: int) -> LoopElement:
-    return LoopElement(a.n, {m: a})
-
-
-def loop_central(n: int, kappa) -> LoopElement:
-    return LoopElement(n, {}, as_scalar(kappa))
-
-
 def central_coeff(a: LieElement, b: LieElement, m: int, n: int) -> Fraction:
     """The central coefficient m (a,b) delta_{m,-n} of [a_m, b_n]."""
     if m != -n or m == 0:
         return Fraction(0)
     return Fraction(m) * form(a, b)
-
-
-def loop_bracket(x: LoopElement, y: LoopElement) -> LoopElement:
-    """[a_m, b_n] = [a,b]_{m+n} + m (a,b) delta_{m,-n} c, extended bilinearly."""
-    if x.n != y.n:
-        raise ValueError("rank mismatch")
-    out = LoopElement(x.n)
-    for m, a in x.terms.items():
-        for n_, b in y.terms.items():
-            out = out + loop(bracket(a, b), m + n_)
-            central = central_coeff(a, b, m, n_)
-            if central:
-                out = out + loop_central(x.n, central)
-    return out
 
 
 def bracket_residual(act, a: LieElement, m: int, b: LieElement, n: int,

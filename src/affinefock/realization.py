@@ -56,18 +56,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
 from math import comb, factorial, gcd, lcm
 
-from .fock import FockState, degree_component, mono_mul_var
-from .formal_dist import LaurentPoly
+from .fock import FockState
 from .lie import (
     LieElement,
     ParabolicData,
     _raw,
     add_to,
     bracket,
-    bracket_residual,
     central_coeff,
     diag_element,
     form,
@@ -573,36 +570,6 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
     return denom * scale * lcm_m, out.items()
 
 
-def instantiate_operator(op: NormalOrderedOperator, window: int,
-                         ) -> dict[tuple, Fraction]:
-    """Expand symbolic terms over a concrete mode window, as a coefficient map.
-
-    Keys are (sorted (alpha, mode) annihilator multiset, head descriptor);
-    equal maps mean the operators agree on every state supported in the
-    window.  Used for structural comparisons.
-    """
-    out: dict[tuple, Fraction] = {}
-    for term in op.terms:
-        r = len(term.annihilators)
-        for modes in product(range(-window, window + 1), repeat=r):
-            if term.head_kind == "central" and sum(modes) != -op.mode:
-                continue
-            coeff = term.coeff
-            if term.mode_factor is not None:
-                coeff *= modes[term.mode_factor]
-            if coeff == 0:
-                continue
-            annih = tuple(sorted(zip(term.annihilators, modes)))
-            if term.head_kind == "create":
-                head = ("create", term.head_alpha, op.mode + sum(modes))
-            elif term.head_kind == "levi":
-                head = ("levi", term.head_elem.key(), op.mode + sum(modes))
-            else:
-                head = ("central",)
-            add_to(out, (annih, head), coeff)
-    return out
-
-
 # --- the realization ----------------------------------------------------------------
 
 class Realization:
@@ -657,47 +624,6 @@ class Realization:
         if a.is_zero():
             return FockState.zero()
         return apply_operator(self.operator(a, m), state, self.module)
-
-    def act_laurent(self, a, g: LaurentPoly, state: FockState) -> FockState:
-        """pi(a (x) g(t)) state for a Laurent polynomial g."""
-        out = FockState.zero()
-        for mode, c in g.coeffs.items():
-            out = out + self.act(a, mode, state).scale(c)
-        return out
-
-    def check_bracket(self, a, b, m: int, n: int, state: FockState,
-                      ) -> tuple[bool, FockState]:
-        """Residual of the bracket relation on a state; (passed, witness)."""
-        if a is CENTRAL or b is CENTRAL:
-            residual = (self.act(a, m, self.act(b, n, state))
-                        - self.act(b, n, self.act(a, m, state)))
-        else:
-            residual = FockState.of(bracket_residual(
-                lambda x, k, terms: self.act(x, k, FockState.of(terms)).terms,
-                a, m, b, n, state.terms, self.module.level))
-        return residual.is_zero(), residual
-
-    def vacuum_expected(self, a: LieElement, m: int, v_index: int = 0) -> FockState:
-        """1 (x) sigma(a_m) v, the required value of pi(a_m) on the vacuum."""
-        return FockState({((), w): c
-                          for w, c in self.module.act(a, m, v_index).items()})
-
-    def pbw_leading_check(self, seq) -> bool:
-        """Apply pi(f^{g_1}) ... pi(f^{g_r}) to the vacuum and compare the top
-        filtration layer with (-1)^r times the plain product of the matching
-        creation polynomials."""
-        seq = list(seq)
-        state = FockState.vacuum(0)
-        for alpha, g in reversed(seq):
-            state = self.act_laurent(self.pd.f_basis[alpha], g, state)
-        expected: dict = {((), 0): Q((-1) ** len(seq))}
-        for alpha, g in seq:
-            nxt: dict = {}
-            for (mono, v), c in expected.items():
-                for mode, gc in g.coeffs.items():
-                    add_to(nxt, (mono_mul_var(mono, alpha, mode), v), c * gc)
-            expected = nxt
-        return degree_component(state, len(seq)) == FockState(expected)
 
 
 def slot_reach(states) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fock import FockState, mono_from_pairs
-from .lie import add_to
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
@@ -72,19 +71,6 @@ class Sampler:
         if state.is_zero():
             return FockState.vacuum(module.sample_v(self))
         return state
-
-    def v_states(self, module, count: int) -> list[dict[int, Fraction]]:
-        """Random V-vectors (dicts index -> coefficient) for axiom checks."""
-        out = []
-        for _ in range(count):
-            vec: dict[int, Fraction] = {}
-            for _ in range(2):
-                v = module.sample_v(self)  # drawn before the coefficient
-                add_to(vec, v, self.rational())
-            if not vec:
-                vec = {module.sample_v(self): Fraction(1)}
-            out.append(vec)
-        return out
 
     def fock_states(self, module, count: int, max_degree: int, max_mode: int,
                     ) -> list[FockState]:

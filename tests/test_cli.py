@@ -107,6 +107,35 @@ def test_act_e_on_vacuum_is_zero(tmp_path):
     assert json.loads(out.read_text())["terms"] == []
 
 
+SL4_W1 = {
+    "algebra": {"n": 3, "sigma": [2]},
+    "module": {"kind": "character", "level": "0",
+               "assignments": [{"element": "w1", "mode": 0, "value": "2"}]},
+    "engine": "general",
+    "window": {"max_mode": 0, "max_degree": 1, "samples": 3},
+    "seed": 5,
+    "output": "text",
+}
+
+
+def test_center_direction_left_unassigned_acts_by_zero(tmp_path, capsys):
+    # the character is 0 on w3, which no assignment names, and the census
+    # reads that 0 through the w3 coordinates of H1 and H3
+    cfg = write_config(tmp_path, SL4_W1)
+    assert main(["act", "--config", cfg, "--generator", "w3", "--mode", "0",
+                 "--state", "vacuum"]) == 0
+    assert capsys.readouterr().out == '{"terms":[]}\n'
+    assert main(["weights", "--config", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "degree=0 mode=0 weight=(3,0,-1) count=1",
+        "degree=1 mode=0 weight=(1,1,-1) count=1",
+        "degree=1 mode=0 weight=(2,-1,0) count=1",
+        "degree=1 mode=0 weight=(2,0,-2) count=1",
+        "degree=1 mode=0 weight=(3,1,-3) count=1",
+        "degree=1 mode=0 weight=(4,-1,-2) count=1",
+    ]
+
+
 def test_act_round_trip(tmp_path):
     cfg = write_config(tmp_path, SL2_HEIS)
     first = tmp_path / "a.json"
@@ -921,14 +950,19 @@ def test_empty_evaluation_module_is_semantic_error(tmp_path, capsys, command, di
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("dim, rc", [(MAX_EVALUATION_DIM, 0), (MAX_EVALUATION_DIM + 1, 3),
-                                     (30_000, 3)])
-def test_large_evaluation_module_is_refused_before_it_is_built(tmp_path, capsys, dim, rc):
-    # a trivial rep of dim d allocates d**2 entries per Levi element and checks
-    # the axioms on d vectors; dim 1,000 once took 45 s and dim 30,000 ran out
-    # of memory
-    cfg = dict(SL3_EVAL, module={"kind": "evaluation", "level": "0",
-                                 "rep": "trivial", "dim": dim, "s": "1"})
+@pytest.mark.parametrize("algebra, dim, rc", [
+    (SL3_EVAL["algebra"], MAX_EVALUATION_DIM, 0),
+    (SL3_EVAL["algebra"], MAX_EVALUATION_DIM + 1, 3),
+    (SL3_EVAL["algebra"], 30_000, 3),
+    ({"n": 12, "sigma": list(range(2, 13))}, MAX_EVALUATION_DIM, 0),
+], ids=["64-0", "65-3", "30000-3", "rank12-64-0"])
+def test_large_evaluation_module_is_refused_before_it_is_built(tmp_path, capsys, algebra,
+                                                               dim, rc):
+    # a trivial rep of dim d allocates d**2 entries per Levi element; dim 1,000
+    # once took 45 s and dim 30,000 ran out of memory.  Its zero matrices skip
+    # the axiom check, which on rank 12's 144 Levi elements took 41.7 s at dim 64
+    cfg = dict(SL3_EVAL, algebra=algebra, module={"kind": "evaluation", "level": "0",
+                                                  "rep": "trivial", "dim": dim, "s": "1"})
     start = time.perf_counter()
     assert main(["dump", "--config", write_config(tmp_path, cfg),
                  "--generator", "h1"]) == rc

@@ -59,7 +59,6 @@ def test_laurent_arithmetic():
     assert (a + b).coeffs == {-1: Q(2), 0: Q(1)}
     assert (a * LaurentPoly.monomial(2)).coeffs == {5: Q(1), 1: Q(2)}
     assert a.derivative().coeffs == {2: Q(3), -2: Q(-2)}
-    assert LaurentPoly({-1: Q(5), 2: Q(1)}).residue() == 5
 
 
 # --- multiply_by_field --------------------------------------------------------

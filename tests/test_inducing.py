@@ -21,12 +21,11 @@ from affinefock.lie import (
     cartan_h,
     diag_element,
     form,
-    loop,
-    loop_bracket,
     matrix_unit,
     parabolic_decompose,
 )
 from affinefock.sampling import Sampler
+from oracles import loop, loop_bracket, v_states
 
 Q = Fraction
 
@@ -329,14 +328,14 @@ def test_axiom_check_character():
     pd = parabolic_decompose(2, {2})
     mod = character_module(pd, [(pd.center_basis[0], 0, Q(7, 5)),
                                 (pd.center_basis[0], 2, Q(-1))])
-    checks, failure = axiom_check(mod, 3, Sampler(21).v_states(mod, 20))
+    checks, failure = axiom_check(mod, 3, v_states(Sampler(21), mod, 20))
     assert failure is None, failure
     assert checks == len(pd.levi_basis) ** 2 * 7 ** 2 * 20
 
 
 def test_axiom_check_evaluation():
     pd, mod = sl3_block_module()
-    checks, failure = axiom_check(mod, 3, Sampler(22).v_states(mod, 20))
+    checks, failure = axiom_check(mod, 3, v_states(Sampler(22), mod, 20))
     assert failure is None, failure
     assert checks == len(pd.levi_basis) ** 2 * 7 ** 2 * 20
 
@@ -344,7 +343,7 @@ def test_axiom_check_evaluation():
 def test_axiom_check_heisenberg():
     pd = parabolic_decompose(1, ())
     mod = heisenberg_fock(pd, [Q(1, 2)], Q(2))
-    checks, failure = axiom_check(mod, 3, Sampler(23).v_states(mod, 20))
+    checks, failure = axiom_check(mod, 3, v_states(Sampler(23), mod, 20))
     assert failure is None, failure
     assert checks == len(pd.levi_basis) ** 2 * 7 ** 2 * 20
 
@@ -352,7 +351,7 @@ def test_axiom_check_heisenberg():
 def test_axiom_check_heisenberg_sl3():
     pd = parabolic_decompose(2, ())
     mod = heisenberg_fock(pd, [Q(1), Q(-2)], Q(-3, 2))
-    checks, failure = axiom_check(mod, 2, Sampler(24).v_states(mod, 8))
+    checks, failure = axiom_check(mod, 2, v_states(Sampler(24), mod, 8))
     assert failure is None, failure
     assert checks == len(pd.levi_basis) ** 2 * 5 ** 2 * 8
 
@@ -364,7 +363,7 @@ def test_axiom_check_catches_corrupted_rho():
     rho[2] = ((Q(0), Q(2)), (Q(0), Q(0)))
     mod.rho = tuple(rho)
     mod._acts.clear()
-    checks, failure = axiom_check(mod, 1, Sampler(25).v_states(mod, 5))
+    checks, failure = axiom_check(mod, 1, v_states(Sampler(25), mod, 5))
     assert 0 < checks <= len(pd.levi_basis) ** 2 * 3 ** 2 * 5
     assert failure.startswith("fails on basis pair (")
 

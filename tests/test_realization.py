@@ -14,13 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinefock.fock import (
-    FockState,
-    apply_annihilation,
-    apply_creation,
-    mono_from_pairs,
-    state_to_text,
-)
+from affinefock.fock import FockState, mono_from_pairs, state_to_text
 from affinefock.formal_dist import LaurentPoly
 from affinefock.inducing import (
     InducingModule,
@@ -51,10 +45,18 @@ from affinefock.realization import (
     build_operator_explicit_sl,
     build_operator_general,
     check_engine,
-    instantiate_operator,
     series_expand,
 )
 from affinefock.sampling import Sampler
+from oracles import (
+    act_laurent,
+    apply_annihilation,
+    apply_creation,
+    check_bracket,
+    instantiate_operator,
+    pbw_leading_check,
+    vacuum_expected,
+)
 from test_acceptance import sweep_configs
 
 Q = Fraction
@@ -347,6 +349,15 @@ def test_sl2_engines_match_closed_forms_structurally(name, elem, m):
     assert instantiate_operator(general, 3) == window
 
 
+@pytest.mark.parametrize("window", [1, 3])
+def test_instantiate_operator_spans_the_window_edge_to_edge(window):
+    # the structural comparisons above rest on this oracle: every slot mode
+    # lies in [-window, window], and both ends occur
+    op = build_operator_general(PD_SL2, E_SL2, 0)
+    modes = {n for annih, _head in instantiate_operator(op, window) for _alpha, n in annih}
+    assert modes == set(range(-window, window + 1))
+
+
 def test_explicit_f_single_creator():
     op = build_operator_explicit_sl(PD_SL3_MAX, PD_SL3_MAX.f_basis[1], 4)
     assert len(op.terms) == 1
@@ -434,7 +445,7 @@ def test_apply_e_on_single_variable_heisenberg():
     for n_mode in (-1, 1, 2):
         j = -n_mode
         got = real.act(E_SL2, n_mode, mono_state([(0, j, 1)]))
-        sigma_h = real.vacuum_expected(H1, j + n_mode).scale(-1)
+        sigma_h = vacuum_expected(real, H1, j + n_mode).scale(-1)
         expected = sigma_h - FockState.vacuum(0).scale(Q(n_mode) * kappa)
         assert got == expected, (n_mode, j)
 
@@ -708,7 +719,7 @@ def test_vacuum_property_all_kinds():
         vac = FockState.vacuum(0)
         for k, elem in zip(pd.levi_positions, pd.levi_basis):
             for m in range(-3, 4):
-                assert real.act(elem, m, vac) == real.vacuum_expected(elem, m), \
+                assert real.act(elem, m, vac) == vacuum_expected(real, elem, m), \
                     (mod.kind, pd.algebra.names[k], m)
         for elem in pd.e_basis:
             for m in range(-3, 4):
@@ -720,14 +731,14 @@ def test_vacuum_property_all_kinds():
 def test_check_bracket_e_f_heisenberg():
     real = Realization(PD_SL2, sl2_heis(Q(1), Q(1)))
     for m in (-2, 1, 3):
-        ok, residual = real.check_bracket(E_SL2, F_SL2, m, -m, FockState.vacuum(0))
+        ok, residual = check_bracket(real, E_SL2, F_SL2, m, -m, FockState.vacuum(0))
         assert ok, residual
 
 
 def test_check_bracket_h_h_detects_level():
     real = Realization(PD_SL2, sl2_heis(Q(0), Q(5, 3)))
     state = mono_state([(0, 1, 1)])
-    ok, residual = real.check_bracket(H1, H1, 2, -2, state)
+    ok, residual = check_bracket(real, H1, H1, 2, -2, state)
     assert ok, residual
     # the relation really carries the central term: breaking kappa breaks it
     lhs = real.act(H1, 2, real.act(H1, -2, state)) - real.act(H1, -2, real.act(H1, 2, state))
@@ -738,13 +749,13 @@ def test_check_bracket_f_f_trivial():
     real = Realization(PD_SL2, sl2_char(Q(1)))
     s = mono_state([(0, 2, 1), (0, -1, 1)])
     for m, n in [(0, 0), (1, -1), (2, 3)]:
-        ok, _ = real.check_bracket(F_SL2, F_SL2, m, n, s)
+        ok, _ = check_bracket(real, F_SL2, F_SL2, m, n, s)
         assert ok
 
 
 def test_check_bracket_with_central_argument():
     real = Realization(PD_SL2, sl2_heis(Q(1), Q(2)))
-    ok, _ = real.check_bracket(CENTRAL, E_SL2, 0, 1, mono_state([(0, 1, 1)]))
+    ok, _ = check_bracket(real, CENTRAL, E_SL2, 0, 1, mono_state([(0, 1, 1)]))
     assert ok
 
 
@@ -770,7 +781,7 @@ def test_flipped_term_breaks_bracket():
         for s in states:
             for n in (-2, -1, 0, 1):
                 for b in (E_SL2, F_SL2, H1):
-                    ok, _ = real.check_bracket(E_SL2, b, 1, n, s)
+                    ok, _ = check_bracket(real, E_SL2, b, 1, n, s)
                     if not ok:
                         failed = True
         assert failed, f"flipping term {idx} went unnoticed"
@@ -789,7 +800,7 @@ def test_bracket_sweep_smoke_sl3_maximal():
         for b in basis[-4:]:
             for m, n in [(0, 1), (-1, 1), (2, -2)]:
                 for s in states:
-                    ok, res = real.check_bracket(a, b, m, n, s)
+                    ok, res = check_bracket(real, a, b, m, n, s)
                     assert ok, (a, b, m, n, res)
 
 
@@ -804,7 +815,7 @@ def test_bracket_sweep_smoke_sl3_borel_character():
     for a, b in pairs:
         for m, n in [(1, -1), (0, 2)]:
             for s in states:
-                ok, res = real.check_bracket(a, b, m, n, s)
+                ok, res = check_bracket(real, a, b, m, n, s)
                 assert ok, (a, b, m, n, res)
 
 
@@ -842,24 +853,24 @@ def test_explicit_engine_rejected_off_parabolic():
 
 def test_pbw_length_one():
     real = Realization(PD_SL2, sl2_char(Q(1)))
-    assert real.pbw_leading_check([(0, LaurentPoly.monomial(0))])
-    assert real.pbw_leading_check([(0, LaurentPoly({2: Q(1), -1: Q(3)}))])
+    assert pbw_leading_check(real, [(0, LaurentPoly.monomial(0))])
+    assert pbw_leading_check(real, [(0, LaurentPoly({2: Q(1), -1: Q(3)}))])
 
 
 def test_pbw_length_zero():
     real = Realization(PD_SL2, sl2_char(Q(1)))
-    assert real.pbw_leading_check([])
+    assert pbw_leading_check(real, [])
 
 
 def test_pbw_length_two_with_bernoulli_correction():
     mod = character_module(PD_SL3_BOREL)
     real = Realization(PD_SL3_BOREL, mod)
     seq = [(0, LaurentPoly.monomial(1)), (1, LaurentPoly.monomial(-2))]
-    assert real.pbw_leading_check(seq)
+    assert pbw_leading_check(real, seq)
     # the lower-degree correction is really present
     state = FockState.vacuum(0)
     for alpha, g in reversed(seq):
-        state = real.act_laurent(PD_SL3_BOREL.f_basis[alpha], g, state)
+        state = act_laurent(real, PD_SL3_BOREL.f_basis[alpha], g, state)
     assert state != FockState({(mono_from_pairs([(0, 1, 1), (1, -2, 1)]), 0): Q(1)})
 
 
@@ -868,13 +879,13 @@ def test_pbw_length_three_sl3():
     real = Realization(PD_SL3_BOREL, mod)
     seq = [(2, LaurentPoly.monomial(0)), (0, LaurentPoly.monomial(1)),
            (1, LaurentPoly.monomial(-1))]
-    assert real.pbw_leading_check(seq)
+    assert pbw_leading_check(real, seq)
 
 
 # --- grading ---------------------------------------------------------------------------
 
 def test_act_shifts_mode_and_weight():
-    from affinefock.fock import h_weight, total_mode
+    from oracles import h_weight, total_mode
     mod = sl2_heis(Q(2), Q(1))
     real = Realization(PD_SL2, mod)
     s = mono_state([(0, 2, 1)])
@@ -998,7 +1009,7 @@ def test_bracket_sweep_witness_matches_check_bracket_residual():
     assert (failure["a"], failure["b"], failure["m"], failure["n"],
             failure["state"]) == ("H1", "E2.1", -1, 1, 0)
     a = PD_SL2.homogeneous_basis[0][1]
-    ok, residual = real.check_bracket(a, f1, -1, 1, states[0])
+    ok, residual = check_bracket(real, a, f1, -1, 1, states[0])
     assert not ok
     assert residual == failure["residual"]
 
@@ -1029,9 +1040,9 @@ def test_bracket_sweep_on_fractional_evaluation_point_matches_check_bracket():
     checks, failure = bracket_sweep(real, 1, states)
     assert failure is not None and checks < 8 * 8 * 9 * 2
     elem = {name: e for name, e, _ in pd.homogeneous_basis}
-    ok, residual = real.check_bracket(elem[failure["a"]], elem[failure["b"]],
-                                      failure["m"], failure["n"],
-                                      states[failure["state"]])
+    ok, residual = check_bracket(real, elem[failure["a"]], elem[failure["b"]],
+                                 failure["m"], failure["n"],
+                                 states[failure["state"]])
     assert not ok
     assert residual == failure["residual"]
     assert any(c.denominator % 3 == 0 for c in residual.terms.values())
@@ -1361,8 +1372,8 @@ def test_bracket_sweep_witness_after_mirrored_blocks():
     assert failure["residual"] == FockState({(((0, 1, 2),), 0): Q(-8)})
     elem = {name: e for name, e, _ in PD_SL2.homogeneous_basis}
     for a, b, m, n, si, ok in seen:
-        assert real.check_bracket(elem[a], elem[b], m, n, states[si])[0] == ok
-    ok, residual = real.check_bracket(E_SL2, F_SL2, 1, 1, states[0])
+        assert check_bracket(real, elem[a], elem[b], m, n, states[si])[0] == ok
+    ok, residual = check_bracket(real, E_SL2, F_SL2, 1, 1, states[0])
     assert not ok
     assert residual == failure["residual"]
 
