@@ -57,7 +57,6 @@ from .lie import (
     bracket_residual,
     cartan_coords,
     form,
-    levi_blocks,  # noqa: F401  (public as affinefock.inducing.levi_blocks)
     scale_to_integers,
 )
 

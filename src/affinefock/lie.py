@@ -387,8 +387,10 @@ class ParabolicData:
             (name, el, self.height_of(el)) for name, el in zip(alg.names, elems))
 
         # adjoint action of the f-basis on each element reached by the series
-        # expansion, summed per letter multiset, as int-entry elements;
-        # filled lazily by the multiset recursion `realization._ad_multisets`
+        # expansion, summed per letter multiset, as int-entry elements; one
+        # entry per primitive class p (int entries, gcd 1, positive at the
+        # smallest (i, j)), since the sums are linear: those of k*p are k
+        # times those of p; filled lazily by `realization._ad_multisets`
         self.ad_multisets_cache: dict[LieElement, tuple] = {}
 
     # -- identity ----------------------------------------------------------

@@ -29,7 +29,10 @@ differentiated slot.  So each element's operator is built once and reused at
 every mode.
 
 Construction is integer arithmetic too.  Every multiset sum W(S) of the
-series is a bracket of matrix units, so `_ad_multisets` keeps int entries;
+series is a bracket of matrix units, so `_ad_multisets` keeps int entries.
+W is linear in the element it expands, so W_{k*p} = k*W_p: the recursion
+expands each primitive class p once per parabolic (int entries, gcd 1,
+positive at the smallest (i, j)) and its sums carry the scalar k;
 `series_expand` writes a = A/d with A integral, reads each series coefficient
 as an int over one LCM L (`_series_table`), and divides each word's value by
 L*d once, when it returns, giving the same exact Fraction values.
@@ -125,53 +128,69 @@ def _series_table(cap: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int
 AdLevels = tuple[tuple[tuple[tuple[int, ...], LieElement], ...], ...]
 
 
-def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0) -> AdLevels:
+def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0,
+                  ) -> tuple[int | Fraction, AdLevels]:
     """Iterated adjoint action of the f-basis on base, summed per letter multiset.
 
-    Level k maps each sorted k-multiset S of f-letters to W(S), the sum over
-    the words w with letters S of (ad f_{w_k} o ... o ad f_{w_1})(base).  Zero
-    sums are dropped, the keys come in increasing order and the last level is
-    empty.  The annihilators of one term commute, so every word with letters
-    S lands on the same canonical operator term, and W(S) is all the series
-    needs.  It is built by the first-letter recursion
-    W_x(S) = sum_{beta in S} W_{[f_beta, x]}(S - beta), memoized per element
-    in `pd.ad_multisets_cache`, so each distinct element is bracketed with
-    each f_beta only once per parabolic; this is the only place where the
-    series computes brackets.  base is reached by a word of length depth, and
-    the recursion terminates by grading nilpotency: a surviving word of
-    length 2*depth_k + 2 raises AssertionError.
+    Returns (k, levels) with base = k*p for the primitive element p below.
+    Level i of levels maps each sorted i-multiset S of f-letters to W_p(S),
+    the sum over the words w with letters S of
+    (ad f_{w_i} o ... o ad f_{w_1})(p); base's own sums are k*W_p(S).  Zero
+    sums are dropped, the keys come in increasing order and the last level
+    is empty.  The annihilators of one term commute, so every word with
+    letters S lands on the same canonical operator term, and W(S) is all the
+    series needs.  It is built by the first-letter recursion
+    W_x(S) = sum_{beta in S} W_{[f_beta, x]}(S - beta), and this is the only
+    place where the series computes brackets.  base is reached by a word of
+    length depth, and the recursion terminates by grading nilpotency: a
+    surviving word of length 2*depth_k + 2 raises AssertionError.
+
+    W is linear in x, since ad f is, so W_{k*p} = k*W_p, and the recursion
+    meets mostly small multiples of elements it has already expanded.  So it
+    is memoized per primitive class in `pd.ad_multisets_cache`: p has int
+    entries with gcd 1 and a positive entry at its smallest (i, j), every
+    nonzero element is k*p for exactly one such p, and each p is bracketed
+    with each f_beta only once per parabolic.  A sum over brackets of p
+    carries each bracket's factor k into its `add_to`.
 
     Every W(S) is a bracket of matrix units, so the recursion runs on
-    integers: it brackets the int-entry copies `pd.f_basis_int`, and a base
-    with int entries (as `series_expand` passes) gives int-entry sums, kept
-    without re-validation.  An int-entry element hashes and compares equal to
-    its Fraction twin, so the cache serves either.
+    integers: k is the gcd of base's numerators over the LCM of its
+    denominators (up to sign), so p and every level keep int entries, and
+    the recursion brackets the int-entry copies `pd.f_basis_int`.  k is an
+    int for an int-entry base (as `series_expand` and the recursion pass)
+    and may be a Fraction otherwise.  A zero base gives (1, ((),)).
     """
+    if base.is_zero():
+        return 1, ((),)
+    entries = base.entries
+    den = lcm(*[c.denominator for c in entries.values()])
+    g = gcd(*[c.numerator for c in entries.values()])
+    if entries[min(entries)] < 0:
+        g = -g
+    p = _raw(pd.n, {key: c * den // g for key, c in entries.items()})
+    k = g if den == 1 else Q(g, den)
     cap = 2 * pd.depth_k + 2
-    levels = pd.ad_multisets_cache.get(base)
+    levels = pd.ad_multisets_cache.get(p)
     if levels is None:
-        if base.is_zero():
-            levels = ((),)
-        else:
-            if depth >= cap:
-                raise AssertionError("adjoint series failed to truncate (grading bug)")
-            sums: list[dict[tuple[int, ...], dict]] = [{}]  # levels 1, 2, ...
-            for beta, f in enumerate(pd.f_basis_int):
-                sub = _ad_multisets(pd, bracket(f, base), depth + 1)
-                sums.extend({} for _ in range(len(sub) - len(sums)))
-                for level_sums, level in zip(sums, sub):
-                    for s, w in level:
-                        acc = level_sums.setdefault(tuple(sorted(s + (beta,))), {})
-                        for key, c in w.entries.items():
-                            add_to(acc, key, c)
-            root_level = (((), base),)
-            levels = (root_level,) + tuple(
-                tuple((s, _raw(pd.n, acc)) for s, acc in sorted(level.items()) if acc)
-                for level in sums)
-        pd.ad_multisets_cache[base] = levels
+        if depth >= cap:
+            raise AssertionError("adjoint series failed to truncate (grading bug)")
+        sums: list[dict[tuple[int, ...], dict]] = [{}]  # levels 1, 2, ...
+        for beta, f in enumerate(pd.f_basis_int):
+            kb, sub = _ad_multisets(pd, bracket(f, p), depth + 1)
+            sums.extend({} for _ in range(len(sub) - len(sums)))
+            for level_sums, level in zip(sums, sub):
+                for s, w in level:
+                    acc = level_sums.setdefault(tuple(sorted(s + (beta,))), {})
+                    for key, c in w.entries.items():
+                        add_to(acc, key, kb * c)
+        root_level = (((), p),)
+        levels = (root_level,) + tuple(
+            tuple((s, _raw(pd.n, acc)) for s, acc in sorted(level.items()) if acc)
+            for level in sums)
+        pd.ad_multisets_cache[p] = levels
     if depth + len(levels) - 2 >= cap:
         raise AssertionError("adjoint series failed to truncate (grading bug)")
-    return levels
+    return k, levels
 
 
 def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
@@ -189,9 +208,10 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
     only on word length, so D and A words are sorted multisets and C words
     are the differentiated letter followed by a sorted multiset.  The D part
     is linear in (exp(-ad u) a)_ubar: for each multiset S1 of a, the element
-    y = (W_a(S1))_ubar contributes W_y(S2) at the multiset S1 + S2, from y's
-    own memoized multiset levels.  Every contribution to a word is summed
-    into that word's value with `add_to`.
+    y = (W_a(S1))_ubar contributes W_y(S2) at the multiset S1 + S2, from the
+    memoized levels of y's primitive class, times the factors k that
+    `_ad_multisets` returns for a and y.  Every contribution to a word is
+    summed into that word's value with `add_to`.
 
     The sums run on integers and divide once per word: a is written A/d with
     A integral (`scale_to_integers`), the series expands A, each coefficient
@@ -214,21 +234,25 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
             add_to(entries, key, c * v)
 
     if kind == "D":
-        for i, level in enumerate(_ad_multisets(pd, a_int)):
+        ka, levels = _ad_multisets(pd, a_int)
+        for i, level in enumerate(levels):
             row = exp_flow[i]
             for s1, x in level:
                 y = pd.project(x, "ubar")
                 if y.is_zero():
                     continue
-                for j, level2 in enumerate(_ad_multisets(pd, y)):
-                    c = row[j]
+                ky, levels2 = _ad_multisets(pd, y)
+                k = ka * ky
+                for j, level2 in enumerate(levels2):
+                    c = row[j] * k
                     if c == 0:
                         continue
                     for s2, w in level2:
                         add(tuple(sorted(s1 + s2)), w, c)
     elif kind == "A":
-        for i, level in enumerate(_ad_multisets(pd, a_int)):
-            c = exp_flow[i][0]
+        ka, levels = _ad_multisets(pd, a_int)
+        for i, level in enumerate(levels):
+            c = exp_flow[i][0] * ka
             for s, w in level:
                 add(s, pd.project(w, "p"), c)
     elif kind == "C":
@@ -240,8 +264,9 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
         # the form pairs only opposite heights, so other words pair to zero.
         hts = [pd.height(root) for root in pd.delta_u]
         for beta0, f in enumerate(pd.f_basis_int):
-            for j, level in enumerate(_ad_multisets(pd, f)):
-                c = g[j]
+            kf, levels = _ad_multisets(pd, f)
+            for j, level in enumerate(levels):
+                c = g[j] * kf
                 for s, w in level:
                     if hts[beta0] + sum(hts[beta] for beta in s) != height:
                         continue

@@ -12,7 +12,6 @@ from affinefock.inducing import (
     character_module,
     evaluation_module,
     heisenberg_fock,
-    levi_blocks,
     levi_coords,
     natural_block_rep,
 )
@@ -21,6 +20,7 @@ from affinefock.lie import (
     cartan_h,
     diag_element,
     form,
+    levi_blocks,
     matrix_unit,
     parabolic_decompose,
 )

@@ -7,7 +7,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -255,11 +255,32 @@ def test_ad_multisets_match_breadth_first_reference(n, sigma):
     top = matrix_unit(n, 1, n + 1)
     bases += [y for level in summed_per_multiset(breadth_first_ad_levels(pd, top))
               for _, x in level if not (y := pd.project(x, "ubar")).is_zero()]
+    # scalar multiples share their primitive class's levels and scale them by k
+    bases += [top.scale(-2), bases[-1].scale(3), top.scale(Fraction(-2, 3))]
     for _ in range(2):  # cold misses first, then cache hits
         for base in bases:
-            levels = [list(level) for level in _ad_multisets(pd, base)]
-            assert levels == summed_per_multiset(breadth_first_ad_levels(pd, base))
-    assert _ad_multisets(pd, top) is _ad_multisets(pd, top) is pd.ad_multisets_cache[top]
+            k, levels = _ad_multisets(pd, base)
+            scaled = [[(s, w.scale(k)) for s, w in level] for level in levels]
+            assert scaled == summed_per_multiset(breadth_first_ad_levels(pd, base))
+    assert (_ad_multisets(pd, top)[1] is _ad_multisets(pd, top.scale(-2))[1]
+            is pd.ad_multisets_cache[top])
+    assert _ad_multisets(pd, top.scale(Fraction(-2, 3)))[0] == Fraction(-2, 3)
+
+
+def test_ad_multisets_cache_is_keyed_by_primitive_class():
+    # Building every sl(5) Borel operator memoizes one entry per primitive
+    # class: int entries with gcd 1, positive at the smallest (i, j).  The
+    # recursion meets 174 distinct nonzero elements; zero is never a key.
+    pd = parabolic_decompose(4, ())
+    real = Realization(pd, character_module(pd))
+    for _, elem, _ in pd.homogeneous_basis:
+        real.operator(elem, 0)
+    for p in pd.ad_multisets_cache:
+        values = list(p.entries.values())
+        assert all(type(c) is int for c in values)
+        assert gcd(*values) == 1
+        assert p.entries[min(p.entries)] > 0
+    assert len(pd.ad_multisets_cache) == 30
 
 
 @pytest.mark.parametrize("n, sigma", [(4, ()), (3, (2, 3)), (2, ())])
