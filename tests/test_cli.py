@@ -537,6 +537,27 @@ def test_dump_sl2_closed_form(tmp_path, capsys):
     assert out == "1 * H1(0)\n2 * x(0,n0) * b(0, 0 + n0)\n"
 
 
+def test_dump_is_identical_under_every_hash_seed(tmp_path):
+    # operator construction fills dicts keyed by tuples and elements; the
+    # dump must not depend on their hash order
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    cfg = write_config(tmp_path, SL4_W1)
+    outs = set()
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "affinefock.cli", "dump", "--config", cfg,
+             "--generator", "E1.4", "--mode", "1"],
+            capture_output=True, env=dict(env, PYTHONHASHSEED=seed), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    assert hashlib.sha256(outs.pop()).hexdigest() == (
+        "daa410d3a22b878d290e311432e224e6a75cdd76e6c041ca7f8376e7094bed7c")
+
+
 # --- weights -------------------------------------------------------------------------------
 
 def test_weights_sl2_window_one(tmp_path, capsys):

@@ -612,6 +612,29 @@ def test_every_small_parabolic_renders_golden_digest():
         "74dd8f8ab282b43a0e71a812b7b0a1001df12df48aa55247f28b15fb038eb93b")
 
 
+def test_every_sl5_parabolic_renders_golden_digest():
+    """Every homogeneous basis operator of each of the 16 parabolics of sl(5),
+    the first rank whose Levis mix blocks of different sizes, in the format of
+    the sl(2)..sl(4) digest: the general engine, and the closed-form engine
+    where sigma = {2..4}; built at mode 0 and rendered at mode -1."""
+    text = []
+    for k in range(5):
+        for sigma in itertools.combinations(range(1, 5), k):
+            pd = parabolic_decompose(4, sigma)
+            engines = ["general"]
+            if set(sigma) == {2, 3, 4}:
+                engines.append("explicit")
+            for engine in engines:
+                real = Realization(pd, character_module(pd), engine)
+                for name, elem, _ in pd.homogeneous_basis:
+                    real.operator(elem, 0)
+                    text.append(f"4 {sigma} {engine} {name}\n"
+                                f"{real.operator(elem, -1).render()}\n")
+    assert len(text) == 408
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == (
+        "afed394adeae7df1e18ac11c0693750cc4bd59bf25d0f86358bf494fc363b1cc")
+
+
 def test_sl6_borel_highest_root_golden_digest():
     """E1.6 on sl(6) Borel, the longest series of rank 5: 675 canonical terms
     at each mode, rendered and hashed."""
