@@ -60,12 +60,18 @@ def as_scalar(x) -> Fraction:
 
 
 def add_to(acc: dict, key, c) -> None:
-    """acc[key] += c on a sparse dict, dropping the key when the sum is zero."""
-    s = acc.get(key, 0) + c
+    """acc[key] += c on a sparse dict, dropping the key when the sum is zero.
+    An absent key stores c itself, which keeps its type, as 0 + c would."""
+    s = acc.get(key)
+    if s is None:
+        if c:
+            acc[key] = c
+        return
+    s += c
     if s:
         acc[key] = s
     else:
-        acc.pop(key, None)
+        del acc[key]
 
 
 def scale_to_integers(pairs) -> tuple[int, list]:
@@ -387,11 +393,15 @@ class ParabolicData:
             (name, el, self.height_of(el)) for name, el in zip(alg.names, elems))
 
         # adjoint action of the f-basis on each element reached by the series
-        # expansion, summed per letter multiset, as int-entry elements; one
-        # entry per primitive class p (int entries, gcd 1, positive at the
-        # smallest (i, j)), since the sums are linear: those of k*p are k
+        # expansion, summed per letter multiset, as int-entry elements: the
+        # sums that stay on p's side of ubar and the first steps into ubar;
+        # one entry per primitive class p (int entries, gcd 1, positive at
+        # the smallest (i, j)), since the sums are linear: those of k*p are k
         # times those of p; filled lazily by `realization._ad_multisets`
         self.ad_multisets_cache: dict[LieElement, tuple] = {}
+        # the central series' words of the f-basis classes by Sigma-height;
+        # built once by `realization._f_words_by_height`
+        self.f_words_by_height: dict[int, list] | None = None
 
     # -- identity ----------------------------------------------------------
 

@@ -37,6 +37,17 @@ positive at the smallest (i, j)) and its sums carry the scalar k;
 as an int over one LCM L (`_series_table`), and divides each word's value by
 L*d once, when it returns, giving the same exact Fraction values.
 
+The ubar part needs only each word's first step into ubar.  Every f letter
+has positive Sigma-height, so the prefixes ad(w_j)...ad(w_1) a of a word lose
+height at each step and, once in ubar, stay there.  The projection to ubar
+thus keeps a tail of the splits of the word between exp(-ad u) and F(ad u),
+and the word's weight is a tail sum T[k][m] of the coefficient table, m being
+the length of its first prefix in ubar.  So for an element of p the recursion
+keeps only the sums that stay in p, which is all the p part reads, and the
+heads V_a(P): the sums of the prefixes that first enter ubar at the letter
+multiset P.  D(S) = sum_P T[|S|][|P|] W_{V_a(P)}(S - P), one pass over a's
+heads against the full sums of the ubar classes they fall in.
+
 An operator is its terms, and an element's operators at every mode share one
 terms tuple.  The inducing module compiles it when an operator is first
 applied (`InducingModule.kernel`, memoized per tuple), to integer numerators
@@ -110,40 +121,86 @@ def bernoulli(k: int) -> Fraction:
 def _series_table(cap: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The series coefficients of word lengths 0..cap, as ints over one LCM.
 
-    Returns (L, E, G): E[i][j] = L (-1)^i/i! (-1)^j B_j/j!, the product of the
-    coefficients of x^i in exp(-x) and of x^j in F(x) = x e^x/(e^x - 1), and
-    G[j] = L/(j+1)!, the coefficient of x^j in G(x) = (e^x - 1)/x; L is the
-    least common denominator, so every entry is an int.  E[i][0] is the
-    exponential alone, since B_0 = 1.
+    Returns (L, T, G).  Let E[i][j] = (-1)^i/i! (-1)^j B_j/j!, the product of
+    the coefficients of x^i in exp(-x) and of x^j in F(x) = x e^x/(e^x - 1):
+    the weight of a word of length i + j whose first i letters come from
+    exp(-ad u) and whose last j come from F(ad u).  A word's prefixes enter
+    ubar at a first length m and stay there, so the projection to ubar keeps
+    exactly the splits i >= m, and the word's D weight is the tail sum
+    T[k][m] = L sum_{i=m..k} E[i][k-i], for 0 <= m <= k <= cap.  So
+    T[k][0] = L B_k/k!, the coefficient of x/(e^x - 1) = exp(-x) F(x);
+    T[k][1] = -L [k = 1], since (exp(-x) - 1) F(x) = -x; and T[k][k] =
+    L (-1)^k/k! is the exponential alone (B_0 = 1), which the p part reads.
+    G[j] = L/(j+1)!, the coefficient of x^j in G(x) = (e^x - 1)/x.  L is the
+    least common denominator, so every entry is an int.
     """
     exp_neg = [Q((-1) ** i, factorial(i)) for i in range(cap + 1)]
     flow = [(-1) ** j * bernoulli(j) / factorial(j) for j in range(cap + 1)]
-    prods = [[e * f for f in flow] for e in exp_neg]
+    tails = [[sum(exp_neg[i] * flow[k - i] for i in range(m, k + 1)) for m in range(k + 1)]
+             for k in range(cap + 1)]
     g = [Q(1, factorial(j + 1)) for j in range(cap + 1)]
-    den = lcm(*[c.denominator for row in prods + [g] for c in row])
-    return (den, tuple(tuple(int(c * den) for c in row) for row in prods),
+    den = lcm(*[c.denominator for row in tails + [g] for c in row])
+    return (den, tuple(tuple(int(c * den) for c in row) for row in tails),
             tuple(int(c * den) for c in g))
 
 
-AdLevels = tuple[tuple[tuple[tuple[int, ...], LieElement], ...], ...]
+AdSums = tuple[tuple[tuple[int, ...], LieElement], ...]
+AdLevels = tuple[AdSums, ...]
+
+
+def _in_ubar(pd: ParabolicData, x: LieElement) -> bool:
+    """True iff x is nonzero and homogeneous of negative Sigma-height; an
+    inhomogeneous x, which only a grading bug produces, counts as p."""
+    h = pd.height_of(x)
+    return h is not None and h < 0
+
+
+def _shifted_into(target: dict, sums: AdSums, beta: int, k) -> None:
+    """Add k * w at the multiset s + beta of target, for each (s, w) of sums."""
+    for s, w in sums:
+        acc = target.setdefault(tuple(sorted(s + (beta,))), {})
+        for key, c in w.entries.items():
+            add_to(acc, key, k * c)
+
+
+def _summed(n: int, target: dict) -> AdSums:
+    """target's nonzero sums as elements, in increasing multiset order."""
+    return tuple((s, _raw(n, acc)) for s, acc in sorted(target.items()) if acc)
 
 
 def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0,
-                  ) -> tuple[int | Fraction, AdLevels]:
+                  ) -> tuple[int | Fraction, AdLevels, AdSums]:
     """Iterated adjoint action of the f-basis on base, summed per letter multiset.
 
-    Returns (k, levels) with base = k*p for the primitive element p below.
-    Level i of levels maps each sorted i-multiset S of f-letters to W_p(S),
-    the sum over the words w with letters S of
-    (ad f_{w_i} o ... o ad f_{w_1})(p); base's own sums are k*W_p(S).  Zero
-    sums are dropped, the keys come in increasing order and the last level
-    is empty.  The annihilators of one term commute, so every word with
-    letters S lands on the same canonical operator term, and W(S) is all the
-    series needs.  It is built by the first-letter recursion
-    W_x(S) = sum_{beta in S} W_{[f_beta, x]}(S - beta), and this is the only
-    place where the series computes brackets.  base is reached by a word of
-    length depth, and the recursion terminates by grading nilpotency: a
-    surviving word of length 2*depth_k + 2 raises AssertionError.
+    Returns (k, levels, heads) with base = k*p for the primitive element p
+    below; base's own sums are k times p's.  For a word w, write
+    W_p(w) = (ad f_{w_i} o ... o ad f_{w_1})(p) and W_p(S) for the sum of
+    W_p(w) over the words w with letters S.  The annihilators of one term
+    commute, so every word with letters S lands on the same canonical
+    operator term, and the sums per multiset are all the series needs.
+
+    Every f letter has positive Sigma-height, so along a word the height of
+    W_p(w_1..w_j) falls at each step: the word stays in p = l + u up to some
+    length and, from the first length at which it enters ubar, stays in ubar.
+    The height of W_p(S) is fixed by S, so S decides which side W_p(S) is on.
+    * If p is in ubar, level i of levels maps each sorted i-multiset S to
+      W_p(S), and heads is ((), p): p is its own first step into ubar.
+    * Otherwise p is in p, and levels keeps only the sums that stay in p,
+      which is all the p part of the series reads.  heads maps each multiset
+      P to V_p(P), the sum of W_p(w) over the words w with letters P that
+      enter ubar exactly at their last letter; every word that reaches ubar
+      is such a head word followed by any word, which the D part expands.
+    Zero sums are dropped, keys come in increasing order and the last level
+    is empty.
+
+    Both are built by one first-letter recursion over the children
+    y = [f_beta, p]: W_p(S) = sum_{beta in S} W_y(S - beta) for the levels,
+    and the heads of a p-class merge the heads of its children, shifted by
+    beta, while a child in ubar is itself the head at (beta,) and is not
+    expanded.  This is the only place where the series computes brackets.
+    base is reached by a word of length depth, and the recursion terminates
+    by grading nilpotency: a surviving word of length 2*depth_k + 2 raises
+    AssertionError, on either side.
 
     W is linear in x, since ad f is, so W_{k*p} = k*W_p, and the recursion
     meets mostly small multiples of elements it has already expanded.  So it
@@ -155,13 +212,14 @@ def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0,
 
     Every W(S) is a bracket of matrix units, so the recursion runs on
     integers: k is the gcd of base's numerators over the LCM of its
-    denominators (up to sign), so p and every level keep int entries, and
-    the recursion brackets the int-entry copies `pd.f_basis_int`.  k is an
-    int for an int-entry base (as `series_expand` and the recursion pass)
-    and may be a Fraction otherwise.  A zero base gives (1, ((),)).
+    denominators (up to sign), so p, every level and every head keep int
+    entries, and the recursion brackets the int-entry copies
+    `pd.f_basis_int`.  k is an int for an int-entry base (as `series_expand`
+    and the recursion pass) and may be a Fraction otherwise.  A zero base
+    gives (1, ((),), ()).
     """
     if base.is_zero():
-        return 1, ((),)
+        return 1, ((),), ()
     entries = base.entries
     den = lcm(*[c.denominator for c in entries.values()])
     g = gcd(*[c.numerator for c in entries.values()])
@@ -170,27 +228,55 @@ def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0,
     p = _raw(pd.n, {key: c * den // g for key, c in entries.items()})
     k = g if den == 1 else Q(g, den)
     cap = 2 * pd.depth_k + 2
-    levels = pd.ad_multisets_cache.get(p)
-    if levels is None:
+    memo = pd.ad_multisets_cache.get(p)
+    if memo is None:
         if depth >= cap:
             raise AssertionError("adjoint series failed to truncate (grading bug)")
-        sums: list[dict[tuple[int, ...], dict]] = [{}]  # levels 1, 2, ...
+        ubar = _in_ubar(pd, p)
+        sums: list[dict] = [{}]  # levels 1, 2, ...
+        head_sums: dict = {}
         for beta, f in enumerate(pd.f_basis_int):
-            kb, sub = _ad_multisets(pd, bracket(f, p), depth + 1)
+            y = bracket(f, p)
+            if y.is_zero():
+                continue
+            if ubar or not _in_ubar(pd, y):
+                kb, sub, sub_heads = _ad_multisets(pd, y, depth + 1)
+            else:  # these words enter ubar at y
+                kb, sub, sub_heads = 1, (), (((), y),)
             sums.extend({} for _ in range(len(sub) - len(sums)))
             for level_sums, level in zip(sums, sub):
-                for s, w in level:
-                    acc = level_sums.setdefault(tuple(sorted(s + (beta,))), {})
-                    for key, c in w.entries.items():
-                        add_to(acc, key, kb * c)
-        root_level = (((), p),)
-        levels = (root_level,) + tuple(
-            tuple((s, _raw(pd.n, acc)) for s, acc in sorted(level.items()) if acc)
-            for level in sums)
-        pd.ad_multisets_cache[p] = levels
+                _shifted_into(level_sums, level, beta, kb)
+            if not ubar:
+                _shifted_into(head_sums, sub_heads, beta, kb)
+        levels = ((((), p),),) + tuple(_summed(pd.n, level) for level in sums)
+        heads = (((), p),) if ubar else _summed(pd.n, head_sums)
+        memo = pd.ad_multisets_cache[p] = (levels, heads)
+    levels, heads = memo
     if depth + len(levels) - 2 >= cap:
         raise AssertionError("adjoint series failed to truncate (grading bug)")
-    return k, levels
+    return k, levels, heads
+
+
+def _f_words_by_height(pd: ParabolicData) -> dict[int, list[tuple]]:
+    """The C part's words by Sigma-height, built once per parabolic.
+
+    Maps each height h to the (word, coefficient, w) triples with
+    word = (beta0,) + S, w = W_p(S) of the primitive class p of f_beta0,
+    which has Sigma-height -h, and coefficient G[|S|] * k for f_beta0 = k*p,
+    over the L of `_series_table`.  Kept in `pd.f_words_by_height`."""
+    index = pd.f_words_by_height
+    if index is None:
+        g = _series_table(2 * pd.depth_k + 2)[2]
+        hts = [pd.height(root) for root in pd.delta_u]
+        index = {}
+        for beta0, f in enumerate(pd.f_basis_int):
+            kf, levels, _ = _ad_multisets(pd, f)
+            for j, level in enumerate(levels):
+                for s, w in level:
+                    h = hts[beta0] + sum(hts[beta] for beta in s)
+                    index.setdefault(h, []).append(((beta0,) + s, g[j] * kf, w))
+        pd.f_words_by_height = index
+    return index
 
 
 def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
@@ -206,12 +292,20 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
     The series is summed per multiset of letters (`_ad_multisets`), not per
     word: the annihilators of a term commute and every coefficient depends
     only on word length, so D and A words are sorted multisets and C words
-    are the differentiated letter followed by a sorted multiset.  The D part
-    is linear in (exp(-ad u) a)_ubar: for each multiset S1 of a, the element
-    y = (W_a(S1))_ubar contributes W_y(S2) at the multiset S1 + S2, from the
-    memoized levels of y's primitive class, times the factors k that
-    `_ad_multisets` returns for a and y.  Every contribution to a word is
-    summed into that word's value with `add_to`.
+    are the differentiated letter followed by a sorted multiset.
+
+    D reads a's heads.  A word reaches ubar after a first m letters and
+    stays there, so its weight is the tail sum T[k][m] of `_series_table`,
+    and D(S) = sum_P T[|S|][|P|] W_{V_a(P)}(S - P) over a's heads P: one pass
+    over each head's class levels, times the factors k that `_ad_multisets`
+    returns for a and the head.  For a in ubar the one head is a itself and
+    T[k][0] = L B_k/k!; for a Levi element every head has one letter and
+    T[k][1] = -L [k = 1], so D = -[u, a].  A reads a's levels that stay in
+    p, weighted by T[k][k], the exponential alone; a in ubar has no A part.
+    C reads the words of the f-basis classes at a's height, indexed once per
+    parabolic (`_f_words_by_height`), since the form pairs only opposite
+    heights.  Every contribution to a word is summed into that word's value
+    with `add_to`.
 
     The sums run on integers and divide once per word: a is written A/d with
     A integral (`scale_to_integers`), the series expands A, each coefficient
@@ -225,7 +319,7 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
         raise ValueError("series expansion needs a Sigma-homogeneous element")
     d, nums = scale_to_integers(a.entries.items())
     a_int = _raw(pd.n, dict(nums))
-    den, exp_flow, g = _series_table(2 * pd.depth_k + 2)
+    den, tails, _ = _series_table(2 * pd.depth_k + 2)
     acc: dict = {}
 
     def add(word, x, c):
@@ -234,45 +328,33 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
             add_to(entries, key, c * v)
 
     if kind == "D":
-        ka, levels = _ad_multisets(pd, a_int)
-        for i, level in enumerate(levels):
-            row = exp_flow[i]
-            for s1, x in level:
-                y = pd.project(x, "ubar")
-                if y.is_zero():
+        ka, _, heads = _ad_multisets(pd, a_int)
+        for s1, v in heads:
+            m = len(s1)
+            kv, levels, _ = _ad_multisets(pd, v, m)
+            k = ka * kv
+            for j, level in enumerate(levels):
+                c = tails[m + j][m] * k
+                if c == 0:
                     continue
-                ky, levels2 = _ad_multisets(pd, y)
-                k = ka * ky
-                for j, level2 in enumerate(levels2):
-                    c = row[j] * k
-                    if c == 0:
-                        continue
-                    for s2, w in level2:
-                        add(tuple(sorted(s1 + s2)), w, c)
+                for s2, w in level:
+                    add(tuple(sorted(s1 + s2)), w, c)
     elif kind == "A":
-        ka, levels = _ad_multisets(pd, a_int)
-        for i, level in enumerate(levels):
-            c = exp_flow[i][0] * ka
-            for s, w in level:
-                add(s, pd.project(w, "p"), c)
+        if height >= 0:
+            ka, levels, _ = _ad_multisets(pd, a_int)
+            for i, level in enumerate(levels):
+                c = tails[i][i] * ka
+                for s, w in level:
+                    add(s, w, c)
     elif kind == "C":
         # The scalar correction picked up when conjugating a mode series by
         # exp(ad u) is exactly this G-weighted pairing against d_z u; it is
         # assembled as the operator's central summand, never as a separate
         # operation.  The slot written first is the differentiated one.
-        # W(S) of f_beta0 has Sigma-height -(h(beta0) + sum of h over S), and
-        # the form pairs only opposite heights, so other words pair to zero.
-        hts = [pd.height(root) for root in pd.delta_u]
-        for beta0, f in enumerate(pd.f_basis_int):
-            kf, levels = _ad_multisets(pd, f)
-            for j, level in enumerate(levels):
-                c = g[j] * kf
-                for s, w in level:
-                    if hts[beta0] + sum(hts[beta] for beta in s) != height:
-                        continue
-                    pairing = form(w, a_int)
-                    if pairing:
-                        add_to(acc, (beta0,) + s, c * pairing)
+        for word, c, w in _f_words_by_height(pd).get(height, ()):
+            pairing = form(w, a_int)
+            if pairing:
+                add_to(acc, word, c * pairing)
     else:
         raise ValueError(f"unknown series kind {kind!r}")
     den *= d  # every sum is over L * d

@@ -10,6 +10,8 @@ way; the rest are helpers that only tests need:
   degree and its components, and the common total mode and h-weight of a
   state.
 * Sampling: random V-vectors for inducing-module axiom checks.
+* The adjoint series: word-level sums of the iterated adjoint action and
+  the D, A and C series of one element by the direct formula, with no memo.
 * The realization: an operator's terms expanded over a concrete mode window,
   pi on a Laurent polynomial, the bracket residual on one state, the vacuum
   property and the PBW leading term.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import factorial
 from typing import Mapping
 
 from affinefock.fock import (
@@ -40,8 +43,9 @@ from affinefock.lie import (
     bracket_residual,
     build_sl,
     central_coeff,
+    form,
 )
-from affinefock.realization import CENTRAL, NormalOrderedOperator, Realization
+from affinefock.realization import CENTRAL, NormalOrderedOperator, Realization, bernoulli
 
 Q = Fraction
 
@@ -224,6 +228,73 @@ def v_states(sampler, module, count: int) -> list[dict[int, Fraction]]:
             vec = {module.sample_v(sampler): Fraction(1)}
         out.append(vec)
     return out
+
+
+# --- the adjoint series ---------------------------------------------------------
+
+def breadth_first_ad_levels(pd: ParabolicData, base: LieElement) -> list[list[tuple]]:
+    """Reference word levels: extend every surviving word by every f-basis
+    letter, one word length at a time."""
+    levels = [[((), base)] if not base.is_zero() else []]
+    while levels[-1]:
+        levels.append([(word + (beta,), y)
+                       for word, x in levels[-1]
+                       for beta, f in enumerate(pd.f_basis)
+                       if not (y := bracket(f, x)).is_zero()])
+    return levels
+
+
+def summed_per_multiset(levels: list[list[tuple]]) -> list[list[tuple]]:
+    """Reference multiset levels: each level's word elements summed per sorted
+    letter tuple, zero sums dropped, keys in increasing order."""
+    out = []
+    for level in levels:
+        sums = {}
+        for word, x in level:
+            key = tuple(sorted(word))
+            sums[key] = sums[key] + x if key in sums else x
+        out.append([(key, w) for key, w in sorted(sums.items()) if not w.is_zero()])
+    return out
+
+
+def series_reference(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
+    """`series_expand` by the direct formula, on Fraction coefficients and
+    word-level sums W_x(S) (`breadth_first_ad_levels`, `summed_per_multiset`).
+
+    D: for every multiset S1 of a, the projection y = (W_a(S1))_ubar
+    contributes e_i f_j W_y(S2) at S1 + S2, with i = |S1|, j = |S2|,
+    e_i = (-1)^i/i! and f_j = (-1)^j B_j/j!.  A: e_i (W_a(S))_p at S.
+    C: (W_{f_beta0}(S), a)/(|S| + 1)! at (beta0,) + S.  Same output shape as
+    `series_expand`: nonzero values, words in (length, word) order."""
+    def levels_of(x):
+        return summed_per_multiset(breadth_first_ad_levels(pd, x))
+
+    acc: dict = {}
+
+    def add(word, x):
+        acc[word] = acc[word] + x if word in acc else x
+
+    if kind == "D":
+        for i, level in enumerate(levels_of(a)):
+            for s1, x in level:
+                for j, level2 in enumerate(levels_of(pd.project(x, "ubar"))):
+                    c = Q((-1) ** (i + j), factorial(i) * factorial(j)) * bernoulli(j)
+                    for s2, w in level2:
+                        add(tuple(sorted(s1 + s2)), w.scale(c))
+    elif kind == "A":
+        for i, level in enumerate(levels_of(a)):
+            for s, x in level:
+                add(s, pd.project(x, "p").scale(Q((-1) ** i, factorial(i))))
+    elif kind == "C":
+        for beta0, f in enumerate(pd.f_basis):
+            for j, level in enumerate(levels_of(f)):
+                for s, w in level:
+                    add((beta0,) + s, form(w, a) / factorial(j + 1))
+    else:
+        raise ValueError(f"unknown series kind {kind!r}")
+    out = [(word, v) for word, v in acc.items()
+           if (v != 0 if kind == "C" else not v.is_zero())]
+    return sorted(out, key=lambda pair: (len(pair[0]), pair[0]))
 
 
 # --- the realization ------------------------------------------------------------

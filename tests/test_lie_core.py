@@ -4,11 +4,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from affinefock.lie import (
     LieElement,
     ParabolicData,
     Root,
+    add_to,
     as_scalar,
     bracket,
     build_sl,
@@ -24,6 +27,29 @@ from affinefock.sampling import Sampler
 from oracles import element, killing_form, loop, loop_bracket, loop_central
 
 Q = Fraction
+
+
+# --- sparse accumulation -----------------------------------------------------
+
+SCALARS = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), SCALARS), max_size=30))
+def test_add_to_matches_plain_dict_accumulation(steps):
+    # keys, key order, values and value types are those of acc[key] = 0 + c
+    # on a new key, and no zero is ever stored
+    acc, ref = {}, {}
+    for key, c in steps:
+        add_to(acc, key, c)
+        s = ref.get(key, 0) + c
+        if s:
+            ref[key] = s
+        else:
+            ref.pop(key, None)
+        assert list(acc.items()) == list(ref.items())
+        assert [type(v) for v in acc.values()] == [type(v) for v in ref.values()]
+        assert all(acc.values())
 
 
 # --- independent oracles ---------------------------------------------------

@@ -24,6 +24,8 @@ from affinefock.inducing import (
     natural_block_rep,
 )
 from affinefock.lie import (
+    MAX_RANK,
+    LieElement,
     bracket,
     cartan_h,
     form,
@@ -52,9 +54,12 @@ from oracles import (
     act_laurent,
     apply_annihilation,
     apply_creation,
+    breadth_first_ad_levels,
     check_bracket,
     instantiate_operator,
     pbw_leading_check,
+    series_reference,
+    summed_per_multiset,
     vacuum_expected,
 )
 from test_acceptance import sweep_configs
@@ -166,10 +171,18 @@ def test_series_rejects_inhomogeneous():
 
 
 def test_series_truncation_guard_on_non_nilpotent_f_basis():
-    pd = parabolic_decompose(2, ())
-    pd.f_basis = (matrix_unit(2, 1, 2) + matrix_unit(2, 2, 1),)
-    with pytest.raises(AssertionError, match="failed to truncate"):
-        series_expand(pd, cartan_h(2, 1), "D")
+    # E12 + E21 brackets a Levi or u base into inhomogeneous elements that
+    # never reach ubar, so the p side of the recursion must stop it; the C
+    # part expands the f-basis classes themselves, which a second letter E21
+    # keeps from terminating
+    e12, e21 = matrix_unit(2, 1, 2), matrix_unit(2, 2, 1)
+    for f_basis, kinds in (((e12 + e21,), ("D", "A")), ((e12 + e21, e21), ("C",))):
+        for base in (cartan_h(2, 1), e12):
+            for kind in kinds:
+                pd = parabolic_decompose(2, ())
+                pd.f_basis = f_basis
+                with pytest.raises(AssertionError, match="failed to truncate"):
+                    series_expand(pd, base, kind)
 
 
 def test_series_refuses_non_integral_f_basis():
@@ -209,47 +222,42 @@ def test_series_expand_is_linear_in_the_element(data):
 
 
 def test_ad_multisets_cache_holds_int_entries_after_building():
-    # The series recursion is integer-only: every element it memoizes, keys
-    # and levels alike, must keep Python int entries, not Fractions.
+    # The series recursion is integer-only: every element it memoizes, keys,
+    # levels and heads alike, must keep Python int entries, not Fractions.
     pd = parabolic_decompose(3, ())
     real = Realization(pd, character_module(pd))
     for _, elem, _ in pd.homogeneous_basis:
         real.operator(elem, 0)
     assert pd.ad_multisets_cache
-    for base, levels in pd.ad_multisets_cache.items():
-        elements = [base] + [w for level in levels for _, w in level]
+    for base, (levels, heads) in pd.ad_multisets_cache.items():
+        elements = ([base] + [w for level in levels for _, w in level]
+                    + [v for _, v in heads])
         assert all(type(c) is int for w in elements for c in w.entries.values())
 
 
-def breadth_first_ad_levels(pd, base):
-    """Reference word levels: extend every surviving word by every f-basis
-    letter, one word length at a time."""
-    levels = [[((), base)] if not base.is_zero() else []]
+def in_ubar(pd, x):
+    return pd.project(x, "ubar") == x
+
+
+def breadth_first_p_side(pd, base):
+    """Reference for a base in p: (levels, heads).  Words are extended while
+    their value stays in p; the level sums keep those, and a word whose new
+    value is in ubar stops there, as a head at its letters."""
+    levels, head_words = [[((), base)]], []
     while levels[-1]:
-        levels.append([(word + (beta,), y)
-                       for word, x in levels[-1]
-                       for beta, f in enumerate(pd.f_basis)
-                       if not (y := bracket(f, x)).is_zero()])
-    return levels
-
-
-def summed_per_multiset(levels):
-    """Reference multiset levels: each level's word elements summed per sorted
-    letter tuple, zero sums dropped, keys in increasing order."""
-    out = []
-    for level in levels:
-        sums = {}
-        for word, x in level:
-            key = tuple(sorted(word))
-            sums[key] = sums[key] + x if key in sums else x
-        out.append([(key, w) for key, w in sorted(sums.items()) if not w.is_zero()])
-    return out
+        step = [(word + (beta,), y) for word, x in levels[-1]
+                for beta, f in enumerate(pd.f_basis)
+                if not (y := bracket(f, x)).is_zero()]
+        levels.append([(word, y) for word, y in step if not in_ubar(pd, y)])
+        head_words.extend((word, y) for word, y in step if in_ubar(pd, y))
+    return summed_per_multiset(levels), summed_per_multiset([head_words])[0]
 
 
 @pytest.mark.parametrize("n, sigma", [(4, ()), (3, (2, 3)), (2, (2,))])
 def test_ad_multisets_match_breadth_first_reference(n, sigma):
     pd = parabolic_decompose(n, sigma)
-    bases = [elem for _, elem, _ in pd.homogeneous_basis] + list(pd.f_basis)
+    bases = ([elem for _, elem, _ in pd.homogeneous_basis] + list(pd.f_basis)
+             + list(pd.center_basis))
     # the sum elements (W_a(S1))_ubar that the D part of the series expands,
     # for the highest-root element a
     top = matrix_unit(n, 1, n + 1)
@@ -259,11 +267,18 @@ def test_ad_multisets_match_breadth_first_reference(n, sigma):
     bases += [top.scale(-2), bases[-1].scale(3), top.scale(Fraction(-2, 3))]
     for _ in range(2):  # cold misses first, then cache hits
         for base in bases:
-            k, levels = _ad_multisets(pd, base)
+            k, levels, heads = _ad_multisets(pd, base)
             scaled = [[(s, w.scale(k)) for s, w in level] for level in levels]
-            assert scaled == summed_per_multiset(breadth_first_ad_levels(pd, base))
-    assert (_ad_multisets(pd, top)[1] is _ad_multisets(pd, top.scale(-2))[1]
-            is pd.ad_multisets_cache[top])
+            scaled_heads = [(s, v.scale(k)) for s, v in heads]
+            if in_ubar(pd, base):
+                # full levels, and the base is its own first step into ubar
+                assert scaled == summed_per_multiset(breadth_first_ad_levels(pd, base))
+                assert scaled_heads == [((), base)]
+            else:
+                assert (scaled, scaled_heads) == breadth_first_p_side(pd, base)
+    assert (_ad_multisets(pd, top)[1:] == _ad_multisets(pd, top.scale(-2))[1:]
+            == pd.ad_multisets_cache[top])
+    assert _ad_multisets(pd, top)[1] is pd.ad_multisets_cache[top][0]
     assert _ad_multisets(pd, top.scale(Fraction(-2, 3)))[0] == Fraction(-2, 3)
 
 
@@ -271,16 +286,74 @@ def test_ad_multisets_cache_is_keyed_by_primitive_class():
     # Building every sl(5) Borel operator memoizes one entry per primitive
     # class: int entries with gcd 1, positive at the smallest (i, j).  The
     # recursion meets 174 distinct nonzero elements; zero is never a key.
+    # The 10 classes in ubar are the f-basis elements, and only they keep
+    # their full levels.
     pd = parabolic_decompose(4, ())
     real = Realization(pd, character_module(pd))
     for _, elem, _ in pd.homogeneous_basis:
         real.operator(elem, 0)
-    for p in pd.ad_multisets_cache:
+    ubar = []
+    for p, (levels, heads) in pd.ad_multisets_cache.items():
         values = list(p.entries.values())
         assert all(type(c) is int for c in values)
         assert gcd(*values) == 1
         assert p.entries[min(p.entries)] > 0
+        if heads == (((), p),):
+            ubar.append(p)
+        else:
+            assert all(not in_ubar(pd, w) for level in levels for _, w in level)
     assert len(pd.ad_multisets_cache) == 30
+    assert sorted(ubar, key=LieElement.key) == sorted(pd.f_basis, key=LieElement.key)
+
+
+def test_series_table_tail_sums_close_in_bernoulli_numbers():
+    # T[k][m] sums E[i][k - i] over the splits i >= m: m = 0 sums all of
+    # exp(-x) F(x) = x/(e^x - 1), m = 1 all of (exp(-x) - 1) F(x) = -x, and
+    # m = k is the exponential alone
+    for cap in (0, 1, 2, 6, 2 * MAX_RANK + 2):
+        L, T, G = rz._series_table(cap)
+        assert [len(row) for row in T] == list(range(1, cap + 2))
+        assert all(type(c) is int for row in T for c in row + G)
+        for k in range(cap + 1):
+            assert T[k][0] == L * bernoulli(k) / factorial(k)
+            assert T[k][k] == L * Q((-1) ** k, factorial(k))
+            assert G[k] == L * Q(1, factorial(k + 1))
+            if k >= 1:
+                assert T[k][1] == -L * (k == 1)
+            for m in range(k + 1):
+                assert T[k][m] == L * sum(Q((-1) ** (k - j), factorial(k - j))
+                                          * (-1) ** j * bernoulli(j) / factorial(j)
+                                          for j in range(k - m + 1))
+
+
+SMALL_PDS = [parabolic_decompose(n, sigma)
+             for n in (1, 2, 3)
+             for k in range(n + 1)
+             for sigma in itertools.combinations(range(1, n + 1), k)]
+
+
+@pytest.mark.parametrize("pd", SMALL_PDS + [parabolic_decompose(4, ())], ids=repr)
+def test_series_expand_matches_direct_formula(pd):
+    # the first-entry D part and the p-side A part equal the double loop
+    # over (W_a(S1))_ubar and the projection of every W_a(S) to p
+    elems = [el for _, el, _ in pd.homogeneous_basis] + list(pd.center_basis)
+    for a in elems:
+        for kind in ("D", "A", "C"):
+            assert series_expand(pd, a, kind) == series_reference(pd, a, kind), (a, kind)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_series_expand_matches_direct_formula_on_combinations(data):
+    pd = data.draw(st.sampled_from(LINEARITY_PDS))
+    height = data.draw(st.sampled_from(sorted({h for *_, h in pd.homogeneous_basis})))
+    pool = [el for _, el, h in pd.homogeneous_basis if h == height]
+    if height == 0:
+        pool += list(pd.center_basis)
+    coeffs = data.draw(st.lists(RATIONALS, min_size=len(pool), max_size=len(pool)))
+    a = sum((el.scale(c) for el, c in zip(pool, coeffs)), zero_element(pd.n))
+    for kind in ("D", "A", "C"):
+        assert series_expand(pd, a, kind) == series_reference(pd, a, kind)
 
 
 @pytest.mark.parametrize("n, sigma", [(4, ()), (3, (2, 3)), (2, ())])
