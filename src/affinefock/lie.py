@@ -399,9 +399,6 @@ class ParabolicData:
         # the smallest (i, j)), since the sums are linear: those of k*p are k
         # times those of p; filled lazily by `realization._ad_multisets`
         self.ad_multisets_cache: dict[LieElement, tuple] = {}
-        # the central series' words of the f-basis classes by Sigma-height;
-        # built once by `realization._f_words_by_height`
-        self.f_words_by_height: dict[int, list] | None = None
 
     # -- identity ----------------------------------------------------------
 

@@ -257,28 +257,6 @@ def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0,
     return k, levels, heads
 
 
-def _f_words_by_height(pd: ParabolicData) -> dict[int, list[tuple]]:
-    """The C part's words by Sigma-height, built once per parabolic.
-
-    Maps each height h to the (word, coefficient, w) triples with
-    word = (beta0,) + S, w = W_p(S) of the primitive class p of f_beta0,
-    which has Sigma-height -h, and coefficient G[|S|] * k for f_beta0 = k*p,
-    over the L of `_series_table`.  Kept in `pd.f_words_by_height`."""
-    index = pd.f_words_by_height
-    if index is None:
-        g = _series_table(2 * pd.depth_k + 2)[2]
-        hts = [pd.height(root) for root in pd.delta_u]
-        index = {}
-        for beta0, f in enumerate(pd.f_basis_int):
-            kf, levels, _ = _ad_multisets(pd, f)
-            for j, level in enumerate(levels):
-                for s, w in level:
-                    h = hts[beta0] + sum(hts[beta] for beta in s)
-                    index.setdefault(h, []).append(((beta0,) + s, g[j] * kf, w))
-        pd.f_words_by_height = index
-    return index
-
-
 def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
     """Exact finite expansion of the D / A / C summand for homogeneous a.
 
@@ -302,10 +280,9 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
     T[k][0] = L B_k/k!; for a Levi element every head has one letter and
     T[k][1] = -L [k = 1], so D = -[u, a].  A reads a's levels that stay in
     p, weighted by T[k][k], the exponential alone; a in ubar has no A part.
-    C reads the words of the f-basis classes at a's height, indexed once per
-    parabolic (`_f_words_by_height`), since the form pairs only opposite
-    heights.  Every contribution to a word is summed into that word's value
-    with `add_to`.
+    C reads the levels of the f-basis classes only up to the words at a's
+    height, since the form pairs only opposite heights.  Every contribution
+    to a word is summed into that word's value with `add_to`.
 
     The sums run on integers and divide once per word: a is written A/d with
     A integral (`scale_to_integers`), the series expands A, each coefficient
@@ -319,7 +296,7 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
         raise ValueError("series expansion needs a Sigma-homogeneous element")
     d, nums = scale_to_integers(a.entries.items())
     a_int = _raw(pd.n, dict(nums))
-    den, tails, _ = _series_table(2 * pd.depth_k + 2)
+    den, tails, g = _series_table(2 * pd.depth_k + 2)
     acc: dict = {}
 
     def add(word, x, c):
@@ -351,10 +328,22 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
         # exp(ad u) is exactly this G-weighted pairing against d_z u; it is
         # assembled as the operator's central summand, never as a separate
         # operation.  The slot written first is the differentiated one.
-        for word, c, w in _f_words_by_height(pd).get(height, ()):
-            pairing = form(w, a_int)
-            if pairing:
-                add_to(acc, word, c * pairing)
+        # W(S) of f_beta0 has Sigma-height -(h(beta0) + sum of h over S), and
+        # the form pairs only opposite heights, so other words pair to zero.
+        # Every letter has height >= 1, so only the levels j with
+        # h(beta0) + j <= height can hold such words.  Each class is still
+        # expanded, so that a grading bug fails every C part alike.
+        hts = [pd.height(root) for root in pd.delta_u]
+        for beta0, f in enumerate(pd.f_basis_int):
+            kf, levels, _ = _ad_multisets(pd, f)
+            for j, level in enumerate(levels[:max(height - hts[beta0] + 1, 0)]):
+                c = g[j] * kf
+                for s, w in level:
+                    if hts[beta0] + sum(hts[beta] for beta in s) != height:
+                        continue
+                    pairing = form(w, a_int)
+                    if pairing:
+                        add_to(acc, (beta0,) + s, c * pairing)
     else:
         raise ValueError(f"unknown series kind {kind!r}")
     den *= d  # every sum is over L * d
