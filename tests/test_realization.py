@@ -710,6 +710,29 @@ def test_every_sl5_parabolic_renders_golden_digest():
         "afed394adeae7df1e18ac11c0693750cc4bd59bf25d0f86358bf494fc363b1cc")
 
 
+def test_every_sl6_parabolic_renders_golden_digest():
+    """Every homogeneous basis operator of each of the 32 parabolics of sl(6),
+    whose Levis mix heights up to 5, in the format of the sl(5) digest: the
+    general engine, and the closed-form engine where sigma = {2..5}; built at
+    mode 0 and rendered at mode -1."""
+    text = []
+    for k in range(6):
+        for sigma in itertools.combinations(range(1, 6), k):
+            pd = parabolic_decompose(5, sigma)
+            engines = ["general"]
+            if set(sigma) == {2, 3, 4, 5}:
+                engines.append("explicit")
+            for engine in engines:
+                real = Realization(pd, character_module(pd), engine)
+                for name, elem, _ in pd.homogeneous_basis:
+                    real.operator(elem, 0)
+                    text.append(f"5 {sigma} {engine} {name}\n"
+                                f"{real.operator(elem, -1).render()}\n")
+    assert len(text) == 1155
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == (
+        "b415f6cefd3caa4d6c838af0203e61c085c1628c43267c15065ea2dbc2b769de")
+
+
 def test_sl6_borel_highest_root_golden_digest():
     """E1.6 on sl(6) Borel, the longest series of rank 5: 675 canonical terms
     at each mode, rendered and hashed."""
