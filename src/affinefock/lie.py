@@ -429,9 +429,6 @@ class ParabolicData:
     def num_alpha(self) -> int:
         return len(self.delta_u)
 
-    def height(self, root: Root) -> int:
-        return self._block[root.j] - self._block[root.i]
-
     def height_of(self, a: LieElement) -> int | None:
         """Sigma-height of a homogeneous element; None if mixed."""
         h: int | None = None
@@ -479,6 +476,12 @@ class ParabolicData:
             out.append((self._alpha_index[(j, i)], c))
         out.sort()
         return out
+
+    def u_coords(self, a: LieElement) -> list[tuple[int, Fraction]]:
+        """a's entries in u over the e-basis, (alpha index, coeff); the
+        entries outside u are skipped."""
+        return sorted((self._alpha_index[(i, j)], c) for (i, j), c in a.entries.items()
+                      if self._block[i] < self._block[j])
 
     def center_coords(self, a: LieElement) -> tuple[Fraction, ...]:
         """Coefficients of proj_{z(l)}(a) over the center basis.

@@ -43,10 +43,17 @@ height at each step and, once in ubar, stay there.  The projection to ubar
 thus keeps a tail of the splits of the word between exp(-ad u) and F(ad u),
 and the word's weight is a tail sum T[k][m] of the coefficient table, m being
 the length of its first prefix in ubar.  So for an element of p the recursion
-keeps only the sums that stay in p, which is all the p part reads, and the
-heads V_a(P): the sums of the prefixes that first enter ubar at the letter
-multiset P.  D(S) = sum_P T[|S|][|P|] W_{V_a(P)}(S - P), one pass over a's
-heads against the full sums of the ubar classes they fall in.
+keeps only the sums that stay in p, which is all the p and central parts
+read, and the heads V_a(P): the sums of the prefixes that first enter ubar at
+the letter multiset P.  D(S) = sum_P T[|S|][|P|] W_{V_a(P)}(S - P), one pass
+over a's heads against the full sums of the ubar classes they fall in.
+
+The central part is read off a's own sums as well.  The trace form is
+invariant, (ad x y, z) = -(y, ad x z), so summed over the words of a letter
+multiset S, (W_{f_beta0}(S), a) = (-1)^|S| (f_beta0, W_a(S)): the pairing of
+the series against d_z u at the word (beta0,) + S is (-1)^|S| G[|S|] times
+the e_beta0 coordinate of W_a(S).  Every letter has height >= 1, so only the
+sums of fewer than height(a) letters reach u, and those stay in p.
 
 An operator is its terms, and an element's operators at every mode share one
 terms tuple.  The inducing module compiles it when an operator is first
@@ -81,7 +88,6 @@ from .lie import (
     bracket,
     central_coeff,
     diag_element,
-    form,
     matrix_unit,
     scale_to_integers,
 )
@@ -186,10 +192,11 @@ def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0,
     * If p is in ubar, level i of levels maps each sorted i-multiset S to
       W_p(S), and heads is ((), p): p is its own first step into ubar.
     * Otherwise p is in p, and levels keeps only the sums that stay in p,
-      which is all the p part of the series reads.  heads maps each multiset
-      P to V_p(P), the sum of W_p(w) over the words w with letters P that
-      enter ubar exactly at their last letter; every word that reaches ubar
-      is such a head word followed by any word, which the D part expands.
+      which is all the p and central parts of the series read.  heads maps
+      each multiset P to V_p(P), the sum of W_p(w) over the words w with
+      letters P that enter ubar exactly at their last letter; every word
+      that reaches ubar is such a head word followed by any word, which the
+      D part expands.
     Zero sums are dropped, keys come in increasing order and the last level
     is empty.
 
@@ -280,9 +287,12 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
     T[k][0] = L B_k/k!; for a Levi element every head has one letter and
     T[k][1] = -L [k = 1], so D = -[u, a].  A reads a's levels that stay in
     p, weighted by T[k][k], the exponential alone; a in ubar has no A part.
-    C reads the levels of the f-basis classes only up to the words at a's
-    height, since the form pairs only opposite heights.  Every contribution
-    to a word is summed into that word's value with `add_to`.
+    C reads a's levels too.  The trace form is invariant, (ad x y, z) =
+    -(y, ad x z), so summed over the words of S, (W_{f_beta0}(S), a) =
+    (-1)^|S| (f_beta0, W_a(S)), the e_beta0 coordinate of W_a(S) (`u_coords`),
+    and C(beta0, S) = (-1)^|S| G[|S|] k_a (that coordinate).  Every letter
+    has height >= 1, so only the levels below a's height reach u.  Every
+    contribution to a word is summed into that word's value with `add_to`.
 
     The sums run on integers and divide once per word: a is written A/d with
     A integral (`scale_to_integers`), the series expands A, each coefficient
@@ -297,6 +307,7 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
     d, nums = scale_to_integers(a.entries.items())
     a_int = _raw(pd.n, dict(nums))
     den, tails, g = _series_table(2 * pd.depth_k + 2)
+    ka, levels, heads = _ad_multisets(pd, a_int)
     acc: dict = {}
 
     def add(word, x, c):
@@ -305,12 +316,11 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
             add_to(entries, key, c * v)
 
     if kind == "D":
-        ka, _, heads = _ad_multisets(pd, a_int)
         for s1, v in heads:
             m = len(s1)
-            kv, levels, _ = _ad_multisets(pd, v, m)
+            kv, head_levels, _ = _ad_multisets(pd, v, m)
             k = ka * kv
-            for j, level in enumerate(levels):
+            for j, level in enumerate(head_levels):
                 c = tails[m + j][m] * k
                 if c == 0:
                     continue
@@ -318,7 +328,6 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
                     add(tuple(sorted(s1 + s2)), w, c)
     elif kind == "A":
         if height >= 0:
-            ka, levels, _ = _ad_multisets(pd, a_int)
             for i, level in enumerate(levels):
                 c = tails[i][i] * ka
                 for s, w in level:
@@ -328,22 +337,15 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
         # exp(ad u) is exactly this G-weighted pairing against d_z u; it is
         # assembled as the operator's central summand, never as a separate
         # operation.  The slot written first is the differentiated one.
-        # W(S) of f_beta0 has Sigma-height -(h(beta0) + sum of h over S), and
-        # the form pairs only opposite heights, so other words pair to zero.
-        # Every letter has height >= 1, so only the levels j with
-        # h(beta0) + j <= height can hold such words.  Each class is still
-        # expanded, so that a grading bug fails every C part alike.
-        hts = [pd.height(root) for root in pd.delta_u]
-        for beta0, f in enumerate(pd.f_basis_int):
-            kf, levels, _ = _ad_multisets(pd, f)
-            for j, level in enumerate(levels[:max(height - hts[beta0] + 1, 0)]):
-                c = g[j] * kf
-                for s, w in level:
-                    if hts[beta0] + sum(hts[beta] for beta in s) != height:
-                        continue
-                    pairing = form(w, a_int)
-                    if pairing:
-                        add_to(acc, (beta0,) + s, c * pairing)
+        # By invariance (W_{f_beta0}(S), a) = (-1)^|S| (f_beta0, W_a(S)), the
+        # e_beta0 entry of a's own sum.  Every letter has height >= 1, so only
+        # the sums of fewer than height(a) letters can reach u; the clamp
+        # keeps a negative height from slicing from the end.
+        for j, level in enumerate(levels[:max(height, 0)]):
+            c = (-1) ** j * g[j] * ka
+            for s, w in level:
+                for beta0, x in pd.u_coords(w):
+                    add_to(acc, (beta0,) + s, c * x)
     else:
         raise ValueError(f"unknown series kind {kind!r}")
     den *= d  # every sum is over L * d

@@ -287,8 +287,8 @@ def test_parabolic_sl3_borel():
     pd = parabolic_decompose(2, ())
     assert pd.delta_u == (Root(1, 2), Root(2, 3), Root(1, 3))
     assert pd.depth_k == 2
-    assert pd.height(Root(1, 3)) == 2
-    assert pd.height(Root(3, 1)) == -2
+    assert pd.height_of(matrix_unit(2, 1, 3)) == 2
+    assert pd.height_of(matrix_unit(2, 3, 1)) == -2
     # value semantics, and never equal to a plain tuple
     assert Root(1, 3) == Root(1, 3) and len({Root(1, 3), Root(1, 3)}) == 1
     assert Root(1, 3) != Root(3, 1) and Root(1, 3) != (1, 3)
@@ -377,7 +377,7 @@ def test_block_facts_match_their_definitions(n, sigma):
     counts = {}
     for i, j in itertools.permutations(range(1, n + 2), 2):
         count = sum(1 for r in range(min(i, j), max(i, j)) if r not in sigma)
-        assert pd.height(Root(i, j)) == (count if i < j else -count)
+        assert pd.height_of(matrix_unit(n, i, j)) == (count if i < j else -count)
         if i < j and count > 0:
             counts[Root(i, j)] = (count, i, j)
     assert pd.delta_u == tuple(sorted(counts, key=counts.get))

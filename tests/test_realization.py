@@ -173,8 +173,8 @@ def test_series_rejects_inhomogeneous():
 def test_series_truncation_guard_on_non_nilpotent_f_basis():
     # E12 + E21 brackets a Levi or u base into inhomogeneous elements that
     # never reach ubar, so the p side of the recursion must stop it; the C
-    # part expands the f-basis classes themselves, which a second letter E21
-    # keeps from terminating
+    # part reads the same expansion of a, so it must fail alike, here with a
+    # second letter E21 in the f-basis
     e12, e21 = matrix_unit(2, 1, 2), matrix_unit(2, 2, 1)
     for f_basis, kinds in (((e12 + e21,), ("D", "A")), ((e12 + e21, e21), ("C",))):
         for base in (cartan_h(2, 1), e12):
@@ -334,14 +334,30 @@ SMALL_PDS = [parabolic_decompose(n, sigma)
              for sigma in itertools.combinations(range(1, n + 1), k)]
 
 
-@pytest.mark.parametrize("pd", SMALL_PDS + [parabolic_decompose(4, ())], ids=repr)
+MIXED_HEIGHT_PDS = [parabolic_decompose(4, sigma) for sigma in ((2, 4), (3,))]
+
+
+@pytest.mark.parametrize("pd", SMALL_PDS + [parabolic_decompose(4, ())] + MIXED_HEIGHT_PDS,
+                         ids=repr)
 def test_series_expand_matches_direct_formula(pd):
     # the first-entry D part and the p-side A part equal the double loop
-    # over (W_a(S1))_ubar and the projection of every W_a(S) to p
+    # over (W_a(S1))_ubar and the projection of every W_a(S) to p, and the C
+    # part read off a's own sums equals the pairing of every f-class sum with a
     elems = [el for _, el, _ in pd.homogeneous_basis] + list(pd.center_basis)
     for a in elems:
         for kind in ("D", "A", "C"):
             assert series_expand(pd, a, kind) == series_reference(pd, a, kind), (a, kind)
+
+
+@pytest.mark.parametrize("n, sigma", [(3, ()), (4, (2, 4))])
+def test_series_c_part_expands_only_the_elements_own_class(n, sigma):
+    # C reads a's own sums, so it memoizes exactly the classes that a's
+    # expansion meets and no f-basis class beyond them
+    for _, elem, _ in parabolic_decompose(n, sigma).homogeneous_basis:
+        via_c, direct = parabolic_decompose(n, sigma), parabolic_decompose(n, sigma)
+        series_expand(via_c, elem, "C")
+        _ad_multisets(direct, elem)
+        assert via_c.ad_multisets_cache.keys() == direct.ad_multisets_cache.keys(), elem
 
 
 @given(data=st.data())
