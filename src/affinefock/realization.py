@@ -337,10 +337,9 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
         # exp(ad u) is exactly this G-weighted pairing against d_z u; it is
         # assembled as the operator's central summand, never as a separate
         # operation.  The slot written first is the differentiated one.
-        # By invariance (W_{f_beta0}(S), a) = (-1)^|S| (f_beta0, W_a(S)), the
-        # e_beta0 entry of a's own sum.  Every letter has height >= 1, so only
-        # the sums of fewer than height(a) letters can reach u; the clamp
-        # keeps a negative height from slicing from the end.
+        # By invariance (W_{f_beta0}(S), a) = (-1)^|S| (f_beta0, W_a(S)); only
+        # the levels below a's height reach u, and the clamp keeps a negative
+        # height from slicing from the end.
         for j, level in enumerate(levels[:max(height, 0)]):
             c = (-1) ** j * g[j] * ka
             for s, w in level:
