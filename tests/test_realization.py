@@ -192,6 +192,23 @@ def test_series_refuses_non_integral_f_basis():
         series_expand(pd, cartan_h(2, 1), "D")
 
 
+@pytest.mark.parametrize("f_basis, elem, message", [
+    # with u letters, [E12, E21] = H1 is a D value outside ubar
+    ((matrix_unit(2, 1, 2), matrix_unit(2, 1, 3), matrix_unit(2, 2, 3)),
+     matrix_unit(2, 2, 1), "element is not in ubar"),
+    # an inhomogeneous letter counts as p, so H1's A part picks up E32
+    ((matrix_unit(2, 1, 2), matrix_unit(2, 1, 3),
+      matrix_unit(2, 1, 2) + matrix_unit(2, 3, 2)),
+     cartan_h(2, 1), "element has a component outside p"),
+])
+def test_general_assembly_refuses_a_series_value_on_the_wrong_side(f_basis, elem, message):
+    # only a bad f-basis puts a D value outside ubar or an A value outside p
+    pd = parabolic_decompose(2, ())
+    pd.f_basis = f_basis
+    with pytest.raises(ValueError, match=message):
+        build_operator_general(pd, elem, 0)
+
+
 LINEARITY_PDS = [parabolic_decompose(n, sigma)
                  for n, sigma in ((1, ()), (2, ()), (2, (2,)), (3, ()), (3, (2,)))]
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
