@@ -317,8 +317,10 @@ def build_sl(n: int) -> SimpleAlgebra:
 
 def cartan_coords(a: LieElement) -> tuple[Fraction, ...]:
     """Coordinates over H_1..H_n of the diagonal of a: diag(d_1..d_{n+1})
-    with zero sum equals sum_i (d_1 + ... + d_i) H_i."""
-    return tuple(accumulate(a.entry(i, i) for i in range(1, a.n + 1)))
+    with zero sum equals sum_i (d_1 + ... + d_i) H_i.  A missing entry reads
+    as int 0, so an int-entry a (as the adjoint series builds) has int
+    coordinates."""
+    return tuple(accumulate(a.entries.get((i, i), 0) for i in range(1, a.n + 1)))
 
 
 def levi_blocks(pd: ParabolicData) -> list[list[int]]:
@@ -367,6 +369,8 @@ class ParabolicData:
         self.e_basis: tuple[LieElement, ...] = tuple(
             matrix_unit(n, i, j) for _h, i, j in pos)
         self._alpha_index = {(i, j): k for k, (_h, i, j) in enumerate(pos)}
+        # alpha of each ubar entry (i, j): the index of f_alpha = E_ij
+        self.ubar_index = {(j, i): k for k, (_h, i, j) in enumerate(pos)}
 
         alg = self.algebra = build_sl(n)
         elems = alg.basis
@@ -470,10 +474,11 @@ class ParabolicData:
     def ubar_coords(self, a: LieElement) -> list[tuple[int, Fraction]]:
         """Decompose an element of ubar over the f-basis; (alpha index, coeff)."""
         out = []
-        for (i, j), c in a.entries.items():
-            if self._block[j] >= self._block[i]:
+        for key, c in a.entries.items():
+            alpha = self.ubar_index.get(key)
+            if alpha is None:
                 raise ValueError("element is not in ubar")
-            out.append((self._alpha_index[(j, i)], c))
+            out.append((alpha, c))
         out.sort()
         return out
 
@@ -503,7 +508,8 @@ class ParabolicData:
     def decompose_p(self, a: LieElement) -> tuple[tuple[str, LieElement, Fraction], ...]:
         """Split a p-element into canonical units (name, unit, coefficient),
         read by `algebra.coords` in basis order: Cartan coordinates first,
-        then matrix units by (i, j).  Raises if a has a ubar component.
+        then matrix units by (i, j); an int-entry a has int coefficients.
+        Raises if a has a ubar component.
         """
         if not self.project(a, "ubar").is_zero():
             raise ValueError("element has a component outside p")

@@ -34,8 +34,11 @@ W is linear in the element it expands, so W_{k*p} = k*W_p: the recursion
 expands each primitive class p once per parabolic (int entries, gcd 1,
 positive at the smallest (i, j)) and its sums carry the scalar k;
 `series_expand` writes a = A/d with A integral, reads each series coefficient
-as an int over one LCM L (`_series_table`), and divides each word's value by
-L*d once, when it returns, giving the same exact Fraction values.
+as an int over one LCM L (`_series_table`), and sums the series once,
+straight into the operator's canonical terms: a D entry goes to the creator
+of its f_alpha, an A sum to its coordinates over the canonical basis (read in
+ints), a C coordinate to its sorted slots.  Each term's coefficient is one
+Fraction over L*d, built with the term.
 
 The ubar part needs only each word's first step into ubar.  Every f letter
 has positive Sigma-height, so the prefixes ad(w_j)...ad(w_1) a of a word lose
@@ -75,6 +78,7 @@ sequence of module calls follow term order, then slot-assignment order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm
@@ -264,20 +268,23 @@ def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0,
     return k, levels, heads
 
 
-def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
-    """Exact finite expansion of the D / A / C summand for homogeneous a.
+def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[Term]:
+    """Exact finite expansion of the D / A / C summand for homogeneous a, as
+    that kind's canonical terms of pi(a_m), in `_term_sort_key` order.
 
-    Returns one (word, value) pair per word with a nonzero value, sorted by
-    (len(word), word).  D values are the ubar elements of the series
-    F(ad u)((exp(-ad u) a)_ubar), before the overall minus sign of the
-    assembled operator; A values are the p elements of the p-projected
-    exponential series; C values are the scalars of the paired central
-    series, with the differentiated letter first in each word.
+    D gives creator terms, with the overall minus sign of the operator: the
+    ubar elements of the series F(ad u)((exp(-ad u) a)_ubar), each entry
+    E_ij under the f_alpha = E_ij it creates (`ParabolicData.ubar_index`).
+    A gives Levi terms: the p elements of the p-projected exponential
+    series, read in ints over the canonical basis by `decompose_p` (Cartan
+    prefix sums, then matrix units).  C gives central
+    terms, minus the scalars of the paired central series; the
+    differentiated slot is the mode factor, the first of its family.
 
     The series is summed per multiset of letters (`_ad_multisets`), not per
     word: the annihilators of a term commute and every coefficient depends
-    only on word length, so D and A words are sorted multisets and C words
-    are the differentiated letter followed by a sorted multiset.
+    only on word length, so a term's slots are a sorted multiset, and every
+    (multiset, head) pair the series gives is a distinct term.
 
     D reads a's heads.  A word reaches ubar after a first m letters and
     stays there, so its weight is the tail sum T[k][m] of `_series_table`,
@@ -291,13 +298,13 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
     -(y, ad x z), so summed over the words of S, (W_{f_beta0}(S), a) =
     (-1)^|S| (f_beta0, W_a(S)), the e_beta0 coordinate of W_a(S) (`u_coords`),
     and C(beta0, S) = (-1)^|S| G[|S|] k_a (that coordinate).  Every letter
-    has height >= 1, so only the levels below a's height reach u.  Every
-    contribution to a word is summed into that word's value with `add_to`.
+    has height >= 1, so only the levels below a's height reach u.  Only D
+    sums: the words of different heads meet in one multiset.
 
-    The sums run on integers and divide once per word: a is written A/d with
-    A integral (`scale_to_integers`), the series expands A, each coefficient
-    is read as an int over the LCM L of `_series_table`, and each value is
-    divided by L*d when it is returned, as exact Fractions.
+    The sums run on integers over one denominator: a is written A/d with A
+    integral (`scale_to_integers`), the series expands A, each coefficient
+    is read as an int over the LCM L of `_series_table`, and each term's
+    coefficient is one Fraction over L*d, built when the term is.
     """
     if a.n != pd.n:
         raise ValueError("rank mismatch")
@@ -307,53 +314,55 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
     d, nums = scale_to_integers(a.entries.items())
     a_int = _raw(pd.n, dict(nums))
     den, tails, g = _series_table(2 * pd.depth_k + 2)
+    den *= d  # every coefficient is over L * d
     ka, levels, heads = _ad_multisets(pd, a_int)
-    acc: dict = {}
-
-    def add(word, x, c):
-        entries = acc.setdefault(word, {})
-        for key, v in x.entries.items():
-            add_to(entries, key, c * v)
-
+    terms = []
     if kind == "D":
+        creator = pd.ubar_index
+        acc: dict = {}
         for s1, v in heads:
             m = len(s1)
             kv, head_levels, _ = _ad_multisets(pd, v, m)
-            k = ka * kv
+            k = -ka * kv
             for j, level in enumerate(head_levels):
                 c = tails[m + j][m] * k
                 if c == 0:
                     continue
                 for s2, w in level:
-                    add(tuple(sorted(s1 + s2)), w, c)
+                    word = tuple(sorted(s1 + s2))
+                    for entry, x in w.entries.items():
+                        alpha = creator.get(entry)
+                        if alpha is None:
+                            raise ValueError("element is not in ubar")
+                        key = (word, alpha)
+                        acc[key] = acc.get(key, 0) + c * x
+        terms = [Term(Q(v, den), word, "create", alpha)
+                 for (word, alpha), v in acc.items() if v]
     elif kind == "A":
-        if height >= 0:
-            for i, level in enumerate(levels):
-                c = tails[i][i] * ka
-                for s, w in level:
-                    add(s, w, c)
+        for i, level in enumerate(levels if height >= 0 else ()):
+            c = tails[i][i] * ka
+            for s, w in level:
+                terms.extend(Term(Q(c * x, den), s, "levi", None, unit, name)
+                             for name, unit, x in pd.decompose_p(w))
     elif kind == "C":
         # The scalar correction picked up when conjugating a mode series by
         # exp(ad u) is exactly this G-weighted pairing against d_z u; it is
         # assembled as the operator's central summand, never as a separate
-        # operation.  The slot written first is the differentiated one.
-        # By invariance (W_{f_beta0}(S), a) = (-1)^|S| (f_beta0, W_a(S)); only
-        # the levels below a's height reach u, and the clamp keeps a negative
-        # height from slicing from the end.
+        # operation.  The differentiated slot beta0 goes first among the
+        # slots of its family.  By invariance (W_{f_beta0}(S), a) =
+        # (-1)^|S| (f_beta0, W_a(S)); only the levels below a's height reach
+        # u, and the clamp keeps a negative height from slicing from the end.
         for j, level in enumerate(levels[:max(height, 0)]):
-            c = (-1) ** j * g[j] * ka
+            c = (-1) ** (j + 1) * g[j] * ka  # with the operator's minus sign
             for s, w in level:
                 for beta0, x in pd.u_coords(w):
-                    add_to(acc, (beta0,) + s, c * x)
+                    i = bisect_left(s, beta0)
+                    terms.append(Term(Q(c * x, den), s[:i] + (beta0,) + s[i:],
+                                      "central", mode_factor=i))
     else:
         raise ValueError(f"unknown series kind {kind!r}")
-    den *= d  # every sum is over L * d
-    if kind == "C":
-        out = {word: Q(v, den) for word, v in acc.items()}
-    else:
-        out = {word: _raw(pd.n, {k: Q(v, den) for k, v in entries.items()})
-               for word, entries in acc.items() if entries}
-    return sorted(out.items(), key=lambda pair: (len(pair[0]), pair[0]))
+    terms.sort(key=_term_sort_key)
+    return terms
 
 
 class Term:
@@ -451,7 +460,7 @@ class NormalOrderedOperator:
 
 
 def _canonical_terms(pd: ParabolicData, raw: list[Term]) -> tuple[Term, ...]:
-    """Canonical form of a list of raw terms.
+    """Canonical form of a list of raw terms, for the closed-form engine.
 
     Each term's slots are sorted by family, the mode-factor slot first among
     slots of one family, and a Levi head is split into named basis units by
@@ -471,31 +480,32 @@ def _canonical_terms(pd: ParabolicData, raw: list[Term]) -> tuple[Term, ...]:
                 add_to(merged, (annih, "levi", None, unit, name, mf), t.coeff * c)
         else:
             add_to(merged, (annih, t.head_kind, t.head_alpha, None, None, mf), t.coeff)
-    return tuple(Term(merged[key], *key) for key in sorted(merged, key=_term_sort_key))
+    return tuple(sorted((Term(c, *key) for key, c in merged.items()), key=_term_sort_key))
 
 
 _HEAD_RANK = {"create": 0, "levi": 1, "central": 2}
 
 
-def _term_sort_key(key):
-    annih, kind, alpha, unit, _name, mf = key
-    return (len(annih), _HEAD_RANK[kind],
-            -1 if alpha is None else alpha,
-            () if unit is None else unit.key(), annih,
-            -1 if mf is None else mf)
+def _term_sort_key(t: Term):
+    """The canonical order of an operator's terms: slot count, head kind,
+    alpha, Levi unit, slots, mode-factor slot."""
+    return (len(t.annihilators), _HEAD_RANK[t.head_kind],
+            -1 if t.head_alpha is None else t.head_alpha,
+            () if t.head_elem is None else t.head_elem.key(), t.annihilators,
+            -1 if t.mode_factor is None else t.mode_factor)
 
 
 def build_operator_general(pd: ParabolicData, a: LieElement, m: int,
                            ) -> NormalOrderedOperator:
-    """Assemble pi(a_m) from the exponential-adjoint series."""
-    raw = ([Term(-c, word, "create", head_alpha=alpha)
-            for word, y in series_expand(pd, a, "D")
-            for alpha, c in pd.ubar_coords(y)]
-           + [Term(Q(1), word, "levi", head_elem=x)
-              for word, x in series_expand(pd, a, "A")]
-           + [Term(-c, word, "central", mode_factor=0)
-              for word, c in series_expand(pd, a, "C")])
-    return NormalOrderedOperator(_canonical_terms(pd, raw), m)
+    """Assemble pi(a_m) from the exponential-adjoint series: the D, A and C
+    terms of `series_expand`, whose head kinds differ, so no two merge.
+
+    Each kind comes in `_term_sort_key` order, which ranks slot count first
+    and head kind second, so a stable sort of D + A + C by slot count alone
+    puts all the terms in that order."""
+    terms = series_expand(pd, a, "D") + series_expand(pd, a, "A") + series_expand(pd, a, "C")
+    terms.sort(key=lambda t: len(t.annihilators))
+    return NormalOrderedOperator(tuple(terms), m)
 
 
 def check_engine(pd: ParabolicData, engine: str):

@@ -10,8 +10,9 @@ way; the rest are helpers that only tests need:
   degree and its components, and the common total mode and h-weight of a
   state.
 * Sampling: random V-vectors for inducing-module axiom checks.
-* The adjoint series: word-level sums of the iterated adjoint action and
-  the D, A and C series of one element by the direct formula, with no memo.
+* The adjoint series: word-level sums of the iterated adjoint action, the
+  D, A and C series of one element by the direct formula, with no memo, and
+  their operator terms by a separate canonical pass.
 * The realization: an operator's terms expanded over a concrete mode window,
   pi on a Laurent polynomial, the bracket residual on one state, the vacuum
   property and the PBW leading term.
@@ -45,7 +46,14 @@ from affinefock.lie import (
     central_coeff,
     form,
 )
-from affinefock.realization import CENTRAL, NormalOrderedOperator, Realization, bernoulli
+from affinefock.realization import (
+    CENTRAL,
+    NormalOrderedOperator,
+    Realization,
+    Term,
+    _canonical_terms,
+    bernoulli,
+)
 
 Q = Fraction
 
@@ -258,14 +266,15 @@ def summed_per_multiset(levels: list[list[tuple]]) -> list[list[tuple]]:
 
 
 def series_reference(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]:
-    """`series_expand` by the direct formula, on Fraction coefficients and
-    word-level sums W_x(S) (`breadth_first_ad_levels`, `summed_per_multiset`).
+    """The D, A and C series of a by the direct formula, as (word, value)
+    pairs, on Fraction coefficients and word-level sums W_x(S)
+    (`breadth_first_ad_levels`, `summed_per_multiset`).
 
     D: for every multiset S1 of a, the projection y = (W_a(S1))_ubar
     contributes e_i f_j W_y(S2) at S1 + S2, with i = |S1|, j = |S2|,
     e_i = (-1)^i/i! and f_j = (-1)^j B_j/j!.  A: e_i (W_a(S))_p at S.
-    C: (W_{f_beta0}(S), a)/(|S| + 1)! at (beta0,) + S.  Same output shape as
-    `series_expand`: nonzero values, words in (length, word) order."""
+    C: (W_{f_beta0}(S), a)/(|S| + 1)! at (beta0,) + S.  Values are
+    nonzero, and words come in (length, word) order."""
     def levels_of(x):
         return summed_per_multiset(breadth_first_ad_levels(pd, x))
 
@@ -295,6 +304,34 @@ def series_reference(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]
     out = [(word, v) for word, v in acc.items()
            if (v != 0 if kind == "C" else not v.is_zero())]
     return sorted(out, key=lambda pair: (len(pair[0]), pair[0]))
+
+
+def _raw_series_terms(pd: ParabolicData, a: LieElement, kind: str) -> list[Term]:
+    """One raw term per (word, value) pair of `series_reference`: minus each
+    f-basis coordinate of a D value (`ubar_coords`) as a creator, an A value
+    as a Levi head, minus a C value as a central term with the
+    differentiated first slot as its mode factor."""
+    pairs = series_reference(pd, a, kind)
+    if kind == "D":
+        return [Term(-c, word, "create", head_alpha=alpha)
+                for word, y in pairs for alpha, c in pd.ubar_coords(y)]
+    if kind == "A":
+        return [Term(Q(1), word, "levi", head_elem=x) for word, x in pairs]
+    return [Term(-c, word, "central", mode_factor=0) for word, c in pairs]
+
+
+def series_terms_reference(pd: ParabolicData, a: LieElement, kind: str) -> list[Term]:
+    """`series_expand` by the direct formula and a separate canonical pass:
+    the raw terms of `series_reference`'s pairs through `_canonical_terms`,
+    which sorts their slots, splits Levi heads and sums equal keys."""
+    return list(_canonical_terms(pd, _raw_series_terms(pd, a, kind)))
+
+
+def operator_terms_reference(pd: ParabolicData, a: LieElement) -> tuple[Term, ...]:
+    """The terms of `build_operator_general(pd, a, m)` by the same route:
+    the raw terms of all three kinds in one `_canonical_terms` pass."""
+    return _canonical_terms(pd, [t for kind in ("D", "A", "C")
+                                 for t in _raw_series_terms(pd, a, kind)])
 
 
 # --- the realization ------------------------------------------------------------

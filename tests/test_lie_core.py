@@ -11,6 +11,7 @@ from affinefock.lie import (
     LieElement,
     ParabolicData,
     Root,
+    _raw,
     add_to,
     as_scalar,
     bracket,
@@ -462,3 +463,15 @@ def test_matrix_unit_is_shared():
     pd = parabolic_decompose(2, ())
     name, unit, _c = pd.decompose_p(matrix_unit(2, 1, 2))[0]
     assert name == "E1.2" and unit is matrix_unit(2, 1, 2)
+
+
+def test_coords_of_an_int_entry_element_are_ints():
+    # the adjoint series reads its Levi values through this one rule on
+    # int entries: Cartan prefix sums, then matrix units by (i, j), with the
+    # values of the element's Fraction twin
+    alg = build_sl(3)
+    entries = {(1, 1): 2, (3, 3): 3, (4, 4): -5, (4, 2): 7, (1, 3): -4}
+    coords = alg.coords(_raw(3, dict(entries)))
+    assert coords == alg.coords(LieElement(3, entries)) == [
+        (0, 2), (1, 2), (2, 5), (alg.unit_index[(1, 3)], -4), (alg.unit_index[(4, 2)], 7)]
+    assert all(type(c) is int for _, c in coords)

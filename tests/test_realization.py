@@ -57,8 +57,9 @@ from oracles import (
     breadth_first_ad_levels,
     check_bracket,
     instantiate_operator,
+    operator_terms_reference,
     pbw_leading_check,
-    series_reference,
+    series_terms_reference,
     summed_per_multiset,
     vacuum_expected,
 )
@@ -134,17 +135,19 @@ def test_bernoulli_rejected_index_raises_on_every_call():
 # --- series expansion ---------------------------------------------------------------
 
 def test_series_abelian_nilradical_element():
+    # pi(f_0) = -b(0): the creator of f_0 with the operator's minus sign
     for pd in (PD_SL2, PD_SL3_MAX):
         a = pd.f_basis[0]
-        assert series_expand(pd, a, "D") == [((), a)]
+        assert series_expand(pd, a, "D") == [Term(Q(-1), (), "create", head_alpha=0)]
         assert series_expand(pd, a, "A") == []
         assert series_expand(pd, a, "C") == []
 
 
 def test_series_levi_is_single_annihilator_family():
-    # -[f, h] = -2 f
-    assert series_expand(PD_SL2, H1, "D") == [((0,), F_SL2.scale(-2))]
-    assert series_expand(PD_SL2, H1, "A") == [((), H1)]
+    # the D value -[f, h] = -2 f gives the creator term 2 x(0) b(0)
+    assert series_expand(PD_SL2, H1, "D") == [Term(Q(2), (0,), "create", head_alpha=0)]
+    assert series_expand(PD_SL2, H1, "A") == [
+        Term(Q(1), (), "levi", head_elem=H1, head_name="H1")]
     assert series_expand(PD_SL2, H1, "C") == []
 
 
@@ -152,7 +155,7 @@ def test_series_levi_collapses_to_minus_ad_u_in_depth_two():
     # words of length >= 2 must cancel between the two composed series
     h1 = cartan_h(2, 1)
     d = series_expand(PD_SL3_BOREL, h1, "D")
-    assert d and all(len(word) == 1 and not y.is_zero() for word, y in d)
+    assert d and all(len(t.annihilators) == 1 and t.coeff for t in d)
     op = build_operator_general(PD_SL3_BOREL, h1, 0)
     assert not [t for t in op.terms
                 if t.head_kind == "create" and len(t.annihilators) >= 2]
@@ -160,9 +163,11 @@ def test_series_levi_collapses_to_minus_ad_u_in_depth_two():
 
 def test_series_bernoulli_correction_sl3_borel():
     # depth-two Borel: the first nilradical generator picks up a half term
+    # (D values f_0 and -1/2 E31 at the word (1,), E31 being f_2)
     d = series_expand(PD_SL3_BOREL, PD_SL3_BOREL.f_basis[0], "D")
-    assert d == [((), PD_SL3_BOREL.f_basis[0]),
-                 ((1,), matrix_unit(2, 3, 1).scale(Q(-1, 2)))]
+    assert PD_SL3_BOREL.f_basis[2] == matrix_unit(2, 3, 1)
+    assert d == [Term(Q(-1), (), "create", head_alpha=0),
+                 Term(Q(1, 2), (1,), "create", head_alpha=2)]
 
 
 def test_series_rejects_inhomogeneous():
@@ -217,8 +222,9 @@ RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_series_expand_is_linear_in_the_element(data):
-    # a = A/d is expanded as A and divided by d per word, so scaling a by q
-    # must scale every word's value by q and keep the words and their order
+    # a = A/d is expanded as A and divided by d per term, so scaling a by q
+    # must scale every term's coefficient by q and keep the terms' other
+    # fields and their order
     pd = data.draw(st.sampled_from(LINEARITY_PDS))
     height = data.draw(st.sampled_from(sorted({h for *_, h in pd.homogeneous_basis})))
     pool = [el for _, el, h in pd.homogeneous_basis if h == height]
@@ -230,12 +236,8 @@ def test_series_expand_is_linear_in_the_element(data):
     for kind in ("D", "A", "C"):
         base = series_expand(pd, a, kind)
         scaled = series_expand(pd, a.scale(q), kind)
-        if kind == "C":
-            assert scaled == [(word, q * v) for word, v in base]
-            assert all(type(v) is Fraction for _, v in scaled)
-        else:
-            assert scaled == [(word, v.scale(q)) for word, v in base]
-            assert all(type(c) is Fraction for _, v in scaled for c in v.entries.values())
+        assert scaled == [Term(q * t.coeff, *t.fields()[1:]) for t in base]
+        assert all(type(t.coeff) is Fraction for t in scaled)
 
 
 def test_ad_multisets_cache_holds_int_entries_after_building():
@@ -359,11 +361,23 @@ MIXED_HEIGHT_PDS = [parabolic_decompose(4, sigma) for sigma in ((2, 4), (3,))]
 def test_series_expand_matches_direct_formula(pd):
     # the first-entry D part and the p-side A part equal the double loop
     # over (W_a(S1))_ubar and the projection of every W_a(S) to p, and the C
-    # part read off a's own sums equals the pairing of every f-class sum with a
+    # part read off a's own sums equals the pairing of every f-class sum with
+    # a, each summed straight into terms as the reference's canonical pass
+    # sums its raw terms
     elems = [el for _, el, _ in pd.homogeneous_basis] + list(pd.center_basis)
     for a in elems:
         for kind in ("D", "A", "C"):
-            assert series_expand(pd, a, kind) == series_reference(pd, a, kind), (a, kind)
+            assert series_expand(pd, a, kind) == series_terms_reference(pd, a, kind), (a, kind)
+
+
+@pytest.mark.parametrize("pd", SMALL_PDS + [parabolic_decompose(4, ())], ids=repr)
+def test_general_assembly_matches_reference_assembly(pd):
+    # one pass per kind gives the terms of the former assembly: raw terms
+    # from the direct formula, canonicalized and summed together
+    elems = [el for _, el, _ in pd.homogeneous_basis]
+    elems += list(pd.center_basis) + [el.scale(Q(-2, 3)) for el in elems]
+    for a in elems:
+        assert build_operator_general(pd, a, 2).terms == operator_terms_reference(pd, a), a
 
 
 @pytest.mark.parametrize("n, sigma", [(3, ()), (4, (2, 4))])
@@ -388,23 +402,31 @@ def test_series_expand_matches_direct_formula_on_combinations(data):
     coeffs = data.draw(st.lists(RATIONALS, min_size=len(pool), max_size=len(pool)))
     a = sum((el.scale(c) for el, c in zip(pool, coeffs)), zero_element(pd.n))
     for kind in ("D", "A", "C"):
-        assert series_expand(pd, a, kind) == series_reference(pd, a, kind)
+        assert series_expand(pd, a, kind) == series_terms_reference(pd, a, kind)
 
 
 @pytest.mark.parametrize("n, sigma", [(4, ()), (3, (2, 3)), (2, ())])
 def test_series_expand_words_are_multisets(n, sigma):
+    # every term's slots are a sorted multiset; a central term's mode factor
+    # is the first slot of its family
+    heads = {"D": "create", "A": "levi", "C": "central"}
     pd = parabolic_decompose(n, sigma)
     for _, elem, _ in pd.homogeneous_basis:
         for kind in ("D", "A", "C"):
-            pairs = series_expand(pd, elem, kind)
-            words = [word for word, _value in pairs]
-            for word in words:
-                tail = word[1:] if kind == "C" else word
-                assert list(tail) == sorted(tail)
-            # exactly one pair per word, in (length, word) order, none zero
-            assert words == sorted(set(words), key=lambda w: (len(w), w))
-            for _word, value in pairs:
-                assert value != 0 if kind == "C" else not value.is_zero()
+            terms = series_expand(pd, elem, kind)
+            for t in terms:
+                assert list(t.annihilators) == sorted(t.annihilators)
+                assert t.head_kind == heads[kind]
+                if kind == "C":
+                    mf = t.mode_factor
+                    assert t.annihilators.index(t.annihilators[mf]) == mf
+                else:
+                    assert t.mode_factor is None
+                assert type(t.coeff) is Fraction and t.coeff != 0
+            # exactly one term per key, in canonical order
+            keys = [t.fields()[1:] for t in terms]
+            assert len(set(keys)) == len(keys)
+            assert terms == sorted(terms, key=rz._term_sort_key)
 
 
 # --- canonical form -------------------------------------------------------------------
