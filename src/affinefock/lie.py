@@ -368,8 +368,7 @@ class ParabolicData:
             matrix_unit(n, j, i) for _h, i, j in pos)
         self.e_basis: tuple[LieElement, ...] = tuple(
             matrix_unit(n, i, j) for _h, i, j in pos)
-        self._alpha_index = {(i, j): k for k, (_h, i, j) in enumerate(pos)}
-        # alpha of each ubar entry (i, j): the index of f_alpha = E_ij
+        # alpha of each ubar entry (i, j): f_alpha = E_ij and e_alpha = E_ji
         self.ubar_index = {(j, i): k for k, (_h, i, j) in enumerate(pos)}
 
         alg = self.algebra = build_sl(n)
@@ -485,7 +484,7 @@ class ParabolicData:
     def u_coords(self, a: LieElement) -> list[tuple[int, Fraction]]:
         """a's entries in u over the e-basis, (alpha index, coeff); the
         entries outside u are skipped."""
-        return sorted((self._alpha_index[(i, j)], c) for (i, j), c in a.entries.items()
+        return sorted((self.ubar_index[(j, i)], c) for (i, j), c in a.entries.items()
                       if self._block[i] < self._block[j])
 
     def center_coords(self, a: LieElement) -> tuple[Fraction, ...]:
