@@ -5,6 +5,12 @@ not be parsed or an output file could not be written, 3 inputs parse but are
 semantically incompatible, 4 an internal error (any other exception, such as
 MemoryError), reported as one `error: internal error:` line.
 
+`check-bracket` makes |basis|^2 * (2 max_mode + 1)^2 * samples checks, and a
+window that asks for more than `MAX_SWEEP_CHECKS` exits 3 before the sweep: the
+count at max_mode 0 is checked before any state is sampled, the full count after
+the window's modes are.  The count does not bound `max_degree`, which sets the
+size of each state.
+
 The config file is JSON:
 
     {
@@ -63,6 +69,10 @@ from .realization import CENTRAL, Realization, bracket_sweep, check_engine, slot
 from .sampling import Sampler
 
 Q = Fraction
+
+# The most checks one check-bracket run may make: about ten times the 372,400 of
+# the acceptance sweep, which takes a few seconds.
+MAX_SWEEP_CHECKS = 4_000_000
 
 
 class ParseError(Exception):
@@ -350,6 +360,15 @@ def _require_modes(job: Job, window: int):
         job.module.check_mode(window)
 
 
+def _require_budget(job: Job, max_mode: int):
+    """Reject a check-bracket window over max_mode that makes more than
+    `MAX_SWEEP_CHECKS` checks: |basis|^2 * (2 max_mode + 1)^2 * samples."""
+    count = len(job.pd.homogeneous_basis) ** 2 * (2 * max_mode + 1) ** 2 * job.samples
+    if count > MAX_SWEEP_CHECKS:
+        raise SemanticError(f"the window asks for at least {count} bracket checks, above "
+                            f"the budget of {MAX_SWEEP_CHECKS}")
+
+
 # --- commands ---------------------------------------------------------------------
 
 def cmd_act(job: Job, generator: str, mode: int, state_spec: str,
@@ -381,9 +400,11 @@ def cmd_dump(job: Job, generator: str, mode: int, out_path: str | None) -> int:
 def cmd_check_bracket(job: Job, records_path: str | None, flip: str | None) -> int:
     _require_modes(job, 2 * job.max_mode)  # the range bracket_sweep hoists
     real = _flipped_realization(job, flip) if flip else make_realization(job)
+    _require_budget(job, 0)  # the samples alone, before they are drawn
     smp = Sampler(job.seed)
     states = smp.fock_states(job.module, job.samples, job.max_degree, job.max_mode)
     _require_modes(job, 2 * job.max_mode + slot_reach(states))  # plus the slot modes
+    _require_budget(job, job.max_mode)
     # opened before the sweep, so an unwritable path fails before any check
     records_file = _open_output(records_path, "records") if records_path else None
     basis = job.pd.homogeneous_basis

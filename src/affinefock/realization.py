@@ -762,12 +762,20 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
     order are those of Fraction accumulation.
 
     One pass visits the cells (a, b, m, n) in report order: ordered basis
-    pairs in row order, then modes.  A cell whose mirror (b, a, n, m) came
-    first takes its verdict row (None on a pass, the residual on a failure)
-    from `mirrors`.  Any other cell applies X and Y once per state; they
-    serve the cell's checks and its mirror's, each with its own residual,
-    bracket coordinates and central term, and the mirror's row is stored
-    unless the cell is its own mirror, where Y is X.
+    pairs in row order, then modes.  The mirror of a cell is (b, a, n, m), and
+    of the two the one met first applies X and Y once per state (Y is X when
+    the cell is its own mirror, (a, m) = (b, n)) and tests its residual.
+    With the same X and Y the later one's residual,
+    y - x - [b,a]_{m+n} s - n (b,a) delta_{m+n,0} kappa s, is exactly the
+    negative of the first one's, because g's bracket coordinates and the
+    central cocycle are antisymmetric.  The sweep ends at its first failing
+    check, so when the later one is reached the first one has passed on every
+    state, and the later one reports a pass on every state with no product
+    and no residual.  Both identities are checked with an explicit raise,
+    which `python -O` keeps: `btab[j][i]` must be the negation of `btab[i][j]`
+    when the table is built, and at level != 0 and m = -n each computed cell
+    also computes its mirror's central coefficient, which must be the
+    negation of its own.
 
     Reporting (on_check, the check count and the first failure) follows
     (a, b, m, n, state) nested in basis and mode order, and stops at the
@@ -796,6 +804,12 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
         alg = pd.algebra
         btab = [[tuple((k, -c) for k, c in alg.coords(bracket(a, b))) for b in alg.basis]
                 for a in alg.basis]
+        for i, row in enumerate(btab):
+            for j in range(i + 1):
+                if btab[j][i] != tuple((k, -c) for k, c in row[j]):
+                    x, y = alg.names[i], alg.names[j]
+                    raise AssertionError(f"the bracket coordinates of ({x}, {y}) and "
+                                         f"({y}, {x}) are not opposite")
 
         def residual(x, y, coords, p, si, central):
             """x - y - [a,b]_{m+n} s - central s as (L, items), or None when zero."""
@@ -818,31 +832,31 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
             return common, acc.items()
 
         checks = 0
-        mirrors: dict = {}  # (i, j, m, n) -> verdict row stored by its mirror cell
+        passes = [None] * len(states)
         for i, (aname, a, _) in enumerate(basis):
             for j, (bname, b, _) in enumerate(basis):
                 for m in modes:
                     for n in modes:
-                        row = mirrors.pop((i, j, m, n), None)
-                        if row is None:
+                        if j < i or (j == i and n < m):  # the mirror came first
+                            row = passes
+                        else:
                             own = (i, m) == (j, n)
-                            central = mirror_central = 0
+                            central = 0
                             if kappa != 0 and m == -n:
-                                central = -central_coeff(a, b, m, n) * kappa
-                                mirror_central = -central_coeff(b, a, n, m) * kappa
+                                c = central_coeff(a, b, m, n)
+                                if central_coeff(b, a, n, m) != -c:
+                                    raise AssertionError(
+                                        f"the central terms of ({aname}, {bname}, {m}, {n})"
+                                        f" and its mirror are not opposite")
+                                central = -c * kappa
                             op_a, pa = real.operator(a, m), P[i][m + wide]
                             op_b, pb = real.operator(b, n), P[j][n + wide]
                             p = m + n + wide
-                            row, mirror_row = [], []
+                            row = []
                             for si in range(len(states)):
                                 x = _apply_scaled(op_a, pb[si], module)
                                 y = x if own else _apply_scaled(op_b, pa[si], module)
                                 row.append(residual(x, y, btab[i][j], p, si, central))
-                                if not own:
-                                    mirror_row.append(residual(y, x, btab[j][i], p, si,
-                                                               mirror_central))
-                            if not own:
-                                mirrors[j, i, n, m] = mirror_row
                         for si, res in enumerate(row):
                             checks += 1
                             if on_check is not None:

@@ -847,6 +847,38 @@ def test_sweep_window_past_the_evaluation_modes(tmp_path, capsys, command, cfg,
     assert not records.exists()
 
 
+@pytest.mark.parametrize("window, count", [
+    ({"max_mode": 100000, "max_degree": 2, "samples": 3}, 9 * 200001 ** 2 * 3),
+    ({"max_mode": 1, "max_degree": 2, "samples": 100000000}, 9 * 100000000),
+])
+def test_check_bracket_window_past_the_check_budget(tmp_path, capsys, window, count):
+    # |basis|^2 (2 max_mode + 1)^2 samples checks; a window of huge modes is
+    # refused after its states are drawn, one of huge samples before
+    cfg = write_config(tmp_path, dict(SL2_HEIS, window=window))
+    records = tmp_path / "records.jsonl"
+    start = time.perf_counter()
+    rc = main(["check-bracket", "--config", cfg, "--records", str(records)])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == (f"error: the window asks for at least {count} bracket "
+                            f"checks, above the budget of {cli.MAX_SWEEP_CHECKS}\n")
+    assert captured.out == ""
+    assert not records.exists()
+
+
+def test_check_bracket_budget_admits_exactly_its_count(tmp_path, capsys, monkeypatch):
+    assert cli.MAX_SWEEP_CHECKS >= 10 * 372_400  # ten acceptance sweeps
+    cfg = write_config(tmp_path, SL2_HEIS)  # 9 pairs x 25 mode pairs x 3 states
+    monkeypatch.setattr(cli, "MAX_SWEEP_CHECKS", 675)
+    assert main(["check-bracket", "--config", cfg]) == 0
+    assert "(675 checks)" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "MAX_SWEEP_CHECKS", 674)
+    assert main(["check-bracket", "--config", cfg]) == 3
+    assert capsys.readouterr().err == ("error: the window asks for at least 675 "
+                                       "bracket checks, above the budget of 674\n")
+
+
 def test_act_on_evaluation_at_zero_is_pinned(tmp_path, capsys):
     """Exit codes and outputs of `act` at s = 0 over every generator, modes
     -1..1 and three states, taken from the release before the mode rule of

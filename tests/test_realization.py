@@ -4,6 +4,8 @@ import copy
 import hashlib
 import itertools
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from functools import cache
@@ -26,8 +28,10 @@ from affinefock.inducing import (
 from affinefock.lie import (
     MAX_RANK,
     LieElement,
+    SimpleAlgebra,
     bracket,
     cartan_h,
+    central_coeff,
     form,
     matrix_unit,
     parabolic_decompose,
@@ -1365,6 +1369,143 @@ def test_bracket_sweep_applies_no_product_after_the_failing_cell(monkeypatch):
     assert (failure["a"], failure["b"], failure["m"], failure["n"],
             failure["state"]) == ("H1", "E2.1", -1, 1, 0)
     assert calls[0] == 3 * 5 * 4 + (3 + 15 * 2) * 4 == 192
+
+
+# --- mirror cells: verdicts derived from the partner's residual --------------------------
+
+def _break_bracket_antisymmetry(monkeypatch):
+    """Make coords read [E1.2, E2.1] = H1 as 2 H1, so that the sl(2) bracket
+    table is not antisymmetric in that one pair."""
+    coords = SimpleAlgebra.coords
+    monkeypatch.setattr(SimpleAlgebra, "coords", lambda self, a: (
+        [(k, 2 * c) for k, c in coords(self, a)] if a == H1 else coords(self, a)))
+
+
+def _break_central_antisymmetry(monkeypatch):
+    """Make the central coefficient symmetric in (a, m) and (b, n)."""
+    central = rz.central_coeff
+    monkeypatch.setattr(rz, "central_coeff",
+                        lambda a, b, m, n: abs(central(a, b, m, n)))
+
+
+def test_bracket_sweep_raises_on_a_bracket_table_that_is_not_antisymmetric(monkeypatch):
+    _break_bracket_antisymmetry(monkeypatch)
+    seen = []
+    real = Realization(PD_SL2, sl2_heis(Q(1), Q(1)))
+    with pytest.raises(AssertionError, match=r"\(E2.1, E1.2\) and \(E1.2, E2.1\) are not"):
+        bracket_sweep(real, 1, [mono_state([(0, 1, 1)])], lambda *args: seen.append(args))
+    assert seen == []
+
+
+def test_bracket_sweep_raises_on_a_central_term_that_is_not_antisymmetric(monkeypatch):
+    # The first cell with m = -n and a nonzero central term is (H1, H1, -1, 1),
+    # after the two cells (H1, H1, -1, -1) and (H1, H1, -1, 0).
+    states = [mono_state([(0, 1, 1)]), mono_state([(0, -1, 2)], coeff=Q(1, 2))]
+    seen = []
+    bracket_sweep(Realization(PD_SL2, sl2_heis(Q(1), Q(1))), 1, states,
+                  lambda *args: seen.append(args))
+    _break_central_antisymmetry(monkeypatch)
+    broken = []
+    real = Realization(PD_SL2, sl2_heis(Q(1), Q(1)))
+    with pytest.raises(AssertionError, match=r"\(H1, H1, -1, 1\) and its mirror"):
+        bracket_sweep(real, 1, states, lambda *args: broken.append(args))
+    assert broken == seen[:4]
+
+
+def test_antisymmetry_guards_raise_under_python_O():
+    # The guards are explicit raises, so `python -O`, which strips assert
+    # statements, keeps them.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = """if True:
+        from fractions import Fraction
+        import affinefock.realization as rz
+        from affinefock.fock import FockState, mono_from_pairs
+        from affinefock.inducing import heisenberg_fock
+        from affinefock.lie import SimpleAlgebra, cartan_h, parabolic_decompose
+        pd = parabolic_decompose(1, ())
+        states = [FockState({(mono_from_pairs([(0, 1, 1)]), 0): Fraction(1)})]
+        coords, central, h = SimpleAlgebra.coords, rz.central_coeff, cartan_h(1, 1)
+        broken = [
+            (SimpleAlgebra, "coords", lambda self, a: [(k, 2 * c) for k, c in coords(self, a)]
+             if a == h else coords(self, a)),
+            (rz, "central_coeff", lambda a, b, m, n: abs(central(a, b, m, n)))]
+        for owner, name, fake in broken:
+            original = getattr(owner, name)
+            setattr(owner, name, fake)
+            real = rz.Realization(pd, heisenberg_fock(pd, [Fraction(1)], Fraction(1)))
+            try:
+                rz.bracket_sweep(real, 1, states)
+            except AssertionError as exc:
+                print(name, "not opposite" in str(exc))
+            setattr(owner, name, original)
+    """
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["coords", "True", "central_coeff", "True"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bracket_table_and_central_term_are_antisymmetric_on_every_parabolic(n):
+    # The sweep derives each mirror cell's verdict from this identity.  It
+    # indexes the table by homogeneous basis position, which on every
+    # parabolic is the algebra's basis order.
+    alg = parabolic_decompose(n, ()).algebra
+    for k in range(n + 1):
+        for sigma in itertools.combinations(range(1, n + 1), k):
+            pd = parabolic_decompose(n, sigma)
+            assert pd.algebra is alg
+            assert [(name, e) for name, e, _ in pd.homogeneous_basis] == list(
+                zip(alg.names, alg.basis))
+    for a in alg.basis:
+        for b in alg.basis:
+            assert alg.coords(bracket(b, a)) == [
+                (k, -c) for k, c in alg.coords(bracket(a, b))]
+            for m in range(-3, 4):
+                assert central_coeff(b, a, -m, m) == -central_coeff(a, b, m, -m)
+
+
+def _flip_sweeps():
+    """(label, pd, module, hook) for every template term of every basis
+    operator at mode 1 on the sl(2) Borel (Heisenberg module, level 1) and on
+    sl(3) {2} (character module)."""
+    pd3 = PD_SL3_MAX
+    modules = [(PD_SL2, sl2_heis(Q(1), Q(1))),
+               (pd3, character_module(pd3, [(pd3.center_basis[0], 0, Q(2)),
+                                         (pd3.center_basis[0], 1, Q(-1, 2))]))]
+    for pd, mod in modules:
+        for name, elem, _ in pd.homogeneous_basis:
+            for idx in range(len(build_operator_general(pd, elem, 1).terms)):
+                def hook(a, m, op, elem=elem, idx=idx):
+                    return op.with_flipped_term(idx) if (a == elem and m == 1) else op
+                yield f"{name}:1:{idx}", pd, mod, hook
+
+
+def test_bracket_sweep_verdicts_match_check_bracket_on_every_flip():
+    # Each reported verdict, computed or derived from the partner cell's
+    # residual, must be check_bracket's, and the witness its residual.
+    caught = 0
+    for label, pd, mod, hook in _flip_sweeps():
+        real = Realization(pd, mod, operator_hook=hook)
+        states = Sampler(31).fock_states(mod, 2, 2, 1)
+        elem = {name: e for name, e, _ in pd.homogeneous_basis}
+        seen = []
+        checks, failure = bracket_sweep(real, 1, states, lambda *args: seen.append(args))
+        assert checks == len(seen), label
+        for a, b, m, n, si, ok in seen:
+            assert check_bracket(real, elem[a], elem[b], m, n, states[si])[0] == ok, \
+                (label, a, b, m, n, si)
+        if failure is not None:
+            caught += 1
+            a, b, m, n, si, ok = seen[-1]
+            assert not ok and (failure["a"], failure["b"], failure["m"], failure["n"],
+                               failure["state"]) == (a, b, m, n, si)
+            residual = check_bracket(real, elem[a], elem[b], m, n, states[si])[1]
+            assert list(failure["residual"].terms.items()) == list(residual.terms.items())
+    # the other 12 flips are invisible to these two states at max_mode 1
+    assert caught == 20
 
 
 # --- the module's kernel: terms that act by zero on V are dropped -----------------------
