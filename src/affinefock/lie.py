@@ -470,17 +470,6 @@ class ParabolicData:
                 out[(i, j)] = c
         return _raw(self.n, out)
 
-    def ubar_coords(self, a: LieElement) -> list[tuple[int, Fraction]]:
-        """Decompose an element of ubar over the f-basis; (alpha index, coeff)."""
-        out = []
-        for key, c in a.entries.items():
-            alpha = self.ubar_index.get(key)
-            if alpha is None:
-                raise ValueError("element is not in ubar")
-            out.append((alpha, c))
-        out.sort()
-        return out
-
     def u_coords(self, a: LieElement) -> list[tuple[int, Fraction]]:
         """a's entries in u over the e-basis, (alpha index, coeff); the
         entries outside u are skipped."""

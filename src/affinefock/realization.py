@@ -13,9 +13,11 @@ these operators:
 
   with F(x) = x e^x/(e^x - 1), G(x) = (e^x - 1)/x and u(z) the tautological
   ubar-valued series; every series truncates exactly by grading nilpotency.
-* the closed-form engine transcribes the explicit generator formulas that are
-  available for the maximal parabolic with abelian nilradical (and hence for
-  the rank-one Borel case).
+* the closed-form engine transcribes the block-matrix generator formulas of
+  a maximal parabolic, whose nilradical is abelian: with a = (A B; C D) in
+  the two Levi blocks and Z the block of ubar slots, pi(a) is the creators
+  -b . (C + DZ - ZA - ZBZ), the Levi and p heads (A + BZ, B; 0, D - ZB) and
+  the central term -tr(B dZ) c (the rank-one Borel case included).
 
 A normal-ordered term keeps its annihilator modes symbolic and only the
 matches against the finitely many variables of a state are enumerated, so
@@ -91,8 +93,6 @@ from .lie import (
     add_to,
     bracket,
     central_coeff,
-    diag_element,
-    matrix_unit,
     scale_to_integers,
 )
 
@@ -512,78 +512,46 @@ def check_engine(pd: ParabolicData, engine: str):
     """Raise ValueError unless `engine` names an engine that serves pd."""
     if engine not in ("general", "explicit"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "explicit" and pd.sigma != frozenset(range(2, pd.n + 1)):
-        raise ValueError("closed-form engine needs sigma = {2..n}")
+    if engine == "explicit" and pd.depth_k != 1:
+        raise ValueError("closed-form engine needs a maximal parabolic")
 
 
 def build_operator_explicit_sl(pd: ParabolicData, a: LieElement, m: int,
                                ) -> NormalOrderedOperator:
-    """Transcribe the closed generator formulas of the abelian-nilradical case.
+    """Transcribe the closed generator formulas of a maximal parabolic.
 
-    Requires the maximal parabolic omitting the first simple root (which for
-    n = 1 is the Borel case).  Any homogeneous element is handled by linear
-    decomposition into the f_i / h / h_A / e_i generator family.
+    Its nilradical is abelian and its big cell is the Grassmannian chart
+    Z -> span(I; Z): Z's entry (j, i), j in the bottom Levi block and i in
+    the top one, is the slot of f_alpha = E_ji.  With a = (A B; C D) in the
+    two blocks, pi(a) is the creators -b . (C + DZ - ZA - ZBZ), the vector
+    field of Z -> (C + DZ)(A + BZ)^-1, the Levi and p heads
+    (A + BZ, B; 0, D - ZB), and the central term -tr(B dZ) kappa.
     """
     check_engine(pd, "explicit")
     if pd.height_of(a) is None:
         raise ValueError("closed-form engine needs a Sigma-homogeneous element")
-    n = pd.n
+    top, bot = pd.blocks
+    slot = pd.ubar_index
     raw: list[Term] = []
-
-    for alpha, c in pd.ubar_coords(pd.project(a, "ubar")):
-        raw.append(Term(coeff=-c, annihilators=(), head_kind="create", head_alpha=alpha))
-
-    a_l = pd.project(a, "l")
-    if not a_l.is_zero():
-        gamma = a_l.entry(1, 1)
-        if gamma != 0:
-            for j in range(n):
-                raw.append(Term(coeff=gamma * (1 + Q(1, n)), annihilators=(j,),
-                                head_kind="create", head_alpha=j))
-        for r in range(1, n + 1):
-            for s in range(1, n + 1):
-                val = a_l.entry(r + 1, s + 1)
-                if r == s:
-                    val += gamma / n
-                if val != 0:
-                    raw.append(Term(coeff=-val, annihilators=(s - 1,),
-                                    head_kind="create", head_alpha=r - 1))
-        raw.append(Term(coeff=Q(1), annihilators=(), head_kind="levi", head_elem=a_l))
-
-    a_u = pd.project(a, "u")
-    if not a_u.is_zero():
-        h_elem = _max_parabolic_h(n)
-        for i in range(1, n + 1):
-            c = a_u.entry(1, i + 1)
-            if c == 0:
-                continue
-            for j in range(n):
-                raw.append(Term(coeff=c, annihilators=(i - 1, j),
-                                head_kind="create", head_alpha=j))
-            raw.append(Term(coeff=-c, annihilators=(i - 1,), head_kind="central",
-                            mode_factor=0))
-            raw.append(Term(coeff=c, annihilators=(i - 1,), head_kind="levi",
-                            head_elem=h_elem))
-            for j in range(1, n + 1):
-                block = _block_unit_minus_trace(n, j, i)
-                if not block.is_zero():
-                    raw.append(Term(coeff=-c, annihilators=(j - 1,),
-                                    head_kind="levi", head_elem=block))
-            raw.append(Term(coeff=c, annihilators=(), head_kind="levi",
-                            head_elem=pd.e_basis[i - 1]))
-
+    heads: dict[int, dict] = {}  # the Levi head of each slot, from BZ and -ZB
+    for (p, q), c in a.entries.items():
+        if p in bot and q in top:  # C
+            raw.append(Term(-c, (), "create", head_alpha=slot[p, q]))
+        elif p in bot:  # DZ
+            raw += [Term(-c, (slot[q, i],), "create", head_alpha=slot[p, i]) for i in top]
+        elif q in top:  # ZA
+            raw += [Term(c, (slot[j, p],), "create", head_alpha=slot[j, q]) for j in bot]
+        else:  # B: ZBZ, BZ, ZB and tr(B dZ)
+            raw += [Term(c, (slot[j, p], slot[q, i]), "create", head_alpha=slot[j, i])
+                    for j in bot for i in top]
+            for i in top:
+                heads.setdefault(slot[q, i], {})[p, i] = c
+            for j in bot:
+                heads.setdefault(slot[j, p], {})[j, q] = -c
+            raw.append(Term(-c, (slot[q, p],), "central", mode_factor=0))
+    raw.append(Term(Q(1), (), "levi", head_elem=pd.project(a, "p")))
+    raw += [Term(Q(1), (s,), "levi", head_elem=_raw(pd.n, e)) for s, e in heads.items()]
     return NormalOrderedOperator(_canonical_terms(pd, raw), m)
-
-
-def _max_parabolic_h(n: int) -> LieElement:
-    return diag_element(n, [1] + [Q(-1, n)] * n)
-
-
-def _block_unit_minus_trace(n: int, j: int, i: int) -> LieElement:
-    """Levi element with Levi-block matrix E_{ji} - delta_{ij} (1/n) I_n."""
-    if i != j:
-        return matrix_unit(n, j + 1, i + 1)
-    return diag_element(n, [0] + [int(s == j) - Q(1, n) for s in range(1, n + 1)])
 
 
 # --- applying operators to states ------------------------------------------------

@@ -12,7 +12,8 @@ way; the rest are helpers that only tests need:
 * Sampling: random V-vectors for inducing-module axiom checks.
 * The adjoint series: word-level sums of the iterated adjoint action, the
   D, A and C series of one element by the direct formula, with no memo, and
-  their operator terms by a separate canonical pass.
+  their operator terms by a separate canonical pass, which reads a ubar
+  element's f-basis coordinates.
 * The realization: an operator's terms expanded over a concrete mode window,
   pi on a Laurent polynomial, the bracket residual on one state, the vacuum
   property and the PBW leading term.
@@ -306,6 +307,18 @@ def series_reference(pd: ParabolicData, a: LieElement, kind: str) -> list[tuple]
     return sorted(out, key=lambda pair: (len(pair[0]), pair[0]))
 
 
+def ubar_coords(pd: ParabolicData, a: LieElement) -> list[tuple[int, Fraction]]:
+    """Decompose an element of ubar over the f-basis; (alpha index, coeff)."""
+    out = []
+    for key, c in a.entries.items():
+        alpha = pd.ubar_index.get(key)
+        if alpha is None:
+            raise ValueError("element is not in ubar")
+        out.append((alpha, c))
+    out.sort()
+    return out
+
+
 def _raw_series_terms(pd: ParabolicData, a: LieElement, kind: str) -> list[Term]:
     """One raw term per (word, value) pair of `series_reference`: minus each
     f-basis coordinate of a D value (`ubar_coords`) as a creator, an A value
@@ -314,7 +327,7 @@ def _raw_series_terms(pd: ParabolicData, a: LieElement, kind: str) -> list[Term]
     pairs = series_reference(pd, a, kind)
     if kind == "D":
         return [Term(-c, word, "create", head_alpha=alpha)
-                for word, y in pairs for alpha, c in pd.ubar_coords(y)]
+                for word, y in pairs for alpha, c in ubar_coords(pd, y)]
     if kind == "A":
         return [Term(Q(1), word, "levi", head_elem=x) for word, x in pairs]
     return [Term(-c, word, "central", mode_factor=0) for word, c in pairs]

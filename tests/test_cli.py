@@ -481,6 +481,23 @@ def test_compare_engines_sl3(tmp_path, capsys):
     assert "PASS all 8 generators agree" in out
 
 
+def test_closed_form_engine_runs_on_a_grassmannian(tmp_path, capsys):
+    # sl(4) with Sigma = {1, 3} is the maximal parabolic of Gr(2, 4)
+    cfg = write_config(tmp_path, {
+        "algebra": {"n": 3, "sigma": [1, 3]},
+        "module": {"kind": "character", "level": "0",
+                   "assignments": [{"element": "w2", "mode": 0, "value": "2"}]},
+        "engine": "explicit",
+        "window": {"max_mode": 1, "max_degree": 2, "samples": 3},
+        "seed": 7,
+    })
+    assert main(["compare-engines", "--config", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS all 15 generators agree"
+    assert main(["check-bracket", "--config", cfg]) == 0
+    assert ("PASS 225 basis pairs x 9 mode pairs x 3 states (6075 checks)"
+            in capsys.readouterr().out)
+
+
 def test_compare_engines_builds_each_operator_once(tmp_path, capsys, monkeypatch):
     builds = Counter()
     build = rz.build_operator_general
@@ -1090,7 +1107,7 @@ def test_every_command_rejects_explicit_engine_off_parabolic(tmp_path, capsys):
                  ["act", "--generator", "f1", "--state", "vacuum"]):
         assert main(argv + ["--config", cfg]) == 3
         captured = capsys.readouterr()
-        assert captured.err == "error: closed-form engine needs sigma = {2..n}\n"
+        assert captured.err == "error: closed-form engine needs a maximal parabolic\n"
         assert captured.out == ""
 
 

@@ -32,6 +32,7 @@ from affinefock.lie import (
     bracket,
     cartan_h,
     central_coeff,
+    diag_element,
     form,
     matrix_unit,
     parabolic_decompose,
@@ -522,8 +523,7 @@ def test_explicit_f_single_creator():
 
 
 def test_explicit_h_has_dilation_terms():
-    from affinefock.realization import _max_parabolic_h
-    h = _max_parabolic_h(2)
+    h = diag_element(2, [1, Q(-1, 2), Q(-1, 2)])
     op = build_operator_explicit_sl(PD_SL3_MAX, h, 1)
     creators = [t for t in op.terms if t.head_kind == "create"]
     assert len(creators) == 2
@@ -1022,14 +1022,18 @@ def test_bracket_sweep_smoke_sl3_borel_character():
 
 # --- engine agreement ----------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_engines_agree_structurally(n):
-    pd = parabolic_decompose(n, set(range(2, n + 1)))
-    for _, elem, _ in pd.homogeneous_basis:
-        for m in (-1, 0, 2):
-            gen = build_operator_general(pd, elem, m)
-            exp = build_operator_explicit_sl(pd, elem, m)
-            assert gen.terms == exp.terms, (n, elem, m)
+    # on every maximal parabolic, Sigma = {1..n} minus k, for the basis, the
+    # Levi center and a fractional multiple of each basis element
+    for k in range(1, n + 1):
+        pd = parabolic_decompose(n, set(range(1, n + 1)) - {k})
+        basis = [elem for _, elem, _ in pd.homogeneous_basis]
+        for elem in basis + list(pd.center_basis) + [b.scale(Q(-2, 3)) for b in basis]:
+            for m in (-1, 0, 2):
+                gen = build_operator_general(pd, elem, m)
+                exp = build_operator_explicit_sl(pd, elem, m)
+                assert gen.terms == exp.terms, (n, k, elem, m)
 
 
 def test_engines_agree_on_states():
@@ -1121,7 +1125,7 @@ def test_operator_build_is_deterministic():
 @pytest.mark.parametrize("n, sigma, engine", [
     (1, (), "general"), (1, (), "explicit"), (2, (2,), "general"),
     (2, (2,), "explicit"), (2, (), "general"), (3, (2, 3), "general"),
-    (3, (2, 3), "explicit")])
+    (3, (2, 3), "explicit"), (3, (1, 3), "explicit")])
 def test_operator_terms_do_not_depend_on_the_mode(n, sigma, engine):
     pd = parabolic_decompose(n, sigma)
     build = build_operator_general if engine == "general" else build_operator_explicit_sl
