@@ -127,8 +127,8 @@ class InducingModule:
 
         D is the LCM of the denominators of all the terms, dropped ones too,
         so the kernel produces the integers of every term.  A kept term is
-        (index into families, D * coeff as an int, head kind, head alpha or
-        Levi element, mode-factor slot), and families holds the slot families
+        (index into families, D * coeff as an int, head kind, head as the
+        term holds it, mode-factor slot), and families holds the slot families
         of the kept terms in order of first use.  Dropped are the Levi heads
         that `acts_by_zero` kills and central heads at level 0: they only ever
         added nothing, so the output keys and their order are unchanged.
@@ -144,12 +144,11 @@ class InducingModule:
         kept = []
         for t, num in nums:
             kind = t.head_kind
-            if (kind == "levi" and self.acts_by_zero(t.head_elem)
+            if (kind == "levi" and self.acts_by_zero(t.head)
                     or kind == "central" and level_zero):
                 continue
             kept.append((families.setdefault(t.annihilators, len(families)), num, kind,
-                         t.head_alpha if kind == "create" else t.head_elem,
-                         t.mode_factor))
+                         t.head, t.mode_factor))
         out = (denom, tuple(families), tuple(kept))
         self._kernels[id(terms)] = (terms, out)
         return out

@@ -272,6 +272,13 @@ class Root:
         return f"Root({self.i},{self.j})"
 
 
+def unit_name(u: LieElement) -> str:
+    """A basis unit's name from its lead entry (i, j) = min(u.entries): `Hi`
+    if i == j, else `Ei.j`.  Lead entries order units as `LieElement.key` does."""
+    i, j = min(u.entries)
+    return f"H{i}" if i == j else f"E{i}.{j}"
+
+
 class SimpleAlgebra:
     """sl(n+1) with its canonical basis: H_1..H_n, then E_ij (i != j) by (i, j).
 
@@ -282,16 +289,14 @@ class SimpleAlgebra:
     __slots__ = ("n", "names", "basis", "unit_index")
 
     def __init__(self, n: int):
-        names = [f"H{i}" for i in range(1, n + 1)]
         elems = [LieElement(n, {(i, i): Fraction(1), (i + 1, i + 1): Fraction(-1)})
                  for i in range(1, n + 1)]
         unit_index = {}
         for i, j in permutations(range(1, n + 2), 2):
             unit_index[(i, j)] = len(elems)
-            names.append(f"E{i}.{j}")
             elems.append(matrix_unit(n, i, j))
         self.n = n
-        self.names: tuple[str, ...] = tuple(names)
+        self.names: tuple[str, ...] = tuple(map(unit_name, elems))
         self.basis: tuple[LieElement, ...] = tuple(elems)
         self.unit_index = unit_index
 
@@ -493,16 +498,16 @@ class ParabolicData:
         return (all(i == j for (i, j) in a.entries)
                 and all(a.entry(s, s) == a.entry(s + 1, s + 1) for s in self.sigma))
 
-    def decompose_p(self, a: LieElement) -> tuple[tuple[str, LieElement, Fraction], ...]:
-        """Split a p-element into canonical units (name, unit, coefficient),
-        read by `algebra.coords` in basis order: Cartan coordinates first,
-        then matrix units by (i, j); an int-entry a has int coefficients.
-        Raises if a has a ubar component.
+    def decompose_p(self, a: LieElement) -> tuple[tuple[LieElement, Fraction], ...]:
+        """Split a p-element into (unit, coefficient) pairs over the shared
+        units of `algebra.basis`, read by `algebra.coords` in basis order:
+        Cartan coordinates first, then matrix units by (i, j); an int-entry a
+        has int coefficients.  Raises if a has a ubar component.
         """
         if not self.project(a, "ubar").is_zero():
             raise ValueError("element has a component outside p")
-        alg = self.algebra
-        return tuple((alg.names[k], alg.basis[k], c) for k, c in alg.coords(a))
+        basis = self.algebra.basis
+        return tuple((basis[k], c) for k, c in self.algebra.coords(a))
 
 
 def parabolic_decompose(n: int, sigma: Iterable[int] = ()) -> ParabolicData:

@@ -61,21 +61,22 @@ the e_beta0 coordinate of W_a(S).  Every letter has height >= 1, so only the
 sums of fewer than height(a) letters reach u, and those stay in p.
 
 An operator is its terms, and an element's operators at every mode share one
-terms tuple.  The inducing module compiles it when an operator is first
-applied (`InducingModule.kernel`, memoized per tuple), to integer numerators
-over the LCM of all the term denominators, and drops the terms that act by
-zero on V: Levi heads such as the nilradical or, for a character, every head
-off the center it sees, and the central heads at level 0.  So an operator
-stays valid for every module, and building one does no module work.  The
-apply kernel, `_apply_scaled`, is integer-only: creator heads add their values
-directly, Levi heads read the module's actions as integers (`act_scaled`),
-central heads the level's numerator, each over a denominator that joins the
-output's running LCM.  It keys states by (monomial id, v) in the module's
-`fock.MonomialTable`, which memoizes each slot match and creator product by
-id, so it hashes pairs of ints and computes each distinct product once per
-module.  `apply_operator` interns its state, divides once at the end and
-reads the ids back, so results are exact, and both the output order and the
-sequence of module calls follow term order, then slot-assignment order.
+terms tuple.  A term has one head: a creator's alpha, a Levi head's shared
+unit of `pd.algebra.basis` (named by `unit_name`, ordered by its lead entry)
+or None for a central term.  The inducing module compiles the tuple when an
+operator is first applied (`InducingModule.kernel`, memoized per tuple) to
+integer numerators over one LCM, heads as the terms hold them, without the
+terms that act by zero on V, so an operator stays valid for every module and
+building one does no module work.  The apply kernel, `_apply_scaled`, is
+integer-only: creator heads add their values directly, Levi units read the
+module's actions as integers (`act_scaled`), central heads the level's
+numerator, each over a denominator that joins the output's running LCM.  It
+keys states by (monomial id, v) in the module's `fock.MonomialTable`, which
+memoizes each slot match and creator product by id, so it hashes pairs of
+ints and computes each distinct product once per module.  `apply_operator`
+interns its state, divides once at the end and reads the ids back, so
+results are exact, and both the output order and the sequence of module
+calls follow term order, then slot-assignment order.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ from .lie import (
     bracket,
     central_coeff,
     scale_to_integers,
+    unit_name,
 )
 
 Q = Fraction
@@ -342,8 +344,8 @@ def series_expand(pd: ParabolicData, a: LieElement, kind: str) -> list[Term]:
         for i, level in enumerate(levels if height >= 0 else ()):
             c = tails[i][i] * ka
             for s, w in level:
-                terms.extend(Term(Q(c * x, den), s, "levi", None, unit, name)
-                             for name, unit, x in pd.decompose_p(w))
+                terms.extend(Term(Q(c * x, den), s, "levi", unit)
+                             for unit, x in pd.decompose_p(w))
     elif kind == "C":
         # The scalar correction picked up when conjugating a mode series by
         # exp(ad u) is exactly this G-weighted pairing against d_z u; it is
@@ -369,32 +371,29 @@ class Term:
     """One normal-ordered summand: annihilators (right) then a head (left).
 
     `annihilators` lists the variable family of each slot; slot modes are free
-    summation variables.  `mode_factor` names the slot whose mode multiplies
-    the coefficient (the differentiated slot of central terms).  A term holds
-    no mode: at operator mode m a creator or Levi head acts at m plus the sum
-    of all slot modes, and a central term requires the slot modes to sum to -m.
+    summation variables.  `head` is a creator's alpha, a Levi head's element
+    (in a canonical term a shared unit of `pd.algebra.basis`) or None for a
+    central term.  `mode_factor` names the slot whose mode multiplies the
+    coefficient (the differentiated slot of central terms).  A term holds no
+    mode: at operator mode m a creator or Levi head acts at m plus the sum of
+    all slot modes, and a central term requires the slot modes to sum to -m.
     Immutable by convention, compared and hashed field by field.
     """
 
-    __slots__ = ("coeff", "annihilators", "head_kind", "head_alpha", "head_elem",
-                 "head_name", "mode_factor")
+    __slots__ = ("coeff", "annihilators", "head_kind", "head", "mode_factor")
 
     def __init__(self, coeff: Fraction, annihilators: tuple[int, ...],
                  head_kind: str,  # "create" | "levi" | "central"
-                 head_alpha: int | None = None, head_elem: LieElement | None = None,
-                 head_name: str | None = None, mode_factor: int | None = None):
+                 head: int | LieElement | None = None, mode_factor: int | None = None):
         self.coeff = coeff
         self.annihilators = annihilators
         self.head_kind = head_kind
-        self.head_alpha = head_alpha
-        self.head_elem = head_elem
-        self.head_name = head_name
+        self.head = head
         self.mode_factor = mode_factor
 
     def fields(self) -> tuple:
         """The constructor's arguments, in order."""
-        return (self.coeff, self.annihilators, self.head_kind, self.head_alpha,
-                self.head_elem, self.head_name, self.mode_factor)
+        return (self.coeff, self.annihilators, self.head_kind, self.head, self.mode_factor)
 
     def __eq__(self, other):
         return isinstance(other, Term) and self.fields() == other.fields()
@@ -415,9 +414,9 @@ class Term:
             return " * ".join(bits) + f" [sum n = {-mode}]"
         at = " + ".join([str(mode)] + [f"n{i}" for i in range(len(self.annihilators))])
         if self.head_kind == "create":
-            bits.append(f"b({self.head_alpha}, {at})")
+            bits.append(f"b({self.head}, {at})")
         else:
-            bits.append(f"{self.head_name}({at})")
+            bits.append(f"{unit_name(self.head)}({at})")
         return " * ".join(bits)
 
 
@@ -463,11 +462,11 @@ def _canonical_terms(pd: ParabolicData, raw: list[Term]) -> tuple[Term, ...]:
     """Canonical form of a list of raw terms, for the closed-form engine.
 
     Each term's slots are sorted by family, the mode-factor slot first among
-    slots of one family, and a Levi head is split into named basis units by
-    `decompose_p`.  Every piece is summed with `add_to` under the key
-    (sorted slots, head kind, alpha, Levi unit, unit name, mode-factor slot),
-    which lists the fields of `Term` after its coefficient, so pieces that
-    cancel vanish, and the surviving terms come in `_term_sort_key` order.
+    slots of one family, and a Levi head is split into the shared basis units
+    of `decompose_p`.  Every piece is summed with `add_to` under the key
+    (sorted slots, head kind, head, mode-factor slot), which lists the fields
+    of `Term` after its coefficient, so pieces that cancel vanish, and the
+    surviving terms come in `_term_sort_key` order.
     """
     merged: dict[tuple, Fraction] = {}
     for t in raw:
@@ -476,10 +475,10 @@ def _canonical_terms(pd: ParabolicData, raw: list[Term]) -> tuple[Term, ...]:
         annih = tuple(t.annihilators[s] for s in order)
         mf = None if t.mode_factor is None else order.index(t.mode_factor)
         if t.head_kind == "levi":
-            for name, unit, c in pd.decompose_p(t.head_elem):
-                add_to(merged, (annih, "levi", None, unit, name, mf), t.coeff * c)
+            for unit, c in pd.decompose_p(t.head):
+                add_to(merged, (annih, "levi", unit, mf), t.coeff * c)
         else:
-            add_to(merged, (annih, t.head_kind, t.head_alpha, None, None, mf), t.coeff)
+            add_to(merged, (annih, t.head_kind, t.head, mf), t.coeff)
     return tuple(sorted((Term(c, *key) for key, c in merged.items()), key=_term_sort_key))
 
 
@@ -488,11 +487,10 @@ _HEAD_RANK = {"create": 0, "levi": 1, "central": 2}
 
 def _term_sort_key(t: Term):
     """The canonical order of an operator's terms: slot count, head kind,
-    alpha, Levi unit, slots, mode-factor slot."""
-    return (len(t.annihilators), _HEAD_RANK[t.head_kind],
-            -1 if t.head_alpha is None else t.head_alpha,
-            () if t.head_elem is None else t.head_elem.key(), t.annihilators,
-            -1 if t.mode_factor is None else t.mode_factor)
+    head (a creator's alpha, a Levi unit's lead entry), slots, mode-factor slot."""
+    head = min(t.head.entries) if t.head_kind == "levi" else t.head
+    return (len(t.annihilators), _HEAD_RANK[t.head_kind], -1 if head is None else head,
+            t.annihilators, -1 if t.mode_factor is None else t.mode_factor)
 
 
 def build_operator_general(pd: ParabolicData, a: LieElement, m: int,
@@ -536,21 +534,21 @@ def build_operator_explicit_sl(pd: ParabolicData, a: LieElement, m: int,
     heads: dict[int, dict] = {}  # the Levi head of each slot, from BZ and -ZB
     for (p, q), c in a.entries.items():
         if p in bot and q in top:  # C
-            raw.append(Term(-c, (), "create", head_alpha=slot[p, q]))
+            raw.append(Term(-c, (), "create", slot[p, q]))
         elif p in bot:  # DZ
-            raw += [Term(-c, (slot[q, i],), "create", head_alpha=slot[p, i]) for i in top]
+            raw += [Term(-c, (slot[q, i],), "create", slot[p, i]) for i in top]
         elif q in top:  # ZA
-            raw += [Term(c, (slot[j, p],), "create", head_alpha=slot[j, q]) for j in bot]
+            raw += [Term(c, (slot[j, p],), "create", slot[j, q]) for j in bot]
         else:  # B: ZBZ, BZ, ZB and tr(B dZ)
-            raw += [Term(c, (slot[j, p], slot[q, i]), "create", head_alpha=slot[j, i])
+            raw += [Term(c, (slot[j, p], slot[q, i]), "create", slot[j, i])
                     for j in bot for i in top]
             for i in top:
                 heads.setdefault(slot[q, i], {})[p, i] = c
             for j in bot:
                 heads.setdefault(slot[j, p], {})[j, q] = -c
             raw.append(Term(-c, (slot[q, p],), "central", mode_factor=0))
-    raw.append(Term(Q(1), (), "levi", head_elem=pd.project(a, "p")))
-    raw += [Term(Q(1), (s,), "levi", head_elem=_raw(pd.n, e)) for s, e in heads.items()]
+    raw.append(Term(Q(1), (), "levi", pd.project(a, "p")))
+    raw += [Term(Q(1), (s,), "levi", _raw(pd.n, e)) for s, e in heads.items()]
     return NormalOrderedOperator(_canonical_terms(pd, raw), m)
 
 

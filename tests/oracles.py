@@ -326,10 +326,10 @@ def _raw_series_terms(pd: ParabolicData, a: LieElement, kind: str) -> list[Term]
     differentiated first slot as its mode factor."""
     pairs = series_reference(pd, a, kind)
     if kind == "D":
-        return [Term(-c, word, "create", head_alpha=alpha)
+        return [Term(-c, word, "create", alpha)
                 for word, y in pairs for alpha, c in ubar_coords(pd, y)]
     if kind == "A":
-        return [Term(Q(1), word, "levi", head_elem=x) for word, x in pairs]
+        return [Term(Q(1), word, "levi", x) for word, x in pairs]
     return [Term(-c, word, "central", mode_factor=0) for word, c in pairs]
 
 
@@ -369,12 +369,10 @@ def instantiate_operator(op: NormalOrderedOperator, window: int,
             if coeff == 0:
                 continue
             annih = tuple(sorted(zip(term.annihilators, modes)))
-            if term.head_kind == "create":
-                head = ("create", term.head_alpha, op.mode + sum(modes))
-            elif term.head_kind == "levi":
-                head = ("levi", term.head_elem.key(), op.mode + sum(modes))
-            else:
+            if term.head_kind == "central":
                 head = ("central",)
+            else:  # a creator's alpha or a Levi head's unit, at its mode
+                head = (term.head_kind, term.head, op.mode + sum(modes))
             add_to(out, (annih, head), coeff)
     return out
 

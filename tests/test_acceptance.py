@@ -139,15 +139,15 @@ def _sl2_closed_form_operator(pd, name: str, m: int) -> NormalOrderedOperator:
     h = cartan_h(1, 1)
     e = matrix_unit(1, 1, 2)
     if name == "f":
-        raw = [Term(Q(-1), (), "create", head_alpha=0)]
+        raw = [Term(Q(-1), (), "create", 0)]
     elif name == "h":
-        raw = [Term(Q(2), (0,), "create", head_alpha=0),
-               Term(Q(1), (), "levi", head_elem=h)]
+        raw = [Term(Q(2), (0,), "create", 0),
+               Term(Q(1), (), "levi", h)]
     else:
-        raw = [Term(Q(1), (0, 0), "create", head_alpha=0),
+        raw = [Term(Q(1), (0, 0), "create", 0),
                Term(Q(-1), (0,), "central", mode_factor=0),
-               Term(Q(1), (0,), "levi", head_elem=h),
-               Term(Q(1), (), "levi", head_elem=e)]
+               Term(Q(1), (0,), "levi", h),
+               Term(Q(1), (), "levi", e)]
     return NormalOrderedOperator(_canonical_terms(pd, raw), m)
 
 
@@ -312,7 +312,7 @@ def test_criterion_9_negative_controls():
         base = build_operator_general(pd2, target, tm)
         for idx, term in enumerate(base.terms):
             if term.head_kind == "levi" and \
-                    pd2.project(term.head_elem, "u") == term.head_elem:
+                    pd2.project(term.head, "u") == term.head:
                 continue  # nilradical heads act by zero on every supported V
 
             def hook(a, m, op, target=target, tm=tm, idx=idx):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from affinefock.lie import (
+    MAX_RANK,
     LieElement,
     ParabolicData,
     Root,
@@ -22,6 +23,7 @@ from affinefock.lie import (
     levi_blocks,
     matrix_unit,
     parabolic_decompose,
+    unit_name,
     zero,
 )
 from affinefock.sampling import Sampler
@@ -461,8 +463,21 @@ def test_matrix_unit_is_shared():
     # caches keyed by Levi heads hit by identity
     assert matrix_unit(3, 2, 4) is matrix_unit(3, 2, 4)
     pd = parabolic_decompose(2, ())
-    name, unit, _c = pd.decompose_p(matrix_unit(2, 1, 2))[0]
-    assert name == "E1.2" and unit is matrix_unit(2, 1, 2)
+    unit, _c = pd.decompose_p(matrix_unit(2, 1, 2))[0]
+    assert unit_name(unit) == "E1.2" and unit is matrix_unit(2, 1, 2)
+
+
+def test_unit_names_read_the_lead_entry():
+    # one naming rule: each name is read off its unit's lead entry, which
+    # also orders the units as `LieElement.key` does
+    for n in range(1, MAX_RANK + 1):
+        alg = build_sl(n)
+        expected = [f"H{i}" for i in range(1, n + 1)] + [
+            f"E{i}.{j}" for i, j in itertools.permutations(range(1, n + 2), 2)]
+        assert list(alg.names) == expected
+        assert [unit_name(u) for u in alg.basis] == expected
+        assert (sorted(alg.basis, key=lambda u: min(u.entries))
+                == sorted(alg.basis, key=LieElement.key))
 
 
 def test_coords_of_an_int_entry_element_are_ints():

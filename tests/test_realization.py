@@ -36,6 +36,7 @@ from affinefock.lie import (
     form,
     matrix_unit,
     parabolic_decompose,
+    unit_name,
     zero as zero_element,
 )
 import affinefock.realization as rz
@@ -143,16 +144,16 @@ def test_series_abelian_nilradical_element():
     # pi(f_0) = -b(0): the creator of f_0 with the operator's minus sign
     for pd in (PD_SL2, PD_SL3_MAX):
         a = pd.f_basis[0]
-        assert series_expand(pd, a, "D") == [Term(Q(-1), (), "create", head_alpha=0)]
+        assert series_expand(pd, a, "D") == [Term(Q(-1), (), "create", 0)]
         assert series_expand(pd, a, "A") == []
         assert series_expand(pd, a, "C") == []
 
 
 def test_series_levi_is_single_annihilator_family():
     # the D value -[f, h] = -2 f gives the creator term 2 x(0) b(0)
-    assert series_expand(PD_SL2, H1, "D") == [Term(Q(2), (0,), "create", head_alpha=0)]
-    assert series_expand(PD_SL2, H1, "A") == [
-        Term(Q(1), (), "levi", head_elem=H1, head_name="H1")]
+    assert series_expand(PD_SL2, H1, "D") == [Term(Q(2), (0,), "create", 0)]
+    [levi] = series_expand(PD_SL2, H1, "A")
+    assert levi == Term(Q(1), (), "levi", H1) and unit_name(levi.head) == "H1"
     assert series_expand(PD_SL2, H1, "C") == []
 
 
@@ -171,8 +172,8 @@ def test_series_bernoulli_correction_sl3_borel():
     # (D values f_0 and -1/2 E31 at the word (1,), E31 being f_2)
     d = series_expand(PD_SL3_BOREL, PD_SL3_BOREL.f_basis[0], "D")
     assert PD_SL3_BOREL.f_basis[2] == matrix_unit(2, 3, 1)
-    assert d == [Term(Q(-1), (), "create", head_alpha=0),
-                 Term(Q(1, 2), (1,), "create", head_alpha=2)]
+    assert d == [Term(Q(-1), (), "create", 0),
+                 Term(Q(1, 2), (1,), "create", 2)]
 
 
 def test_series_rejects_inhomogeneous():
@@ -441,33 +442,36 @@ def test_canonical_terms_merge_split_cancel_and_order():
     levi = cartan_h(2, 1).scale(2) + matrix_unit(2, 1, 3).scale(-3)
     raw = [
         # permuted slot orders of one pattern merge
-        Term(Q(1), (1, 0), "create", head_alpha=0),
-        Term(Q(2), (0, 1), "create", head_alpha=0),
+        Term(Q(1), (1, 0), "create", 0),
+        Term(Q(2), (0, 1), "create", 0),
         # the mode-factor slot comes first among slots of its family
         Term(Q(1), (1, 0, 0), "central", mode_factor=2),
         Term(Q(1, 2), (0, 1, 0), "central", mode_factor=0),
         Term(Q(5), (0, 1, 0), "central", mode_factor=1),
-        # a Levi head splits into named units
-        Term(Q(1), (), "levi", head_elem=levi),
+        # a Levi head splits into the shared basis units
+        Term(Q(1), (), "levi", levi),
         # sums that cancel are dropped, and so is a zero term
-        Term(Q(1), (2,), "create", head_alpha=1),
-        Term(Q(-1), (2,), "create", head_alpha=1),
-        Term(Q(1), (0,), "levi", head_elem=cartan_h(2, 2)),
-        Term(Q(-1), (0,), "levi", head_elem=cartan_h(2, 2)),
-        Term(Q(0), (1,), "create", head_alpha=2),
+        Term(Q(1), (2,), "create", 1),
+        Term(Q(-1), (2,), "create", 1),
+        Term(Q(1), (0,), "levi", cartan_h(2, 2)),
+        Term(Q(-1), (0,), "levi", cartan_h(2, 2)),
+        Term(Q(0), (1,), "create", 2),
     ]
     expected = (
-        Term(Q(2), (), "levi", head_elem=cartan_h(2, 1), head_name="H1"),
-        Term(Q(-3), (), "levi", head_elem=matrix_unit(2, 1, 3), head_name="E1.3"),
-        Term(Q(3), (0, 1), "create", head_alpha=0),
+        Term(Q(2), (), "levi", cartan_h(2, 1)),
+        Term(Q(-3), (), "levi", matrix_unit(2, 1, 3)),
+        Term(Q(3), (0, 1), "create", 0),
         Term(Q(3, 2), (0, 0, 1), "central", mode_factor=0),
         Term(Q(5), (0, 0, 1), "central", mode_factor=2),
     )
-    assert _canonical_terms(pd, raw) == expected
+    got = _canonical_terms(pd, raw)
+    assert got == expected
+    assert [unit_name(t.head) for t in got[:2]] == ["H1", "E1.3"]
+    assert got[0].head is cartan_h(2, 1) and got[1].head is matrix_unit(2, 1, 3)
     # terms compare and hash by value, so they serve as dict keys
     index = {term: k for k, term in enumerate(expected)}
-    assert index[Term(Q(3), (0, 1), "create", head_alpha=0)] == 2
-    assert Term(Q(3), (0, 1), "create", head_alpha=1) not in index
+    assert index[Term(Q(3), (0, 1), "create", 0)] == 2
+    assert Term(Q(3), (0, 1), "create", 1) not in index
     # the final order does not depend on the order of the raw terms
     assert _canonical_terms(pd, raw[::-1]) == expected
     assert _canonical_terms(pd, raw[3:] + raw[:3]) == expected
@@ -478,15 +482,15 @@ def test_canonical_terms_merge_split_cancel_and_order():
 def sl2_closed_form_operator(name: str, m: int) -> NormalOrderedOperator:
     """Hand transcription of the rank-one closed formulas."""
     if name == "f":
-        raw = [Term(Q(-1), (), "create", head_alpha=0)]
+        raw = [Term(Q(-1), (), "create", 0)]
     elif name == "h":
-        raw = [Term(Q(2), (0,), "create", head_alpha=0),
-               Term(Q(1), (), "levi", head_elem=H1)]
+        raw = [Term(Q(2), (0,), "create", 0),
+               Term(Q(1), (), "levi", H1)]
     elif name == "e":
-        raw = [Term(Q(1), (0, 0), "create", head_alpha=0),
+        raw = [Term(Q(1), (0, 0), "create", 0),
                Term(Q(-1), (0,), "central", mode_factor=0),
-               Term(Q(1), (0,), "levi", head_elem=H1),
-               Term(Q(1), (), "levi", head_elem=E_SL2)]
+               Term(Q(1), (0,), "levi", H1),
+               Term(Q(1), (), "levi", E_SL2)]
     else:
         raise KeyError(name)
     return NormalOrderedOperator(_canonical_terms(PD_SL2, raw), m)
@@ -518,7 +522,7 @@ def test_explicit_f_single_creator():
     op = build_operator_explicit_sl(PD_SL3_MAX, PD_SL3_MAX.f_basis[1], 4)
     assert len(op.terms) == 1
     t = op.terms[0]
-    assert (t.coeff, t.annihilators, t.head_kind, t.head_alpha) == (Q(-1), (), "create", 1)
+    assert (t.coeff, t.annihilators, t.head_kind, t.head) == (Q(-1), (), "create", 1)
     assert op.mode == 4
 
 
@@ -529,10 +533,10 @@ def test_explicit_h_has_dilation_terms():
     assert len(creators) == 2
     for t in creators:
         assert t.coeff == Q(3, 2)  # 1 + 1/n with n = 2
-        assert t.annihilators == (t.head_alpha,)
+        assert t.annihilators == (t.head,)
     levis = [t for t in op.terms if t.head_kind == "levi"]
     # h = H1 + (1/2) H2 in the canonical Cartan units
-    assert {(t.head_name, t.coeff) for t in levis} == {("H1", Q(1)), ("H2", Q(1, 2))}
+    assert {(unit_name(t.head), t.coeff) for t in levis} == {("H1", Q(1)), ("H2", Q(1, 2))}
 
 
 def test_explicit_h_A_pattern():
@@ -542,7 +546,7 @@ def test_explicit_h_A_pattern():
     creators = [t for t in op.terms if t.head_kind == "create"]
     assert len(creators) == 1
     t = creators[0]
-    assert t.coeff == Q(-1) and t.annihilators == (1,) and t.head_alpha == 0
+    assert t.coeff == Q(-1) and t.annihilators == (1,) and t.head == 0
     assert op.mode == 2
 
 
@@ -555,8 +559,8 @@ def test_general_f_in_depth_two_has_correction():
     op = build_operator_general(PD_SL3_BOREL, PD_SL3_BOREL.f_basis[0], 0)
     assert len(op.terms) == 2
     plain, corr = op.terms
-    assert (plain.coeff, plain.annihilators, plain.head_alpha) == (Q(-1), (), 0)
-    assert (corr.coeff, corr.annihilators, corr.head_alpha) == (Q(1, 2), (1,), 2)
+    assert (plain.coeff, plain.annihilators, plain.head) == (Q(-1), (), 0)
+    assert (corr.coeff, corr.annihilators, corr.head) == (Q(1, 2), (1,), 2)
 
 
 def test_zero_element_gives_zero_operator():
@@ -635,7 +639,6 @@ def reference_apply(op, state, module):
     operators, the module's own action or the level."""
     window = max((abs(n) for (mono, _v) in state.terms for _a, n, _e in mono),
                  default=0)
-    elems = {t.head_elem.key(): t.head_elem for t in op.terms if t.head_kind == "levi"}
     out = FockState.zero()
     for (annih, head), coeff in instantiate_operator(op, window).items():
         part = state
@@ -647,7 +650,7 @@ def reference_apply(op, state, module):
             acted = FockState.zero()
             for (mono, v), c in part.terms.items():
                 acted = acted + FockState({(mono, w): c * d for w, d in
-                                           module.act(elems[head[1]], head[2], v).items()})
+                                           module.act(head[1], head[2], v).items()})
             part = acted
         elif head[0] == "central":
             part = part.scale(module.level)
@@ -965,7 +968,7 @@ def test_flipped_term_breaks_bracket():
     base = build_operator_general(PD_SL2, E_SL2, 1)
     for idx in range(len(base.terms)):
         term = base.terms[idx]
-        if term.head_kind == "levi" and PD_SL2.project(term.head_elem, "u") == term.head_elem:
+        if term.head_kind == "levi" and PD_SL2.project(term.head, "u") == term.head:
             # nilradical Levi heads act by zero on every supported module,
             # so a sign flip there is invisible to action checks
             continue
@@ -1025,15 +1028,20 @@ def test_bracket_sweep_smoke_sl3_borel_character():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_engines_agree_structurally(n):
     # on every maximal parabolic, Sigma = {1..n} minus k, for the basis, the
-    # Levi center and a fractional multiple of each basis element
+    # Levi center and a fractional multiple of each basis element; every
+    # canonical Levi head is a shared basis unit, which the module's action
+    # memo and `acts_by_zero` meet by identity
     for k in range(1, n + 1):
         pd = parabolic_decompose(n, set(range(1, n + 1)) - {k})
         basis = [elem for _, elem, _ in pd.homogeneous_basis]
+        units = {id(u) for u in pd.algebra.basis}
         for elem in basis + list(pd.center_basis) + [b.scale(Q(-2, 3)) for b in basis]:
             for m in (-1, 0, 2):
                 gen = build_operator_general(pd, elem, m)
                 exp = build_operator_explicit_sl(pd, elem, m)
                 assert gen.terms == exp.terms, (n, k, elem, m)
+                for t in gen.terms + exp.terms:
+                    assert t.head_kind != "levi" or id(t.head) in units, (n, k, elem, t)
 
 
 def test_engines_agree_on_states():
@@ -1533,8 +1541,7 @@ def _compile_every_term(terms):
         num = t.coeff * denom
         assert num.denominator == 1
         kernel.append((families.index(t.annihilators), num.numerator, t.head_kind,
-                       t.head_alpha if t.head_kind == "create" else t.head_elem,
-                       t.mode_factor))
+                       t.head, t.mode_factor))
     return denom, tuple(families), tuple(kernel)
 
 
@@ -1631,8 +1638,8 @@ def test_module_kernel_drops_killed_heads_and_central_terms_at_level_zero():
         assert engines[0] == "general"
     # D is the LCM over every term: a dropped term's denominator stays in it
     mod = _fractional_modules()[1]
-    terms = (Term(Q(1), (), "create", head_alpha=0),
-             Term(Q(1, 3), (0,), "levi", head_elem=mod.pd.e_basis[0], head_name="e1"))
+    terms = (Term(Q(1), (), "create", 0),
+             Term(Q(1, 3), (0,), "levi", mod.pd.e_basis[0]))
     assert mod.kernel(terms) == (3, ((),), ((0, 3, "create", 0, None),))
 
 
