@@ -77,9 +77,30 @@ def mono_matches(families: tuple[int, ...], mono: Monomial) -> tuple[tuple, ...]
     slot contributes minus the exponent it finds, which it then lowers by one.
     Returns (multiplicity, slot modes, mode sum, remaining monomial) tuples.
     A pure function of its arguments; `MonomialTable.match` memoizes it.
+    One and two slots, the families almost every operator term has, run as
+    direct loops; three or more slots run the general product.
     """
     if not families:
         return ((1, (), 0, mono),)
+    if len(families) == 1:
+        a = families[0]
+        return tuple([(-e, (n,), n, _lowered(mono, p))
+                      for p, (b, n, e) in enumerate(mono) if b == a])
+    if len(families) == 2:
+        first = [p for p, v in enumerate(mono) if v[0] == families[0]]
+        second = [q for q, v in enumerate(mono) if v[0] == families[1]]
+        out = []
+        for p in first:
+            _, n, e = mono[p]
+            for q in second:
+                _, n2, e2 = mono[q]
+                if p != q:
+                    out.append((e * e2, (n, n2), n + n2,
+                                _lowered(_lowered(mono, max(p, q)), min(p, q))))
+                elif e > 1:
+                    out.append((e * (e - 1), (n, n), 2 * n,
+                                _lowered(_lowered(mono, p), p)))
+        return tuple(out)
     positions: dict[int, list[int]] = {}
     for p, (a, _n, _e) in enumerate(mono):
         positions.setdefault(a, []).append(p)
@@ -99,6 +120,14 @@ def mono_matches(families: tuple[int, ...], mono: Monomial) -> tuple[tuple, ...]
     return tuple(out)
 
 
+def _lowered(mono: Monomial, p: int) -> Monomial:
+    """mono with the exponent at position p lowered by one, dropped at zero."""
+    a, n, e = mono[p]
+    if e == 1:
+        return mono[:p] + mono[p + 1:]
+    return mono[:p] + ((a, n, e - 1),) + mono[p + 1:]
+
+
 class MonomialTable:
     """Monomials interned as small ints, with the products the apply kernel
     asks for memoized by id.
@@ -107,22 +136,26 @@ class MonomialTable:
     from 0 in order of first interning and are stable until `clear`.
     `times[(i, alpha, mode)]` is the id of `mono_mul_var(monos[i], alpha,
     mode)`, and `matches[(families, i)]` is `mono_matches(families, monos[i])`
-    with each remaining monomial replaced by its id.  Both fill on a miss
-    (`mul_var`, `match`), so the kernel hashes pairs of ints, not nested
-    tuples, and computes each distinct product once.  Each inducing module
-    owns one table (`InducingModule.monomials`); it grows with the distinct
-    monomials the module's states reach, and `realization.bracket_sweep`
-    empties it when it returns.  The Cartan Fock module keeps its V-basis in
-    a second table (`HeisenbergFockModule.vbasis`), which nothing empties.
+    with each remaining monomial replaced by its id.  `columns` holds, per
+    operator kernel (`InducingModule.kernel`'s kept terms, keyed by identity),
+    the kernel's contributions on each monomial id for every mode (`column`).
+    All three fill on a miss (`mul_var`, `match`, `column`), so the kernel
+    hashes small ints, not nested tuples, and computes each distinct product
+    once.  Each inducing module owns one table (`InducingModule.monomials`);
+    it grows with the distinct monomials the module's states reach and the
+    kernels applied to them, and `realization.bracket_sweep` empties it when
+    it returns.  The Cartan Fock module keeps its V-basis in a second table
+    (`HeisenbergFockModule.vbasis`), which nothing empties.
     """
 
-    __slots__ = ("ids", "monos", "times", "matches")
+    __slots__ = ("ids", "monos", "times", "matches", "columns")
 
     def __init__(self):
         self.ids: dict[Monomial, int] = {}
         self.monos: list[Monomial] = []
         self.times: dict[tuple[int, int, int], int] = {}
         self.matches: dict[tuple[tuple[int, ...], int], tuple] = {}
+        self.columns: dict[int, tuple[tuple, dict[int, tuple]]] = {}
 
     def clear(self) -> None:
         """Forget every monomial; ids handed out before are void."""
@@ -130,6 +163,7 @@ class MonomialTable:
         self.monos.clear()
         self.times.clear()
         self.matches.clear()
+        self.columns.clear()
 
     def intern(self, mono: Monomial) -> int:
         i = self.ids.get(mono)
@@ -155,6 +189,46 @@ class MonomialTable:
                 (mult, modes, msum, self.intern(rem))
                 for mult, modes, msum, rem in mono_matches(families, self.monos[i]))
         return hit
+
+    def kernel_columns(self, terms: tuple) -> dict[int, tuple]:
+        """The columns of a kernel's kept terms by monomial id, filled by
+        `column`.  The entry holds `terms`, so its id is not reused while the
+        table keeps it."""
+        hit = self.columns.get(id(terms))
+        if hit is None:
+            hit = self.columns[id(terms)] = (terms, {})
+        return hit[1]
+
+    def column(self, families: tuple, terms: tuple, cols: dict, i: int) -> tuple:
+        """The mode-free contributions of a kernel's kept terms on monos[i],
+        stored in `cols`, the kernel's `kernel_columns`.
+
+        `families` and `terms` are a kernel as `InducingModule.kernel` returns
+        it.  Each (term, slot match) pair, in term order and then match order,
+        gives (num * multiplicity * mode factor, head kind, head, slot-mode
+        sum, remaining monomial id); a match whose mode factor is zero is left
+        out.  The mode only decides where a head acts (at mode plus the sum)
+        and which central matches count (sum == -mode), so one column serves
+        the kernel at every mode.
+        """
+        matched = self.matches
+        found: list = [None] * len(families)
+        out = []
+        for fi, num, kind, head, mode_factor in terms:
+            matches = found[fi]
+            if matches is None:
+                matches = matched.get((families[fi], i))
+                if matches is None:
+                    matches = self.match(families[fi], i)
+                found[fi] = matches
+            for mult, modes, msum, rem in matches:
+                if mode_factor is not None:
+                    mult *= modes[mode_factor]
+                    if not mult:
+                        continue
+                out.append((num * mult, kind, head, msum, rem))
+        col = cols[i] = tuple(out)
+        return col
 
     def scaled(self, state: "FockState") -> tuple[int, list]:
         """A state as integers over one denominator, keyed by (monomial id, v):

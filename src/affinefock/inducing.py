@@ -32,8 +32,9 @@ this module, dropping such Levi heads and central heads at level 0.  The
 apply kernel (`realization._apply_scaled`) runs what it returns, memoized per
 terms tuple, so a killed head never reaches `act_scaled`.  The module also
 owns the `MonomialTable` that the apply kernel keys its states by, so the slot
-matches and creator products of every operator applied on the module are
-computed once.
+matches and creator products of every operator applied on the module, and
+each kernel's mode-free columns (its contributions on one monomial, shared
+by every mode), are computed once.
 """
 
 from __future__ import annotations

@@ -73,10 +73,14 @@ module's actions as integers (`act_scaled`), central heads the level's
 numerator, each over a denominator that joins the output's running LCM.  It
 keys states by (monomial id, v) in the module's `fock.MonomialTable`, which
 memoizes each slot match and creator product by id, so it hashes pairs of
-ints and computes each distinct product once per module.  `apply_operator`
-interns its state, divides once at the end and reads the ids back, so
-results are exact, and both the output order and the sequence of module
-calls follow term order, then slot-assignment order.
+ints and computes each distinct product once per module.  What a kernel's
+terms make of one monomial does not depend on the mode either: the table
+keeps it as the kernel's column on that monomial, built at the first mode
+and read at every other, and per mode the kernel only places each head and
+filters the central matches.  `apply_operator` interns its state, divides
+once at the end and reads the ids back, so results are exact, and both the
+output order and the sequence of module calls follow term order, then
+slot-assignment order.
 """
 
 from __future__ import annotations
@@ -565,9 +569,10 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
     or act on the V-factor through the inducing module; a central term keeps
     only the assignments whose slot modes sum to -m and scales by the level.
     The state is interned in the module's `MonomialTable`, which lives as
-    long as the module, so its matches and creator products are computed once
-    per module; a caller that applies batches of unrelated states empties it
-    between batches with `module.monomials.clear()`.
+    long as the module, so its matches, creator products and each kernel's
+    mode-free columns are computed once per module; a caller that applies
+    batches of unrelated states empties it between batches with
+    `module.monomials.clear()`.
     Contributions are summed as integers over the operator's, the state's and
     the heads' common denominators (`_apply_scaled`), and divided once at the
     end, when the ids are read back in output order.
@@ -583,12 +588,18 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
     `act_scaled`, central the level's); a new denominator grows M and every
     output value in place, keeping key order and zero sums.  It runs the
     module's `kernel` of the operator's terms, their integers over D without
-    the terms that act by zero on V, and a creator head adds its value
-    directly, its denominator being 1.  Slot matches and creator products are
-    read from the table, and computed only on a miss."""
+    the terms that act by zero on V, through the table's mode-free columns:
+    per monomial, each (term, slot match) as (D * coeff * multiplicity *
+    mode factor, head kind, head, slot-mode sum, remaining monomial id), in
+    term and then match order (`MonomialTable.column`).  Per call it does
+    only what depends on the mode m, entry by entry in column order: a
+    creator adds its value at m plus the sum directly, its denominator being
+    1; a central entry counts only when the sum is -m; a Levi head acts at m
+    plus the sum through `act_scaled`.  Columns, slot matches and creator
+    products are read from the table, and computed only on a miss."""
     denom, families, terms = module.kernel(op.terms)
     table = module.monomials
-    matched, match = table.matches, table.match
+    cols, column = table.kernel_columns(terms), table.column
     times, mul_var = table.times, table.mul_var
     mode = op.mode
     knum, kden = module.level.numerator, module.level.denominator
@@ -596,50 +607,40 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
     lcm_m = 1
     out: dict = {}
     for (mid, vidx), cnum in items:
-        found: list = [None] * len(families)
-        for fi, num, kind, head, mode_factor in terms:
-            central = kind == "central"
-            matches = found[fi]
-            if matches is None:
-                matches = matched.get((families[fi], mid))
-                if matches is None:
-                    matches = match(families[fi], mid)
-                found[fi] = matches
-            for mult, modes, msum, rem in matches:
-                if central and msum != -mode:
-                    continue
-                if mode_factor is not None:
-                    mult *= modes[mode_factor]
-                    if not mult:
-                        continue
-                if kind == "create":
-                    created = times.get((rem, head, mode + msum))
-                    if created is None:
-                        created = mul_var(rem, head, mode + msum)
-                    key = (created, vidx)
-                    s = out.get(key, 0) + num * mult * cnum * lcm_m
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-                    continue
-                if central:
-                    den, vecs = kden, ((vidx, knum),)
+        col = cols.get(mid)
+        if col is None:
+            col = column(families, terms, cols, mid)
+        for num, kind, head, msum, rem in col:
+            if kind == "create":
+                created = times.get((rem, head, mode + msum))
+                if created is None:
+                    created = mul_var(rem, head, mode + msum)
+                key = (created, vidx)
+                s = out.get(key, 0) + num * cnum * lcm_m
+                if s:
+                    out[key] = s
                 else:
-                    den, vecs = module.act_scaled(head, mode + msum, vidx)
-                if lcm_m % den:
-                    grow = den // gcd(lcm_m, den)
-                    lcm_m *= grow
-                    for key in out:
-                        out[key] *= grow
-                f = num * mult * cnum * (lcm_m // den)
-                for w, d in vecs:
-                    key = (rem, w)
-                    s = out.get(key, 0) + f * d
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    out.pop(key, None)
+                continue
+            if kind == "central":
+                if msum != -mode:
+                    continue
+                den, vecs = kden, ((vidx, knum),)
+            else:
+                den, vecs = module.act_scaled(head, mode + msum, vidx)
+            if lcm_m % den:
+                grow = den // gcd(lcm_m, den)
+                lcm_m *= grow
+                for key in out:
+                    out[key] *= grow
+            f = num * cnum * (lcm_m // den)
+            for w, d in vecs:
+                key = (rem, w)
+                s = out.get(key, 0) + f * d
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
     return denom * scale * lcm_m, out.items()
 
 
@@ -776,17 +777,22 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
                     x, y = alg.names[i], alg.names[j]
                     raise AssertionError(f"the bracket coordinates of ({x}, {y}) and "
                                          f"({y}, {x}) are not opposite")
+        # the same table as (k, numerator, denominator) ints, read per residual
+        btab = [[tuple((k, c.numerator, c.denominator) for k, c in cell) for cell in row]
+                for row in btab]
 
         def residual(x, y, coords, p, si, central):
-            """x - y - [a,b]_{m+n} s - central s as (L, items), or None when zero."""
-            parts = [(x, 1), (y, -1)]
-            parts.extend((P[k][p][si], c) for k, c in coords)
+            """x - y - [a,b]_{m+n} s - central s as (L, items), or None when zero;
+            coords holds (k, numerator, denominator) and central, unless None,
+            (numerator, denominator) ints."""
+            parts = [(x, 1, 1), (y, -1, 1)]
+            parts.extend((P[k][p][si], num, den) for k, num, den in coords)
             if central:
-                parts.append((inputs[si], central))
-            common = lcm(*[scale * c.denominator for (scale, _), c in parts])
+                parts.append((inputs[si], *central))
+            common = lcm(*[scale * den for (scale, _), _, den in parts])
             acc: dict = {}
-            for (scale, items), c in parts:
-                f = c.numerator * (common // (scale * c.denominator))
+            for (scale, items), num, den in parts:
+                f = num * (common // (scale * den))
                 for key, v in items:
                     t = acc.get(key, 0) + v * f
                     if t:
@@ -807,14 +813,16 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
                             row = passes
                         else:
                             own = (i, m) == (j, n)
-                            central = 0
+                            central = None
                             if kappa != 0 and m == -n:
                                 c = central_coeff(a, b, m, n)
                                 if central_coeff(b, a, n, m) != -c:
                                     raise AssertionError(
                                         f"the central terms of ({aname}, {bname}, {m}, {n})"
                                         f" and its mirror are not opposite")
-                                central = -c * kappa
+                                c = -c * kappa
+                                if c:
+                                    central = c.numerator, c.denominator
                             op_a, pa = real.operator(a, m), P[i][m + wide]
                             op_b, pb = real.operator(b, n), P[j][n + wide]
                             p = m + n + wide

@@ -6,17 +6,18 @@ way; the rest are helpers that only tests need:
 
 * Lie theory: a basis element by name, the Killing form over the canonical
   basis, and the centrally extended loop algebra with its bracket.
-* Fock states: creation and annihilation one variable at a time, the PBW
-  degree and its components, and the common total mode and h-weight of a
-  state.
+* Fock states: creation and annihilation one variable at a time, the slot
+  matches of a monomial by one product loop, the PBW degree and its
+  components, and the common total mode and h-weight of a state.
 * Sampling: random V-vectors for inducing-module axiom checks.
 * The adjoint series: word-level sums of the iterated adjoint action, the
   D, A and C series of one element by the direct formula, with no memo, and
   their operator terms by a separate canonical pass, which reads a ubar
   element's f-basis coordinates.
 * The realization: an operator's terms expanded over a concrete mode window,
-  pi on a Laurent polynomial, the bracket residual on one state, the vacuum
-  property and the PBW leading term.
+  an operator applied through that expansion, pi on a Laurent polynomial,
+  the bracket residual on one state, the vacuum property and the PBW
+  leading term.
 """
 
 from __future__ import annotations
@@ -171,6 +172,32 @@ def apply_annihilation(state: FockState, alpha: int, mode: int) -> FockState:
         exp, reduced = hit
         add_to(out, (reduced, v), -exp * c)
     return FockState.of(out)
+
+
+def mono_matches_reference(families: tuple[int, ...], mono: Monomial) -> tuple[tuple, ...]:
+    """`fock.mono_matches` as one product loop over the slots' positions,
+    with no special case for one or two slots: each slot contributes minus
+    the exponent it finds, which it then lowers by one, and an assignment
+    that finds a zero exponent is dropped."""
+    if not families:
+        return ((1, (), 0, mono),)
+    positions: dict[int, list[int]] = {}
+    for p, (a, _n, _e) in enumerate(mono):
+        positions.setdefault(a, []).append(p)
+    out = []
+    for combo in product(*[positions.get(a, ()) for a in families]):
+        rem = list(mono)
+        mult = 1
+        for p in combo:
+            a, n, e = rem[p]
+            if not e:
+                break
+            mult *= -e
+            rem[p] = (a, n, e - 1)
+        else:
+            modes = tuple([mono[p][1] for p in combo])
+            out.append((mult, modes, sum(modes), tuple([v for v in rem if v[2]])))
+    return tuple(out)
 
 
 def pbw_degree(state: FockState) -> int:
@@ -374,6 +401,31 @@ def instantiate_operator(op: NormalOrderedOperator, window: int,
             else:  # a creator's alpha or a Levi head's unit, at its mode
                 head = (term.head_kind, term.head, op.mode + sum(modes))
             add_to(out, (annih, head), coeff)
+    return out
+
+
+def reference_apply(op: NormalOrderedOperator, state: FockState, module) -> FockState:
+    """op(state) from `instantiate_operator` over the state's mode window:
+    each (annihilators, head) key is applied with the plain Fock ladder
+    operators, the module's own action or the level."""
+    window = max((abs(n) for (mono, _v) in state.terms for _a, n, _e in mono),
+                 default=0)
+    out = FockState.zero()
+    for (annih, head), coeff in instantiate_operator(op, window).items():
+        part = state
+        for alpha, mode in annih:
+            part = apply_annihilation(part, alpha, mode)
+        if head[0] == "create":
+            part = apply_creation(part, head[1], head[2])
+        elif head[0] == "levi":
+            acted = FockState.zero()
+            for (mono, v), c in part.terms.items():
+                acted = acted + FockState({(mono, w): c * d for w, d in
+                                           module.act(head[1], head[2], v).items()})
+            part = acted
+        elif head[0] == "central":
+            part = part.scale(module.level)
+        out = out + part.scale(coeff)
     return out
 
 

@@ -19,7 +19,14 @@ from affinefock.fock import (
 from affinefock.inducing import character_module, heisenberg_fock
 from affinefock.lie import cartan_h, parabolic_decompose
 from affinefock.sampling import Sampler
-from oracles import apply_annihilation, apply_creation, h_weight, pbw_degree, total_mode
+from oracles import (
+    apply_annihilation,
+    apply_creation,
+    h_weight,
+    mono_matches_reference,
+    pbw_degree,
+    total_mode,
+)
 
 Q = Fraction
 
@@ -222,7 +229,8 @@ def test_monomial_table_agrees_with_the_monomial_functions(monos, factors, famil
     assert all(table.ids[mono] == i for i, mono in enumerate(table.monos))
     assert len(table.ids) == len(table.monos)
     table.clear()
-    assert (table.ids, table.monos, table.times, table.matches) == ({}, [], {}, {})
+    assert (table.ids, table.monos, table.times, table.matches, table.columns) == (
+        {}, [], {}, {}, {})
 
 
 def test_mono_matches_lowers_exponents_in_slot_order():
@@ -235,6 +243,14 @@ def test_mono_matches_lowers_exponents_in_slot_order():
         (3, (2, -1), 1, ((0, 2, 2), (1, 0, 1))),
         (6, (2, 2), 4, ((0, -1, 1), (0, 2, 1), (1, 0, 1))))
     assert mono_matches((2,), mono) == ()
+
+
+@given(st.lists(st.integers(0, 2), max_size=3).map(tuple), monomials)
+@settings(max_examples=300, deadline=None)
+def test_mono_matches_agrees_with_the_product_loop(families, mono):
+    # the one- and two-slot loops return the general loop's tuples, in order,
+    # also when a family repeats or a slot finds an exponent it lowered to 0
+    assert mono_matches(families, mono) == mono_matches_reference(families, mono)
 
 
 def test_monomial_table_scaled_round_trips_a_state_in_order():

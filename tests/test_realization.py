@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinefock.fock import FockState, mono_from_pairs, state_to_text
+from affinefock.fock import FockState, MonomialTable, mono_from_pairs, state_to_text
 from affinefock.formal_dist import LaurentPoly
 from affinefock.inducing import (
     InducingModule,
@@ -58,13 +58,12 @@ from affinefock.realization import (
 from affinefock.sampling import Sampler
 from oracles import (
     act_laurent,
-    apply_annihilation,
-    apply_creation,
     breadth_first_ad_levels,
     check_bracket,
     instantiate_operator,
     operator_terms_reference,
     pbw_leading_check,
+    reference_apply,
     series_terms_reference,
     summed_per_multiset,
     vacuum_expected,
@@ -632,31 +631,6 @@ def test_double_annihilator_multiplicity():
 
 
 # --- apply_operator against an independent reference -----------------------------------
-
-def reference_apply(op, state, module):
-    """op(state) from `instantiate_operator` over the state's mode window:
-    each (annihilators, head) key is applied with the plain Fock ladder
-    operators, the module's own action or the level."""
-    window = max((abs(n) for (mono, _v) in state.terms for _a, n, _e in mono),
-                 default=0)
-    out = FockState.zero()
-    for (annih, head), coeff in instantiate_operator(op, window).items():
-        part = state
-        for alpha, mode in annih:
-            part = apply_annihilation(part, alpha, mode)
-        if head[0] == "create":
-            part = apply_creation(part, head[1], head[2])
-        elif head[0] == "levi":
-            acted = FockState.zero()
-            for (mono, v), c in part.terms.items():
-                acted = acted + FockState({(mono, w): c * d for w, d in
-                                           module.act(head[1], head[2], v).items()})
-            part = acted
-        elif head[0] == "central":
-            part = part.scale(module.level)
-        out = out + part.scale(coeff)
-    return out
-
 
 @cache
 def reference_case(name):
@@ -1309,7 +1283,7 @@ def test_apply_scaled_returns_integer_numerators(k):
                 runs.append((op, scaled))
     # Once the module's memos are warm, the kernel does no Fraction arithmetic
     # and no LCM fold: it reads only the level's numerator and denominator,
-    # and its monomial table computes no product and no slot match.
+    # and its monomial table computes no product, no slot match and no column.
     seen = set()
 
     def profile(frame, event, arg):
@@ -1324,7 +1298,7 @@ def test_apply_scaled_returns_integer_numerators(k):
         sys.setprofile(None)
     assert {name for f, name in seen if f == "fractions.py"} <= {"numerator", "denominator"}
     assert not {name for _, name in seen} & {"scale_to_integers", "_fill", "_act",
-                                             "mono_mul_var", "mono_matches"}
+                                             "mono_mul_var", "mono_matches", "column"}
 
 
 def count_apply_scaled(monkeypatch):
@@ -1495,27 +1469,33 @@ def _flip_sweeps():
                 yield f"{name}:1:{idx}", pd, mod, hook
 
 
+def _sweeps_like_check_bracket(label, real, states):
+    """Sweep at max_mode 1, asserting that every reported verdict is
+    check_bracket's and the witness its residual; True when the sweep failed."""
+    elem = {name: e for name, e, _ in real.pd.homogeneous_basis}
+    seen = []
+    checks, failure = bracket_sweep(real, 1, states, lambda *args: seen.append(args))
+    assert checks == len(seen), label
+    for a, b, m, n, si, ok in seen:
+        assert check_bracket(real, elem[a], elem[b], m, n, states[si])[0] == ok, \
+            (label, a, b, m, n, si)
+    if failure is None:
+        return False
+    a, b, m, n, si, ok = seen[-1]
+    assert not ok and (failure["a"], failure["b"], failure["m"], failure["n"],
+                       failure["state"]) == (a, b, m, n, si)
+    residual = check_bracket(real, elem[a], elem[b], m, n, states[si])[1]
+    assert list(failure["residual"].terms.items()) == list(residual.terms.items())
+    return True
+
+
 def test_bracket_sweep_verdicts_match_check_bracket_on_every_flip():
     # Each reported verdict, computed or derived from the partner cell's
     # residual, must be check_bracket's, and the witness its residual.
     caught = 0
     for label, pd, mod, hook in _flip_sweeps():
         real = Realization(pd, mod, operator_hook=hook)
-        states = Sampler(31).fock_states(mod, 2, 2, 1)
-        elem = {name: e for name, e, _ in pd.homogeneous_basis}
-        seen = []
-        checks, failure = bracket_sweep(real, 1, states, lambda *args: seen.append(args))
-        assert checks == len(seen), label
-        for a, b, m, n, si, ok in seen:
-            assert check_bracket(real, elem[a], elem[b], m, n, states[si])[0] == ok, \
-                (label, a, b, m, n, si)
-        if failure is not None:
-            caught += 1
-            a, b, m, n, si, ok = seen[-1]
-            assert not ok and (failure["a"], failure["b"], failure["m"], failure["n"],
-                               failure["state"]) == (a, b, m, n, si)
-            residual = check_bracket(real, elem[a], elem[b], m, n, states[si])[1]
-            assert list(failure["residual"].terms.items()) == list(residual.terms.items())
+        caught += _sweeps_like_check_bracket(label, real, Sampler(31).fock_states(mod, 2, 2, 1))
     # the other 12 flips are invisible to these two states at max_mode 1
     assert caught == 20
 
@@ -1751,7 +1731,8 @@ def test_bracket_sweep_golden_witness_with_fractional_central_term():
 
 
 def _table_is_empty(table):
-    return (table.ids, table.monos, table.times, table.matches) == ({}, [], {}, {})
+    return (table.ids, table.monos, table.times, table.matches, table.columns) == (
+        {}, [], {}, {}, {})
 
 
 def test_apply_operator_same_on_cold_and_warm_match_cache():
@@ -1766,9 +1747,74 @@ def test_apply_operator_same_on_cold_and_warm_match_cache():
         table.clear()
         cold = apply_operator(op, state, mod)
         # the table outlives the call, so the second call is served from it
-        assert table.matches and table.monos
+        assert table.matches and table.monos and table.columns
         warm = apply_operator(op, state, mod)
         assert list(cold.terms.items()) == list(warm.terms.items())
+
+
+def count_column_builds(monkeypatch):
+    """Record the monomial id of every MonomialTable.column call; returns the list."""
+    built = []
+    column = MonomialTable.column
+
+    def counting_column(self, families, terms, cols, i):
+        built.append(i)
+        return column(self, families, terms, cols, i)
+
+    monkeypatch.setattr(MonomialTable, "column", counting_column)
+    return built
+
+
+def test_a_template_builds_its_columns_at_the_first_mode_only(monkeypatch):
+    # A column is one kernel's contributions on one monomial for every mode:
+    # each template applied at modes -3..3 to a two-monomial state builds its
+    # two columns at mode -3 and reads them at the six other modes, where
+    # creator and Levi heads act at other modes and other central matches
+    # count.  Every result is the reference apply's.
+    pd = PD_SL3_BOREL
+    mod = heisenberg_fock(pd, [Q(1), Q(-2)], Q(1, 3))
+    table = mod.monomials
+    state = FockState({(mono_from_pairs([(0, 1, 2), (1, -1, 1), (2, 0, 1)]), 0): Q(2, 3),
+                       (mono_from_pairs([(0, -1, 1), (1, 1, 1), (2, 1, 2)]), 0): Q(-1)})
+    built = count_column_builds(monkeypatch)
+    real = Realization(pd, mod)
+    for _, elem, _ in pd.homogeneous_basis:
+        table.clear()
+        built.clear()
+        for m in range(-3, 4):
+            got = real.act(elem, m, state)
+            assert got == reference_apply(real.operator(elem, m), state, mod)
+            assert built == [0, 1]
+        assert len(table.columns) == 1
+
+
+def test_a_flipped_mode_owns_its_columns_and_sweeps_like_check_bracket():
+    # An operator_hook flip gives its one mode its own terms tuple, hence its
+    # own kernel and columns.  Before each sweep the table holds the columns
+    # of every (element, mode) on the states, the template's at modes -1 and 0
+    # among them, so a column shared by the element's modes would give the
+    # flipped mode the template's contributions.  On every mode-1 flip of the
+    # sl(2) Borel the verdicts and the witness are check_bracket's.
+    caught = 0
+    for label, pd, mod, hook in _flip_sweeps():
+        if pd is not PD_SL2:
+            continue
+        real = Realization(pd, mod, operator_hook=hook)
+        states = Sampler(31).fock_states(mod, 2, 2, 1)
+        elem = {name: e for name, e, _ in pd.homogeneous_basis}
+        for a in elem.values():
+            for m in range(-1, 2):
+                for s in states:
+                    real.act(a, m, s)
+        flipped = real.operator(elem[label.split(":")[0]], 1)
+        template = real.operator(elem[label.split(":")[0]], 0)
+        assert flipped.terms is not template.terms
+        kept = [mod.kernel(op.terms)[2] for op in (flipped, template)]
+        own, shared = [mod.monomials.columns[id(k)][1] for k in kept]
+        assert own and shared and own is not shared
+        caught += _sweeps_like_check_bracket(label, real, states)
+    # the flip of E1.2's first term, a nilradical Levi head, acts by zero here
+    assert caught == 6
 
 
 def test_bracket_sweep_leaves_match_table_empty_and_repeats_exactly():
