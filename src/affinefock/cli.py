@@ -8,8 +8,12 @@ MemoryError), reported as one `error: internal error:` line.
 `check-bracket` makes |basis|^2 * (2 max_mode + 1)^2 * samples checks, and a
 window that asks for more than `MAX_SWEEP_CHECKS` exits 3 before the sweep: the
 count at max_mode 0 is checked before any state is sampled, the full count after
-the window's modes are.  The count does not bound `max_degree`, which sets the
-size of each state.
+the window's modes are.  `compare-engines` makes |basis| * (2 max_mode + 1) *
+samples comparisons, held to the same budget before any state is sampled.  The
+counts do not bound `max_degree`, which sets the size of each state.  `weights`
+counts C(V + max_degree, max_degree) monomials in V = num_alpha * (2 max_mode +
+1) variables, and a window with more than `MAX_WEIGHT_MONOMIALS` variables or
+monomials exits 3 before any is listed.
 
 The config file is JSON:
 
@@ -70,9 +74,14 @@ from .sampling import Sampler
 
 Q = Fraction
 
-# The most checks one check-bracket run may make: about ten times the 372,400 of
-# the acceptance sweep, which takes a few seconds.
+# The most checks one check-bracket run may make, and the most comparisons of one
+# compare-engines run: about ten times the 372,400 of the acceptance sweep, which
+# takes a few seconds.
 MAX_SWEEP_CHECKS = 4_000_000
+
+# The most monomials one weights census may list: the sl(4) Borel at max_mode 3
+# has 163,185 of degree <= 4, about 13 s, and 1,533,939 of degree <= 5.
+MAX_WEIGHT_MONOMIALS = 200_000
 
 
 class ParseError(Exception):
@@ -369,6 +378,24 @@ def _require_budget(job: Job, max_mode: int):
                             f"the budget of {MAX_SWEEP_CHECKS}")
 
 
+def _require_census(job: Job):
+    """Reject a weights window with more than `MAX_WEIGHT_MONOMIALS`
+    variables, V = num_alpha * (2 max_mode + 1), or monomials of degree <= D =
+    max_degree in them, C(V + D, D).  The count runs degree by degree and stops
+    at the first one past the budget, so it never lists a variable."""
+    variables = job.pd.num_alpha * (2 * job.max_mode + 1)
+    if variables > MAX_WEIGHT_MONOMIALS:
+        raise SemanticError(f"the window has {variables} variables, above the budget "
+                            f"of {MAX_WEIGHT_MONOMIALS}")
+    count, degree = 1, 0
+    while variables and degree < job.max_degree and count <= MAX_WEIGHT_MONOMIALS:
+        degree += 1
+        count = count * (variables + degree) // degree
+    if count > MAX_WEIGHT_MONOMIALS:
+        raise SemanticError(f"the window asks for at least {count} monomials, above "
+                            f"the budget of {MAX_WEIGHT_MONOMIALS}")
+
+
 # --- commands ---------------------------------------------------------------------
 
 def cmd_act(job: Job, generator: str, mode: int, state_spec: str,
@@ -450,6 +477,10 @@ def _finish(lines, records, records_file):
 
 def cmd_compare_engines(job: Job) -> int:
     _require_modes(job, job.max_mode)
+    count = len(job.pd.homogeneous_basis) * (2 * job.max_mode + 1) * job.samples
+    if count > MAX_SWEEP_CHECKS:
+        raise SemanticError(f"the window asks for {count} engine comparisons, above "
+                            f"the budget of {MAX_SWEEP_CHECKS}")
     gen = make_realization(job.replace(engine="general"))
     exp = make_realization(job.replace(engine="explicit"))
     smp = Sampler(job.seed)
@@ -474,6 +505,7 @@ def cmd_compare_engines(job: Job) -> int:
 
 
 def cmd_weights(job: Job) -> int:
+    _require_census(job)
     pd, mod = job.pd, job.module
     v_weights = []
     missing = []
@@ -492,7 +524,7 @@ def cmd_weights(job: Job) -> int:
     variables = [(alpha, mode) for alpha in range(pd.num_alpha)
                  for mode in range(-job.max_mode, job.max_mode + 1)]
     cells: dict[tuple, int] = {}
-    for degree in range(job.max_degree + 1):
+    for degree in range(job.max_degree + 1 if variables else 1):
         for combo in combinations_with_replacement(variables, degree):
             mono = mono_from_pairs([(a, n, 1) for a, n in combo])
             weight = tuple(vw + mono_weight(pd, mono, h)

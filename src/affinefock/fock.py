@@ -129,41 +129,41 @@ def _lowered(mono: Monomial, p: int) -> Monomial:
 
 
 class MonomialTable:
-    """Monomials interned as small ints, with the products the apply kernel
-    asks for memoized by id.
+    """Monomials interned as small ints, with the products and the operator
+    kernels the apply kernel asks for memoized by id.
 
     `monos[i]` is the monomial of id i and `ids` the inverse map; ids count up
     from 0 in order of first interning and are stable until `clear`.
     `times[(i, alpha, mode)]` is the id of `mono_mul_var(monos[i], alpha,
     mode)`, and `matches[(families, i)]` is `mono_matches(families, monos[i])`
-    with each remaining monomial replaced by its id.  `columns` holds, per
-    operator kernel (`InducingModule.kernel`'s kept terms, keyed by identity),
-    the kernel's contributions on each monomial id for every mode (`column`).
-    All three fill on a miss (`mul_var`, `match`, `column`), so the kernel
-    hashes small ints, not nested tuples, and computes each distinct product
-    once.  Each inducing module owns one table (`InducingModule.monomials`);
-    it grows with the distinct monomials the module's states reach and the
-    kernels applied to them, and `realization.bracket_sweep` empties it when
-    it returns.  The Cartan Fock module keeps its V-basis in a second table
+    with each remaining monomial replaced by its id.  `kernels[id(terms)]` is
+    (terms, kernel), the kernel being what `InducingModule.kernel` compiles
+    from the terms, (D, kept terms, columns by monomial id; see `column`).
+    All fill on a miss, so the apply kernel hashes small ints, not nested
+    tuples, and computes each distinct product once.  Each inducing module
+    owns one table (`InducingModule.monomials`); it grows with the distinct
+    monomials the module's states reach and the kernels applied to them, and
+    `realization.bracket_sweep` empties it, kernels included, when it
+    returns.  The Cartan Fock module keeps its V-basis in a second table
     (`HeisenbergFockModule.vbasis`), which nothing empties.
     """
 
-    __slots__ = ("ids", "monos", "times", "matches", "columns")
+    __slots__ = ("ids", "monos", "times", "matches", "kernels")
 
     def __init__(self):
         self.ids: dict[Monomial, int] = {}
         self.monos: list[Monomial] = []
         self.times: dict[tuple[int, int, int], int] = {}
         self.matches: dict[tuple[tuple[int, ...], int], tuple] = {}
-        self.columns: dict[int, tuple[tuple, dict[int, tuple]]] = {}
+        self.kernels: dict[int, tuple[tuple, tuple]] = {}
 
     def clear(self) -> None:
-        """Forget every monomial; ids handed out before are void."""
+        """Forget every monomial and kernel; ids handed out before are void."""
         self.ids.clear()
         self.monos.clear()
         self.times.clear()
         self.matches.clear()
-        self.columns.clear()
+        self.kernels.clear()
 
     def intern(self, mono: Monomial) -> int:
         i = self.ids.get(mono)
@@ -190,37 +190,25 @@ class MonomialTable:
                 for mult, modes, msum, rem in mono_matches(families, self.monos[i]))
         return hit
 
-    def kernel_columns(self, terms: tuple) -> dict[int, tuple]:
-        """The columns of a kernel's kept terms by monomial id, filled by
-        `column`.  The entry holds `terms`, so its id is not reused while the
-        table keeps it."""
-        hit = self.columns.get(id(terms))
-        if hit is None:
-            hit = self.columns[id(terms)] = (terms, {})
-        return hit[1]
-
-    def column(self, families: tuple, terms: tuple, cols: dict, i: int) -> tuple:
+    def column(self, kernel: tuple, i: int) -> tuple:
         """The mode-free contributions of a kernel's kept terms on monos[i],
-        stored in `cols`, the kernel's `kernel_columns`.
+        stored in the kernel's columns.
 
-        `families` and `terms` are a kernel as `InducingModule.kernel` returns
-        it.  Each (term, slot match) pair, in term order and then match order,
+        `kernel` is (D, kept, columns) as `InducingModule.kernel` returns it.
+        Each (term, slot match) pair, in term order and then match order,
         gives (num * multiplicity * mode factor, head kind, head, slot-mode
         sum, remaining monomial id); a match whose mode factor is zero is left
         out.  The mode only decides where a head acts (at mode plus the sum)
         and which central matches count (sum == -mode), so one column serves
         the kernel at every mode.
         """
+        _, kept, cols = kernel
         matched = self.matches
-        found: list = [None] * len(families)
         out = []
-        for fi, num, kind, head, mode_factor in terms:
-            matches = found[fi]
+        for families, num, kind, head, mode_factor in kept:
+            matches = matched.get((families, i))
             if matches is None:
-                matches = matched.get((families[fi], i))
-                if matches is None:
-                    matches = self.match(families[fi], i)
-                found[fi] = matches
+                matches = self.match(families, i)
             for mult, modes, msum, rem in matches:
                 if mode_factor is not None:
                     mult *= modes[mode_factor]

@@ -29,12 +29,12 @@ character those its functionals all vanish on.  `kernel` is where an
 operator's terms become integers: in one pass it writes them over the LCM of
 all their denominators and keeps only the terms that can add something on
 this module, dropping such Levi heads and central heads at level 0.  The
-apply kernel (`realization._apply_scaled`) runs what it returns, memoized per
-terms tuple, so a killed head never reaches `act_scaled`.  The module also
-owns the `MonomialTable` that the apply kernel keys its states by, so the slot
-matches and creator products of every operator applied on the module, and
-each kernel's mode-free columns (its contributions on one monomial, shared
-by every mode), are computed once.
+apply kernel (`realization._apply_scaled`) runs what it returns, so a killed
+head never reaches `act_scaled`.  The module also owns the `MonomialTable`
+that the apply kernel keys its states by, which memoizes the slot matches and
+creator products of every operator applied on the module and each compiled
+kernel with its mode-free columns (its contributions on one monomial, shared
+by every mode), so each is computed once until the table's `clear`.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class InducingModule:
         self.pd = pd
         self.level = as_scalar(level)
         self._acts: dict[tuple[LieElement, int, int], tuple[int, list]] = {}
-        self._kernels: dict[int, tuple[tuple, tuple]] = {}
         self.monomials = MonomialTable()
 
     def act(self, x: LieElement, mode: int, v_index: int) -> dict[int, Fraction]:
@@ -124,34 +123,31 @@ class InducingModule:
 
     def kernel(self, terms: tuple) -> tuple:
         """An operator's terms as the integer kernel that
-        `realization._apply_scaled` runs on this module: (D, families, kept).
+        `realization._apply_scaled` runs on this module: (D, kept, columns).
 
         D is the LCM of the denominators of all the terms, dropped ones too,
         so the kernel produces the integers of every term.  A kept term is
-        (index into families, D * coeff as an int, head kind, head as the
-        term holds it, mode-factor slot), and families holds the slot families
-        of the kept terms in order of first use.  Dropped are the Levi heads
-        that `acts_by_zero` kills and central heads at level 0: they only ever
+        (slot families, D * coeff as an int, head kind, head as the term holds
+        it, mode-factor slot), and columns, empty here, fills per monomial id
+        (`MonomialTable.column`).  Dropped are the Levi heads that
+        `acts_by_zero` kills and central heads at level 0: they only ever
         added nothing, so the output keys and their order are unchanged.
-        Memoized per terms tuple by identity; the entry holds the tuple, so
-        its id is never reused.
+        Memoized per terms tuple by identity in the module's table
+        (`MonomialTable.kernels`), which holds the tuple, so its id is not
+        reused until `clear` forgets both.
         """
-        hit = self._kernels.get(id(terms))
+        kernels = self.monomials.kernels
+        hit = kernels.get(id(terms))
         if hit is not None:
             return hit[1]
         denom, nums = scale_to_integers([(t, t.coeff) for t in terms])
         level_zero = self.level == 0
-        families: dict[tuple[int, ...], int] = {}
-        kept = []
-        for t, num in nums:
-            kind = t.head_kind
-            if (kind == "levi" and self.acts_by_zero(t.head)
-                    or kind == "central" and level_zero):
-                continue
-            kept.append((families.setdefault(t.annihilators, len(families)), num, kind,
-                         t.head, t.mode_factor))
-        out = (denom, tuple(families), tuple(kept))
-        self._kernels[id(terms)] = (terms, out)
+        kept = tuple((t.annihilators, num, t.head_kind, t.head, t.mode_factor)
+                     for t, num in nums
+                     if not (t.head_kind == "levi" and self.acts_by_zero(t.head)
+                             or t.head_kind == "central" and level_zero))
+        out = (denom, kept, {})
+        kernels[id(terms)] = (terms, out)
         return out
 
     def act_vec(self, x: LieElement, mode: int, vec: dict[int, Fraction],

@@ -64,20 +64,21 @@ An operator is its terms, and an element's operators at every mode share one
 terms tuple.  A term has one head: a creator's alpha, a Levi head's shared
 unit of `pd.algebra.basis` (named by `unit_name`, ordered by its lead entry)
 or None for a central term.  The inducing module compiles the tuple when an
-operator is first applied (`InducingModule.kernel`, memoized per tuple) to
-integer numerators over one LCM, heads as the terms hold them, without the
-terms that act by zero on V, so an operator stays valid for every module and
-building one does no module work.  The apply kernel, `_apply_scaled`, is
+operator is first applied (`InducingModule.kernel`) to integer numerators over
+one LCM, heads as the terms hold them, without the terms that act by zero on
+V, so an operator stays valid for every module and building one does no module
+work.  The apply kernel, `_apply_scaled`, is
 integer-only: creator heads add their values directly, Levi units read the
 module's actions as integers (`act_scaled`), central heads the level's
 numerator, each over a denominator that joins the output's running LCM.  It
 keys states by (monomial id, v) in the module's `fock.MonomialTable`, which
 memoizes each slot match and creator product by id, so it hashes pairs of
-ints and computes each distinct product once per module.  What a kernel's
-terms make of one monomial does not depend on the mode either: the table
-keeps it as the kernel's column on that monomial, built at the first mode
-and read at every other, and per mode the kernel only places each head and
-filters the central matches.  `apply_operator` interns its state, divides
+ints and computes each distinct product once per module.  The table also
+holds each compiled kernel, one memo per terms tuple, with the kernel's
+columns: what its terms make of one monomial does not depend on the mode, so
+a column is built at the first mode and read at every other, and per mode the
+kernel only places each head and filters the central matches.  `clear`
+forgets kernels and columns with the monomial ids.  `apply_operator` interns its state, divides
 once at the end and reads the ids back, so results are exact, and both the
 output order and the sequence of module calls follow term order, then
 slot-assignment order.
@@ -430,7 +431,8 @@ class NormalOrderedOperator:
     The terms do not depend on the mode, so `Realization.operator` passes one
     template's terms tuple to every mode, and the inducing module compiles
     that tuple once into the integer kernel `apply_operator` runs on
-    (`InducingModule.kernel`, memoized per tuple).  Immutable by convention.
+    (`InducingModule.kernel`, memoized per tuple in the module's
+    `MonomialTable` until its `clear`).  Immutable by convention.
     """
 
     __slots__ = ("terms", "mode")
@@ -569,10 +571,10 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
     or act on the V-factor through the inducing module; a central term keeps
     only the assignments whose slot modes sum to -m and scales by the level.
     The state is interned in the module's `MonomialTable`, which lives as
-    long as the module, so its matches, creator products and each kernel's
-    mode-free columns are computed once per module; a caller that applies
-    batches of unrelated states empties it between batches with
-    `module.monomials.clear()`.
+    long as the module, so its matches, creator products and the operator's
+    compiled kernel with its mode-free columns are computed once per module;
+    a caller that applies batches of unrelated states empties it between
+    batches with `module.monomials.clear()`, which forgets the kernel too.
     Contributions are summed as integers over the operator's, the state's and
     the heads' common denominators (`_apply_scaled`), and divided once at the
     end, when the ids are read back in output order.
@@ -587,19 +589,21 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
     operator's LCM and M the running LCM of the head denominators (Levi
     `act_scaled`, central the level's); a new denominator grows M and every
     output value in place, keeping key order and zero sums.  It runs the
-    module's `kernel` of the operator's terms, their integers over D without
-    the terms that act by zero on V, through the table's mode-free columns:
-    per monomial, each (term, slot match) as (D * coeff * multiplicity *
-    mode factor, head kind, head, slot-mode sum, remaining monomial id), in
-    term and then match order (`MonomialTable.column`).  Per call it does
+    module's `kernel` of the operator's terms, one lookup in the table's
+    `kernels`: their integers over D without the terms that act by zero on V,
+    and the kernel's mode-free columns, per monomial each (term, slot match)
+    as (D * coeff * multiplicity * mode factor, head kind, head, slot-mode
+    sum, remaining monomial id), in term and then match order
+    (`MonomialTable.column`).  Per call it does
     only what depends on the mode m, entry by entry in column order: a
     creator adds its value at m plus the sum directly, its denominator being
     1; a central entry counts only when the sum is -m; a Levi head acts at m
     plus the sum through `act_scaled`.  Columns, slot matches and creator
     products are read from the table, and computed only on a miss."""
-    denom, families, terms = module.kernel(op.terms)
+    kernel = module.kernel(op.terms)
+    denom, _, cols = kernel
     table = module.monomials
-    cols, column = table.kernel_columns(terms), table.column
+    column = table.column
     times, mul_var = table.times, table.mul_var
     mode = op.mode
     knum, kden = module.level.numerator, module.level.denominator
@@ -609,7 +613,7 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
     for (mid, vidx), cnum in items:
         col = cols.get(mid)
         if col is None:
-            col = column(families, terms, cols, mid)
+            col = column(kernel, mid)
         for num, kind, head, msum, rem in col:
             if kind == "create":
                 created = times.get((rem, head, mode + msum))

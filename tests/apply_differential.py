@@ -6,7 +6,9 @@ evaluation module of the first Levi block's natural representation at
 s = -2/3 (level 0) and, on the Borel, the Cartan Fock module at level -3/2.
 On each module it applies every basis operator at modes -2..2 to three
 sampled states, then runs `bracket_sweep` at max_mode 1 on two of them,
-with the module's monomial table still holding the applications' entries.
+with the module's monomial table still holding the applications' entries,
+kernels included, and then applies every basis operator again on the table
+the sweep emptied, so each kernel is compiled again.
 On the Borels of sl(2) and sl(3) and on sl(3) {1} it also applies every
 basis operator to deep states (degree up to 6, modes down to -2), whose
 monomials hold a family at three or more positions, so the order of the
@@ -103,6 +105,7 @@ def records():
                     where = f"sl({n + 1}) {list(sigma)} {label}"
                     yield from apply_records(where, real, states)
                     yield f"{where} sweep", sweep_record(real, states[:2])
+                    yield from apply_records(f"{where} after sweep", real, states)
     for n, sigma in DEEP:
         pd = ParabolicData(n, sigma)
         for label, mod in modules(pd):

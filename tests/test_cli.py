@@ -670,6 +670,76 @@ def test_weights_inconsistent_character_is_semantic_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+SL4_BOREL_HEIS = {
+    "algebra": {"n": 3, "sigma": []},
+    "module": {"kind": "heisenberg_fock", "level": "1", "lam": ["1", "0", "-1"]},
+    "seed": 3,
+}
+
+
+@pytest.mark.parametrize("window, text", [
+    # 42 variables, C(50, 8) = 536,878,650 monomials; the count stops at
+    # degree 5, the first past the budget
+    ({"max_mode": 3, "max_degree": 8},
+     "the window asks for at least 1533939 monomials"),
+    # one monomial of degree 0, but a list of 6 * (2 * 10**9 + 1) variables
+    ({"max_mode": 10 ** 9, "max_degree": 0},
+     "the window has 12000000006 variables"),
+])
+def test_weights_window_past_the_monomial_budget(tmp_path, capsys, window, text):
+    cfg = write_config(tmp_path, dict(SL4_BOREL_HEIS, window=window))
+    start = time.perf_counter()
+    rc = main(["weights", "--config", cfg])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == f"error: {text}, above the budget of {cli.MAX_WEIGHT_MONOMIALS}\n"
+    assert captured.out == ""
+
+
+def test_weights_without_fock_variables_stops_at_degree_zero(tmp_path, capsys):
+    # no variables: one monomial at any max_degree, and no loop over the degrees
+    cfg = write_config(tmp_path, dict(SL2_SIGMA_ALL, window={
+        "max_mode": 1, "max_degree": 10 ** 18}))
+    start = time.perf_counter()
+    assert main(["weights", "--config", cfg]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "degree=0 mode=0 weight=(0) count=1"]
+
+
+def test_compare_engines_window_past_the_comparison_budget(tmp_path, capsys):
+    # |basis| (2 max_mode + 1) samples = 3 * 5 * 10**8 comparisons, refused
+    # before any state is sampled
+    cfg = write_config(tmp_path, dict(SL2_HEIS, window={
+        "max_mode": 2, "max_degree": 2, "samples": 100000000}))
+    start = time.perf_counter()
+    rc = main(["compare-engines", "--config", cfg])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == ("error: the window asks for 1500000000 engine comparisons, "
+                            f"above the budget of {cli.MAX_SWEEP_CHECKS}\n")
+    assert captured.out == ""
+
+
+def test_weights_and_compare_engines_budgets_admit_exactly_their_counts(
+        tmp_path, capsys, monkeypatch):
+    # SL2_HEIS: C(5 + 2, 2) = 21 monomials in 5 variables, and 3 * 5 * 3 = 45
+    # comparisons
+    cfg = write_config(tmp_path, SL2_HEIS)
+    for command, name, count, what in (
+            ("weights", "MAX_WEIGHT_MONOMIALS", 21, "monomials"),
+            ("compare-engines", "MAX_SWEEP_CHECKS", 45, "engine comparisons")):
+        monkeypatch.setattr(cli, name, count)
+        assert main([command, "--config", cfg]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, name, count - 1)
+        assert main([command, "--config", cfg]) == 3
+        assert capsys.readouterr().err.endswith(
+            f" {count} {what}, above the budget of {count - 1}\n")
+
+
 # --- delta selftest ---------------------------------------------------------------------------
 
 def test_delta_selftest(capsys):

@@ -229,7 +229,7 @@ def test_monomial_table_agrees_with_the_monomial_functions(monos, factors, famil
     assert all(table.ids[mono] == i for i, mono in enumerate(table.monos))
     assert len(table.ids) == len(table.monos)
     table.clear()
-    assert (table.ids, table.monos, table.times, table.matches, table.columns) == (
+    assert (table.ids, table.monos, table.times, table.matches, table.kernels) == (
         {}, [], {}, {}, {})
 
 

@@ -1150,17 +1150,26 @@ def test_bracket_sweep_builds_each_element_once(monkeypatch):
 def test_bracket_sweep_compiles_each_element_once():
     pd = parabolic_decompose(3, (2, 3))
     real = Realization(pd, character_module(pd))
-    checks, failure = bracket_sweep(real, 1, [mono_state([(0, 1, 1)])])
+    kernels = real.module.monomials.kernels
+    compiled = set()
+
+    def on_check(*args):
+        # the sweep's finally empties the table, so read it during the sweep
+        compiled.add(tuple(id(terms) for terms, _ in kernels.values()))
+
+    checks, failure = bracket_sweep(real, 1, [mono_state([(0, 1, 1)])], on_check)
     assert failure is None and checks == 15 * 15 * 9
     ops = list(real._cache.values())
     assert len(ops) == 75
     assert len({id(op.terms) for op in ops}) == 15
-    assert len(real.module._kernels) == 15
+    assert len(compiled) == 1
+    assert set(next(iter(compiled))) == {id(op.terms) for op in ops}
+    assert kernels == {}
     flipped = ops[0].with_flipped_term(0)
     assert flipped != ops[0] and flipped.terms is not ops[0].terms
-    denom, families, terms = _compile_every_term(ops[0].terms)
+    denom, kept, _ = _compile_every_term(ops[0].terms)
     assert _compile_every_term(flipped.terms) == (
-        denom, families, ((terms[0][0], -terms[0][1]) + terms[0][2:],) + terms[1:])
+        denom, ((kept[0][0], -kept[0][1]) + kept[0][2:],) + kept[1:], {})
 
 
 @pytest.mark.parametrize("order", [(1, 2, 0), (2, 0, 1)])
@@ -1508,28 +1517,26 @@ def _kernel_modules():
 
 
 def _compile_every_term(terms):
-    """An operator's terms as (D, families, kernel terms) with every term kept,
+    """An operator's terms as a kernel (D, kept, columns) with every term kept,
     compiled here apart from `InducingModule.kernel`: D the LCM of the term
-    denominators, families the slot-family tuples in order of first use, and
-    each term (family index, D * coeff, head kind, head, mode-factor slot)."""
+    denominators, each term (slot families, D * coeff, head kind, head,
+    mode-factor slot), and no columns yet."""
     denom = lcm(*[t.coeff.denominator for t in terms])
-    families: list = []
-    kernel = []
+    kept = []
     for t in terms:
-        if t.annihilators not in families:
-            families.append(t.annihilators)
         num = t.coeff * denom
         assert num.denominator == 1
-        kernel.append((families.index(t.annihilators), num.numerator, t.head_kind,
-                       t.head, t.mode_factor))
-    return denom, tuple(families), tuple(kernel)
+        kept.append((t.annihilators, num.numerator, t.head_kind, t.head, t.mode_factor))
+    return denom, tuple(kept), {}
 
 
 def _twin_keeping_every_term(mod):
     """mod with `_compile_every_term` as its kernel: it drops no term, neither
     a head that acts by zero nor a central term at level 0.  It shares mod's
     action memo, vector basis and monomial table, so vector indices and
-    monomial ids agree."""
+    monomial ids agree.  Its kernels, columns included, sit in a memo of its
+    own that the table's `clear` does not empty, so a twin serves until the
+    first clear: one sweep, or applications with no clear between them."""
     twin = copy.copy(mod)
     compiled: dict = {}
 
@@ -1607,20 +1614,18 @@ def test_module_kernel_drops_killed_heads_and_central_terms_at_level_zero():
                 op = real.operator(elem, 0)
                 for terms in (op.terms, op.with_flipped_term(0).terms):
                     full = _compile_every_term(terms)
-                    denom, families, kernel = mod.kernel(terms)
-                    kept = [t for t in full[2] if t[2] == "create"
+                    denom, kernel, _ = mod.kernel(terms)
+                    kept = [t for t in full[1] if t[2] == "create"
                             or t[2] == "levi" and not mod.acts_by_zero(t[3])
                             or t[2] == "central" and mod.level != 0]
                     assert denom == full[0]
-                    assert [t[1:] for t in kernel] == [t[1:] for t in kept]
-                    assert [families[t[0]] for t in kernel] == [full[1][t[0]] for t in kept]
-                    assert list(families) == list(dict.fromkeys(full[1][t[0]] for t in kept))
+                    assert list(kernel) == kept
         assert engines[0] == "general"
     # D is the LCM over every term: a dropped term's denominator stays in it
     mod = _fractional_modules()[1]
     terms = (Term(Q(1), (), "create", 0),
              Term(Q(1, 3), (0,), "levi", mod.pd.e_basis[0]))
-    assert mod.kernel(terms) == (3, ((),), ((0, 3, "create", 0, None),))
+    assert mod.kernel(terms) == (3, (((), 3, "create", 0, None),), {})
 
 
 def test_sl4_character_sweep_reads_the_module_only_for_its_center_head(monkeypatch):
@@ -1658,8 +1663,8 @@ def test_module_kernel_is_memoized_per_operator_kernel():
     assert mod.kernel(op.terms) is kernel
     assert mod.kernel(real.operator(f1, -1).terms) is kernel
     assert mod.kernel(flipped.terms) is flipped_kernel
-    assert flipped_kernel[2][0][1] == -kernel[2][0][1]
-    assert flipped_kernel[2][1:] == kernel[2][1:]
+    assert flipped_kernel[1][0][1] == -kernel[1][0][1]
+    assert flipped_kernel[1][1:] == kernel[1][1:]
     state = Sampler(3).fock_states(mod, 1, 2, 1)[0]
     assert apply_operator(flipped, state, mod) != apply_operator(op, state, mod)
 
@@ -1669,12 +1674,12 @@ def test_module_shared_by_two_realizations_serves_both():
     general = Realization(mod.pd, mod)
     explicit = Realization(mod.pd, mod, "explicit")
     states = Sampler(5).fock_states(mod, 2, 2, 1)
-    before = len(mod._kernels)
+    before = len(mod.monomials.kernels)
     for _, elem, _ in mod.pd.homogeneous_basis:
         for s in states:
             assert general.act(elem, 1, s) == explicit.act(elem, 1, s)
         assert general.operator(elem, 1).terms is not explicit.operator(elem, 1).terms
-    assert len(mod._kernels) == before + 2 * 15
+    assert len(mod.monomials.kernels) == before + 2 * 15
     assert bracket_sweep(general, 1, states)[1] is None
     assert bracket_sweep(explicit, 1, states)[1] is None
 
@@ -1731,7 +1736,7 @@ def test_bracket_sweep_golden_witness_with_fractional_central_term():
 
 
 def _table_is_empty(table):
-    return (table.ids, table.monos, table.times, table.matches, table.columns) == (
+    return (table.ids, table.monos, table.times, table.matches, table.kernels) == (
         {}, [], {}, {}, {})
 
 
@@ -1747,7 +1752,8 @@ def test_apply_operator_same_on_cold_and_warm_match_cache():
         table.clear()
         cold = apply_operator(op, state, mod)
         # the table outlives the call, so the second call is served from it
-        assert table.matches and table.monos and table.columns
+        assert table.matches and table.monos
+        assert [bool(cols) for _, (_, _, cols) in table.kernels.values()] == [True]
         warm = apply_operator(op, state, mod)
         assert list(cold.terms.items()) == list(warm.terms.items())
 
@@ -1757,9 +1763,9 @@ def count_column_builds(monkeypatch):
     built = []
     column = MonomialTable.column
 
-    def counting_column(self, families, terms, cols, i):
+    def counting_column(self, kernel, i):
         built.append(i)
-        return column(self, families, terms, cols, i)
+        return column(self, kernel, i)
 
     monkeypatch.setattr(MonomialTable, "column", counting_column)
     return built
@@ -1785,7 +1791,7 @@ def test_a_template_builds_its_columns_at_the_first_mode_only(monkeypatch):
             got = real.act(elem, m, state)
             assert got == reference_apply(real.operator(elem, m), state, mod)
             assert built == [0, 1]
-        assert len(table.columns) == 1
+        assert len(table.kernels) == 1
 
 
 def test_a_flipped_mode_owns_its_columns_and_sweeps_like_check_bracket():
@@ -1809,8 +1815,8 @@ def test_a_flipped_mode_owns_its_columns_and_sweeps_like_check_bracket():
         flipped = real.operator(elem[label.split(":")[0]], 1)
         template = real.operator(elem[label.split(":")[0]], 0)
         assert flipped.terms is not template.terms
-        kept = [mod.kernel(op.terms)[2] for op in (flipped, template)]
-        own, shared = [mod.monomials.columns[id(k)][1] for k in kept]
+        own, shared = [mod.monomials.kernels[id(op.terms)][1][2]
+                       for op in (flipped, template)]
         assert own and shared and own is not shared
         caught += _sweeps_like_check_bracket(label, real, states)
     # the flip of E1.2's first term, a nilradical Levi head, acts by zero here
@@ -1841,3 +1847,33 @@ def test_bracket_sweep_leaves_match_table_empty_and_repeats_exactly():
     assert runs[0][0] == 81
     checks, _ = bracket_sweep(Realization(PD_SL2, mod), 1, states)
     assert checks == 9 * 9 * 4 and _table_is_empty(mod.monomials)
+
+
+def test_bracket_sweep_forgets_every_kernel_and_recompiles_exactly():
+    # A kernel's columns are keyed by monomial id, so the kernel lives in the
+    # monomial table and a sweep's clear forgets it with the ids.  After a
+    # sweep with a mode-1 flip the module holds no kernel, and every basis
+    # operator, the flipped one included, compiled again gives the results it
+    # gave before the sweep, values and key order alike.
+    mod = sl2_heis(Q(1), Q(1))
+    f1 = PD_SL2.f_basis[0]
+
+    def hook(a, m, op):
+        return op.with_flipped_term(0) if (a == f1 and m == 1) else op
+
+    real = Realization(PD_SL2, mod, operator_hook=hook)
+    states = Sampler(2024).fock_states(mod, 4, 2, 1)
+
+    def applied():
+        return [list(real.act(a, m, s).terms.items())
+                for _, a, _ in PD_SL2.homogeneous_basis
+                for m in range(-2, 3) for s in states]
+
+    kernels = mod.monomials.kernels
+    before = applied()
+    assert len(kernels) == 3 + 1
+    checks, failure = bracket_sweep(real, 1, states)
+    assert checks == 81 and failure is not None
+    assert kernels == {} and _table_is_empty(mod.monomials)
+    assert applied() == before
+    assert len(kernels) == 3 + 1
