@@ -29,7 +29,7 @@ character those its functionals all vanish on.  `kernel` is where an
 operator's terms become integers: in one pass it writes them over the LCM of
 all their denominators and keeps only the terms that can add something on
 this module, dropping such Levi heads and central heads at level 0.  The
-apply kernel (`realization._apply_scaled`) runs what it returns, so a killed
+apply kernel (`realization._accumulate`) runs what it returns, so a killed
 head never reaches `act_scaled`.  The module also owns the `MonomialTable`
 that the apply kernel keys its states by, which memoizes the slot matches and
 creator products of every operator applied on the module and each compiled
@@ -123,7 +123,7 @@ class InducingModule:
 
     def kernel(self, terms: tuple) -> tuple:
         """An operator's terms as the integer kernel that
-        `realization._apply_scaled` runs on this module: (D, kept, columns).
+        `realization._accumulate` runs on this module: (D, kept, columns).
 
         D is the LCM of the denominators of all the terms, dropped ones too,
         so the kernel produces the integers of every term.  A kept term is

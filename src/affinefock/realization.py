@@ -67,21 +67,21 @@ or None for a central term.  The inducing module compiles the tuple when an
 operator is first applied (`InducingModule.kernel`) to integer numerators over
 one LCM, heads as the terms hold them, without the terms that act by zero on
 V, so an operator stays valid for every module and building one does no module
-work.  The apply kernel, `_apply_scaled`, is
-integer-only: creator heads add their values directly, Levi units read the
-module's actions as integers (`act_scaled`), central heads the level's
-numerator, each over a denominator that joins the output's running LCM.  It
-keys states by (monomial id, v) in the module's `fock.MonomialTable`, which
-memoizes each slot match and creator product by id, so it hashes pairs of
-ints and computes each distinct product once per module.  The table also
-holds each compiled kernel, one memo per terms tuple, with the kernel's
-columns: what its terms make of one monomial does not depend on the mode, so
-a column is built at the first mode and read at every other, and per mode the
-kernel only places each head and filters the central matches.  `clear`
-forgets kernels and columns with the monomial ids.  `apply_operator` interns its state, divides
-once at the end and reads the ids back, so results are exact, and both the
-output order and the sequence of module calls follow term order, then
-slot-assignment order.
+work.  One integer kernel, `_accumulate`, applies every operator, in
+`apply_operator` and in each cell of `bracket_sweep`.  Creator heads add their
+values directly, Levi units read the module's actions as integers
+(`act_scaled`), central heads the level's numerator, each over a denominator
+that joins the sum's running LCM.  It keys states by (monomial id, v) in the
+module's `fock.MonomialTable`, which memoizes each slot match and creator
+product by id, so it hashes pairs of ints and computes each distinct product
+once per module.  The table also holds each compiled kernel, one memo per
+terms tuple, with the kernel's columns: what its terms make of one monomial
+does not depend on the mode, so a column is built at the first mode and read
+at every other, and per mode the kernel only places each head and filters the
+central matches.  `clear` forgets kernels and columns with the monomial ids.
+`apply_operator` interns its state, divides once at the end and reads the ids
+back, so results are exact, and both the output order and the sequence of
+module calls follow term order, then slot-assignment order.
 """
 
 from __future__ import annotations
@@ -576,7 +576,7 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
     a caller that applies batches of unrelated states empties it between
     batches with `module.monomials.clear()`, which forgets the kernel too.
     Contributions are summed as integers over the operator's, the state's and
-    the heads' common denominators (`_apply_scaled`), and divided once at the
+    the heads' common denominators (`_accumulate`), and divided once at the
     end, when the ids are read back in output order.
     """
     table = module.monomials
@@ -584,22 +584,37 @@ def apply_operator(op: NormalOrderedOperator, state: FockState, module,
 
 
 def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
-    """`apply_operator` on integers keyed by (monomial id, v) in the module's
-    `MonomialTable`: (S, items) to (D * S * M, items) in its order, D the
-    operator's LCM and M the running LCM of the head denominators (Levi
-    `act_scaled`, central the level's); a new denominator grows M and every
-    output value in place, keeping key order and zero sums.  It runs the
-    module's `kernel` of the operator's terms, one lookup in the table's
-    `kernels`: their integers over D without the terms that act by zero on V,
-    and the kernel's mode-free columns, per monomial each (term, slot match)
-    as (D * coeff * multiplicity * mode factor, head kind, head, slot-mode
-    sum, remaining monomial id), in term and then match order
-    (`MonomialTable.column`).  Per call it does
-    only what depends on the mode m, entry by entry in column order: a
-    creator adds its value at m plus the sum directly, its denominator being
-    1; a central entry counts only when the sum is -m; a Levi head acts at m
-    plus the sum through `act_scaled`.  Columns, slot matches and creator
-    products are read from the table, and computed only on a miss."""
+    """`_accumulate` into a fresh dict: (S, items) to (D * S * M, items), D the
+    operator's LCM and M the LCM of the head denominators met."""
+    out: dict = {}
+    return _accumulate(out, 1, op, scaled, module, 1), out.items()
+
+
+def _grown(acc: dict, total: int, den: int) -> int:
+    """The least multiple of total that den divides, acc scaled to it in place."""
+    grow = den // gcd(total, den)
+    for key in acc:
+        acc[key] *= grow
+    return total * grow
+
+
+def _accumulate(acc: dict, total: int, op: NormalOrderedOperator, scaled: tuple,
+                module, sign: int) -> int:
+    """Add sign * op(scaled) into acc, integers over total keyed by (monomial
+    id, v), and return the new total; scaled is (S, items) on the same keys.
+
+    It runs the module's `kernel` of the operator's terms, one lookup in the
+    table's `kernels`: their integers over D without the terms that act by
+    zero on V, and the mode-free columns, per monomial each (term, slot
+    match) as (D * coeff * multiplicity * mode factor, head kind, head,
+    slot-mode sum, remaining monomial id), in term and then match order,
+    built by `MonomialTable.column` on a miss.  Per call it does only what
+    depends on the mode m, entry by entry in column order: a creator adds
+    its value at m plus the sum directly; a central entry counts only when
+    the sum is -m; a Levi head acts at m plus the sum through `act_scaled`.
+    When D * S, or that times a head's denominator, does not divide total,
+    total and acc grow in place (`_grown`); a key whose sum reaches zero is
+    deleted."""
     kernel = module.kernel(op.terms)
     denom, _, cols = kernel
     table = module.monomials
@@ -608,23 +623,24 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
     mode = op.mode
     knum, kden = module.level.numerator, module.level.denominator
     scale, items = scaled
-    lcm_m = 1
-    out: dict = {}
+    base = denom * scale
+    if total % base:
+        total = _grown(acc, total, base)
+    unit = total // base
     for (mid, vidx), cnum in items:
         col = cols.get(mid)
         if col is None:
             col = column(kernel, mid)
+        cnum *= sign
         for num, kind, head, msum, rem in col:
             if kind == "create":
                 created = times.get((rem, head, mode + msum))
                 if created is None:
                     created = mul_var(rem, head, mode + msum)
                 key = (created, vidx)
-                s = out.get(key, 0) + num * cnum * lcm_m
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                s = acc[key] = acc.get(key, 0) + num * cnum * unit
+                if not s:
+                    del acc[key]
                 continue
             if kind == "central":
                 if msum != -mode:
@@ -632,20 +648,30 @@ def _apply_scaled(op: NormalOrderedOperator, scaled: tuple, module) -> tuple:
                 den, vecs = kden, ((vidx, knum),)
             else:
                 den, vecs = module.act_scaled(head, mode + msum, vidx)
-            if lcm_m % den:
-                grow = den // gcd(lcm_m, den)
-                lcm_m *= grow
-                for key in out:
-                    out[key] *= grow
-            f = num * cnum * (lcm_m // den)
+            if unit % den:
+                total = _grown(acc, total, base * den)
+                unit = total // base
+            f = num * cnum * (unit // den)
             for w, d in vecs:
                 key = (rem, w)
-                s = out.get(key, 0) + f * d
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return denom * scale * lcm_m, out.items()
+                s = acc[key] = acc.get(key, 0) + f * d
+                if not s:
+                    del acc[key]
+    return total
+
+
+def _merge(acc: dict, total: int, scaled: tuple, num: int, den: int) -> int:
+    """Add num/den times scaled, (S, items), into acc over total as
+    `_accumulate` does, and return the new total, which S * den divides."""
+    scale, items = scaled
+    if total % (scale * den):
+        total = _grown(acc, total, scale * den)
+    f = num * (total // (scale * den))
+    for key, v in items:
+        s = acc[key] = acc.get(key, 0) + v * f
+        if not s:
+            del acc[key]
+    return total
 
 
 # --- the realization ----------------------------------------------------------------
@@ -718,35 +744,35 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
 
     Checks pi([a_m, b_n]) = [pi(a_m), pi(b_n)] on every state for all modes
     |m|, |n| <= max_mode.  Actions of basis elements on the input states are
-    hoisted out of the loops, and bracket values are resolved through their
-    basis coordinates.
+    hoisted out of the loops, bracket values are resolved through their basis
+    coordinates, and the central term comes from `lie.central_coeff`.
 
     Every state has one form, integers over a common denominator S keyed by
     (monomial id, v) in the module's `MonomialTable`: the hoisted actions and
-    the input states are converted and interned once, and each product
-    X = pi(a_m) pi(b_n) s or Y = pi(b_n) pi(a_m) s is applied to those
-    numerators by `_apply_scaled`.  A residual scales every part by
-    L / (S * den(c)), L being the LCM of those products over its parts, and
-    divides by L and reads the ids back only for the reported failure.  Parts
-    are added in the order x, -y, -[a,b] s by basis position, central term,
-    and a key whose sum reaches zero is deleted, so witness values and key
-    order are those of Fraction accumulation.
+    the input states are converted and interned once.  Per state a computed
+    cell sums X = pi(a_m) pi(b_n) s and -Y = -pi(b_n) pi(a_m) s from the
+    hoisted numerators (`_accumulate`), then -[a,b]_{m+n} s by basis position
+    and the central term (`_merge`), into one dict over a running common
+    denominator, and passes iff the dict is empty.  Only the first failing
+    state rebuilds its witness, x and y applied apart (`_apply_scaled`) and
+    merged in that part order, so its values and key order are those of
+    Fraction accumulation; a zero rebuild raises AssertionError.
 
     One pass visits the cells (a, b, m, n) in report order: ordered basis
     pairs in row order, then modes.  The mirror of a cell is (b, a, n, m), and
-    of the two the one met first applies X and Y once per state (Y is X when
-    the cell is its own mirror, (a, m) = (b, n)) and tests its residual.
+    of the two the one met first applies X and Y once per state and tests its
+    sum.  An own cell, (a, m) = (b, n), applies no product: X - Y vanishes.
     With the same X and Y the later one's residual,
     y - x - [b,a]_{m+n} s - n (b,a) delta_{m+n,0} kappa s, is exactly the
     negative of the first one's, because g's bracket coordinates and the
     central cocycle are antisymmetric.  The sweep ends at its first failing
-    check, so when the later one is reached the first one has passed on every
-    state, and the later one reports a pass on every state with no product
-    and no residual.  Both identities are checked with an explicit raise,
-    which `python -O` keeps: `btab[j][i]` must be the negation of `btab[i][j]`
-    when the table is built, and at level != 0 and m = -n each computed cell
-    also computes its mirror's central coefficient, which must be the
-    negation of its own.
+    check, so the later one, once reached, reports a pass on every state with
+    no product.  Both identities are checked with an explicit raise, which
+    `python -O` keeps: `btab[j][i]` must be the negation of `btab[i][j]` when
+    the table is built, and at level != 0 and m = -n each computed cell also
+    computes its mirror's central coefficient, which must be the negation of
+    its own.  `BENCH_31.json` measures the mirror cells and `BENCH_36.json`
+    the one sum per cell.
 
     Reporting (on_check, the check count and the first failure) follows
     (a, b, m, n, state) nested in basis and mode order, and stops at the
@@ -781,34 +807,12 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
                     x, y = alg.names[i], alg.names[j]
                     raise AssertionError(f"the bracket coordinates of ({x}, {y}) and "
                                          f"({y}, {x}) are not opposite")
-        # the same table as (k, numerator, denominator) ints, read per residual
+        # the same table as (k, numerator, denominator) ints, merged per cell
         btab = [[tuple((k, c.numerator, c.denominator) for k, c in cell) for cell in row]
                 for row in btab]
 
-        def residual(x, y, coords, p, si, central):
-            """x - y - [a,b]_{m+n} s - central s as (L, items), or None when zero;
-            coords holds (k, numerator, denominator) and central, unless None,
-            (numerator, denominator) ints."""
-            parts = [(x, 1, 1), (y, -1, 1)]
-            parts.extend((P[k][p][si], num, den) for k, num, den in coords)
-            if central:
-                parts.append((inputs[si], *central))
-            common = lcm(*[scale * den for (scale, _), _, den in parts])
-            acc: dict = {}
-            for (scale, items), num, den in parts:
-                f = num * (common // (scale * den))
-                for key, v in items:
-                    t = acc.get(key, 0) + v * f
-                    if t:
-                        acc[key] = t
-                    else:
-                        del acc[key]
-            if not acc:
-                return None
-            return common, acc.items()
-
         checks = 0
-        passes = [None] * len(states)
+        passes = [True] * len(states)
         for i, (aname, a, _) in enumerate(basis):
             for j, (bname, b, _) in enumerate(basis):
                 for m in modes:
@@ -816,8 +820,7 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
                         if j < i or (j == i and n < m):  # the mirror came first
                             row = passes
                         else:
-                            own = (i, m) == (j, n)
-                            central = None
+                            parts = [(P[k][m + n + wide], num, den) for k, num, den in btab[i][j]]
                             if kappa != 0 and m == -n:
                                 c = central_coeff(a, b, m, n)
                                 if central_coeff(b, a, n, m) != -c:
@@ -826,22 +829,34 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
                                         f" and its mirror are not opposite")
                                 c = -c * kappa
                                 if c:
-                                    central = c.numerator, c.denominator
+                                    parts.append((inputs, c.numerator, c.denominator))
                             op_a, pa = real.operator(a, m), P[i][m + wide]
                             op_b, pb = real.operator(b, n), P[j][n + wide]
-                            p = m + n + wide
                             row = []
                             for si in range(len(states)):
-                                x = _apply_scaled(op_a, pb[si], module)
-                                y = x if own else _apply_scaled(op_b, pa[si], module)
-                                row.append(residual(x, y, btab[i][j], p, si, central))
-                        for si, res in enumerate(row):
+                                acc, total = {}, 1
+                                if (i, m) != (j, n):  # X - Y vanishes on an own cell
+                                    total = _accumulate(acc, total, op_a, pb[si], module, 1)
+                                    total = _accumulate(acc, total, op_b, pa[si], module, -1)
+                                for vecs, num, den in parts:
+                                    total = _merge(acc, total, vecs[si], num, den)
+                                row.append(not acc)
+                        for si, ok in enumerate(row):
                             checks += 1
                             if on_check is not None:
-                                on_check(aname, bname, m, n, si, res is None)
-                            if res is not None:
-                                return checks, {"a": aname, "b": bname, "m": m, "n": n,
-                                                "state": si, "residual": table.unscaled(*res)}
+                                on_check(aname, bname, m, n, si, ok)
+                            if ok:
+                                continue
+                            acc, total = {}, 1  # the witness, x and y applied apart
+                            xy = [(_apply_scaled(op_a, pb[si], module), 1, 1),
+                                  (_apply_scaled(op_b, pa[si], module), -1, 1)]
+                            for part, num, den in xy + [(v[si], k, d) for v, k, d in parts]:
+                                total = _merge(acc, total, part, num, den)
+                            if not acc:
+                                raise AssertionError(f"the failing check ({aname}, {bname}, {m},"
+                                                     f" {n}) on state {si} has a zero residual")
+                            return checks, {"a": aname, "b": bname, "m": m, "n": n, "state": si,
+                                            "residual": table.unscaled(total, acc.items())}
         return checks, None
     finally:
         table.clear()

@@ -12,8 +12,12 @@ the sweep emptied, so each kernel is compiled again.
 On the Borels of sl(2) and sl(3) and on sl(3) {1} it also applies every
 basis operator to deep states (degree up to 6, modes down to -2), whose
 monomials hold a family at three or more positions, so the order of the
-slot matches shows in the key order.  Last it sweeps every mode-1 term flip of the sl(2) Borel (Cartan Fock,
-level 1) and of sl(3) {2} (a character).  Each application adds its output
+slot matches shows in the key order.  Last it sweeps every mode-1 term flip
+of the sl(2) Borel (Cartan Fock, level 1) and of sl(3) {2}, on a character
+and, with states of degree up to 3, on the evaluation module at s = -2/3, whose
+Levi heads bring new denominators partway through a product and where some
+witnesses hold keys that X sets, Y cancels and Y sets again, so their key
+order is that of summing x and y apart.  Each application adds its output
 text and its items in order; each sweep adds its verdicts in report order,
 its check count, its failing cell and the witness items in order.  Prints
 the number of records and their sha256:
@@ -114,16 +118,17 @@ def records():
                                      Realization(pd, mod), states)
     pd3 = ParabolicData(2, (2,))
     z = pd3.center_basis[0]
-    flips = [(ParabolicData(1, ()), lambda pd: heisenberg_fock(pd, [Q(1)], Q(1))),
-             (pd3, lambda pd: character_module(pd, [(z, 0, Q(2)), (z, 1, Q(-1, 2))]))]
-    for pd, make in flips:
+    flips = [(ParabolicData(1, ()), lambda pd: heisenberg_fock(pd, [Q(1)], Q(1)), 2),
+             (pd3, lambda pd: character_module(pd, [(z, 0, Q(2)), (z, 1, Q(-1, 2))]), 2),
+             (pd3, lambda pd: evaluation_module(pd, natural_block_rep(pd, 0), Q(-2, 3)), 3)]
+    for pd, make, degree in flips:
         for name, elem, _h in pd.homogeneous_basis:
             for idx in range(len(build_operator_general(pd, elem, 1).terms)):
                 def hook(a, m, op, elem=elem, idx=idx):
                     return op.with_flipped_term(idx) if (a == elem and m == 1) else op
                 mod = make(pd)
                 real = Realization(pd, mod, operator_hook=hook)
-                states = Sampler(31).fock_states(mod, 2, 2, 1)
+                states = Sampler(31).fock_states(mod, 2, degree, 1)
                 yield (f"sl({pd.n + 1}) {sorted(pd.sigma)} flip {name}:1:{idx}",
                        sweep_record(real, states))
 

@@ -1310,27 +1310,31 @@ def test_apply_scaled_returns_integer_numerators(k):
                                              "mono_mul_var", "mono_matches", "column"}
 
 
-def count_apply_scaled(monkeypatch):
-    """Count the calls of realization._apply_scaled; returns the one-item counter."""
+def count_accumulate(monkeypatch):
+    """Count the calls of realization._accumulate, the one integer kernel that
+    applies an operator; returns the one-item counter."""
     calls = [0]
-    apply_scaled = rz._apply_scaled
+    accumulate = rz._accumulate
 
-    def counting_apply(op, scaled, module):
+    def counting_accumulate(acc, total, op, scaled, module, sign):
         calls[0] += 1
-        return apply_scaled(op, scaled, module)
+        return accumulate(acc, total, op, scaled, module, sign)
 
-    monkeypatch.setattr(rz, "_apply_scaled", counting_apply)
+    monkeypatch.setattr(rz, "_accumulate", counting_accumulate)
     return calls
 
 
 def test_bracket_sweep_reports_in_row_order_with_one_application_per_check(
         monkeypatch):
     # Checks are reported row by row; each operator product serves a check and
-    # its mirror, so the sweep applies B*(4M+1)*S hoisted actions plus one
-    # product per check, all through _apply_scaled.
+    # its mirror, and an own cell (a, m) = (b, n) applies none, since X - Y
+    # vanishes there.  So the sweep applies the B*(4M+1)*S = 3*5*2 = 30 hoisted
+    # actions, then per state X and Y on each computed cell but the own ones:
+    # the (3*3)*(3*3+1)/2 = 45 computed cells less the 9 own ones, 72
+    # products per state, one _accumulate each.
     mod = sl2_heis(Q(1), Q(1))
     real = Realization(PD_SL2, mod)
-    calls = count_apply_scaled(monkeypatch)
+    calls = count_accumulate(monkeypatch)
     states = Sampler(2024).fock_states(mod, 2, 2, 1)
     seen = []
     checks, failure = bracket_sweep(real, 1, states,
@@ -1341,15 +1345,17 @@ def test_bracket_sweep_reports_in_row_order_with_one_application_per_check(
     assert seen == [(a, b, m, n, si, True) for a, b, m, n, si
                     in itertools.product(names, names, modes, modes, range(2))]
     assert checks == len(seen) == 162
-    assert calls[0] == 3 * 5 * 2 + (3 * 3) ** 2 * 2 == 192
+    assert calls[0] == 3 * 5 * 2 + (45 - 9) * 2 * 2 == 174
 
 
 def test_bracket_sweep_applies_no_product_after_the_failing_cell(monkeypatch):
     # pi(f1_1) with its first term flipped fails first at (H1, E2.1, -1, 1) on
-    # state 0, after 81 checks.  The sweep applies the B*(4M+1)*S hoisted
-    # actions, then per state X alone on the 3 cells (H1, H1, m, m) and X and
-    # Y on the other 15 cells it computed: 3 more on the H1 diagonal, the 9
-    # of (H1, E1.2) and (H1, E2.1)'s first 3, which end at the failing cell.
+    # state 0, after 81 checks.  The sweep applies the B*(4M+1)*S = 3*5*4 = 60
+    # hoisted actions, then per state no product on the 3 own cells
+    # (H1, H1, m, m) and X and Y on the other 15 cells it computed: 3 more on
+    # the H1 diagonal, the 9 of (H1, E1.2) and (H1, E2.1)'s first 3, which end
+    # at the failing cell.  Last it applies X and Y once more, for the first
+    # failing state's witness alone.
     mod = sl2_heis(Q(1), Q(1))
     f1 = PD_SL2.f_basis[0]
 
@@ -1357,13 +1363,74 @@ def test_bracket_sweep_applies_no_product_after_the_failing_cell(monkeypatch):
         return op.with_flipped_term(0) if (a == f1 and m == 1) else op
 
     real = Realization(PD_SL2, mod, operator_hook=hook)
-    calls = count_apply_scaled(monkeypatch)
+    calls = count_accumulate(monkeypatch)
     states = Sampler(2024).fock_states(mod, 4, 2, 1)
     checks, failure = bracket_sweep(real, 1, states)
     assert checks == 81
     assert (failure["a"], failure["b"], failure["m"], failure["n"],
             failure["state"]) == ("H1", "E2.1", -1, 1, 0)
-    assert calls[0] == 3 * 5 * 4 + (3 + 15 * 2) * 4 == 192
+    assert calls[0] == 3 * 5 * 4 + 15 * 2 * 4 + 2 == 182
+
+
+def test_bracket_sweep_own_cells_pass_with_no_product(monkeypatch):
+    # An own cell (a, m) = (b, n) has X = Y, [a, a] = 0 and, at m = -n = 0, a
+    # zero central term, so it passes on every state without a product; a
+    # cell whose mirror came first applies none either, and every other cell
+    # applies X and Y once per state.  Products are counted per cell between
+    # its first report and the previous cell's, after the 3*5*2 hoisted ones.
+    calls = count_accumulate(monkeypatch)
+    mod = sl2_heis(Q(1), Q(1))
+    states = Sampler(2024).fock_states(mod, 2, 2, 1)
+    seen = {}
+    done = [3 * 5 * 2]
+
+    def on_check(a, b, m, n, si, ok):
+        assert ok
+        if si == 0:
+            seen[a, b, m, n] = calls[0] - done[0]
+            done[0] = calls[0]
+
+    assert bracket_sweep(Realization(PD_SL2, mod), 1, states, on_check) == (162, None)
+    names = [name for name, _, _ in PD_SL2.homogeneous_basis]
+    for (a, b, m, n), products in seen.items():
+        own, mirrored = (a, m) == (b, n), (names.index(b), n) < (names.index(a), m)
+        assert products == (0 if own or mirrored else 2 * len(states)), (a, b, m, n)
+    assert sum(a == b and m == n for a, b, m, n in seen) == 9
+
+
+@pytest.mark.parametrize("k, name, mode, idx, seed", [
+    (0, "H1", -1, 1, 5), (1, "H1", 1, 1, 31), (2, "H1", 1, 2, 31)])
+def test_bracket_sweep_witness_on_fractional_modules_is_check_bracket_residual(
+        k, name, mode, idx, seed):
+    # With one term of pi(name_mode) flipped, each fractional module's sweep
+    # fails; its verdicts, check count, failing cell and witness items, in
+    # order, are those of check_bracket's Fraction sums.  On modules 0 and 2
+    # the witness has a key that X sets, Y cancels and Y sets again, so one
+    # sum of X and -Y into a single dict would list that key later.
+    mod = _fractional_modules()[k]
+    elem = {n: e for n, e, _ in mod.pd.homogeneous_basis}[name]
+
+    def hook(a, m, op):
+        return op.with_flipped_term(idx) if (a == elem and m == mode) else op
+
+    real = Realization(mod.pd, mod, operator_hook=hook)
+    assert _sweeps_like_check_bracket(k, real, Sampler(seed).fock_states(mod, 2, 3, 1))
+
+
+def test_bracket_sweep_raises_on_a_failing_check_with_a_zero_witness(monkeypatch):
+    # A cell kernel that adds Y where it must subtract it fails the first cell
+    # with a product, (H1, H1, -1, 0); the witness, which applies x and y
+    # apart and merges -y, is zero there, and the sweep raises instead of
+    # reporting it.
+    accumulate = rz._accumulate
+    monkeypatch.setattr(rz, "_accumulate", lambda acc, total, op, scaled, module, sign:
+                        accumulate(acc, total, op, scaled, module, 1))
+    seen = []
+    real = Realization(PD_SL2, sl2_heis(Q(1), Q(1)))
+    states = Sampler(2024).fock_states(real.module, 2, 2, 1)
+    with pytest.raises(AssertionError, match=r"\(H1, H1, -1, 0\) on state 0 has a zero"):
+        bracket_sweep(real, 1, states, lambda *args: seen.append(args))
+    assert seen[-1] == ("H1", "H1", -1, 0, 0, False)
 
 
 # --- mirror cells: verdicts derived from the partner's residual --------------------------
@@ -1630,8 +1697,11 @@ def test_module_kernel_drops_killed_heads_and_central_terms_at_level_zero():
 
 def test_sl4_character_sweep_reads_the_module_only_for_its_center_head(monkeypatch):
     # The character kills 14 of the 15 basis heads, so only H1 reaches
-    # act_scaled; a kernel that keeps every term reads the module 3,126 times
-    # for the same checks.
+    # act_scaled: 25 times in the hoisted actions and 403 in the products of
+    # the computed cells.  An own cell (a, m) = (b, n) applies no product, so
+    # it reads nothing; applying X there would add 11 reads.  A kernel that
+    # keeps every term reads the module 210 + 2,882 times for the same checks
+    # (34 more with the own cells' X).
     mod = _fractional_modules()[1]
     states = Sampler(2024).fock_states(mod, 2, 2, 1)
     calls = []
@@ -1645,11 +1715,11 @@ def test_sl4_character_sweep_reads_the_module_only_for_its_center_head(monkeypat
     checks, failure = bracket_sweep(Realization(mod.pd, mod), 1, states)
     assert failure is None and checks == 15 * 15 * 9 * 2
     assert set(calls) == {cartan_h(3, 1)}
-    assert len(calls) == 439
+    assert len(calls) == 25 + 403 == 428
     calls.clear()
     twin = _twin_keeping_every_term(mod)
     assert bracket_sweep(Realization(mod.pd, twin), 1, states) == (checks, None)
-    assert len(calls) == 3126
+    assert len(calls) == 210 + 2882 == 3092
 
 
 def test_module_kernel_is_memoized_per_operator_kernel():
