@@ -21,7 +21,6 @@ import json
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import product
 from typing import Iterable
 
 from .lie import LieElement, ParabolicData, add_to, as_scalar, scale_to_integers
@@ -72,52 +71,21 @@ def mono_mul_var(mono: Monomial, alpha: int, mode: int) -> Monomial:
 def mono_matches(families: tuple[int, ...], mono: Monomial) -> tuple[tuple, ...]:
     """Ordered assignments of annihilator slots to the variables of `mono`.
 
-    Slot i runs over the positions of family `families[i]` in monomial order,
-    so the assignments come in the order of nested loops over the slots.  Each
-    slot contributes minus the exponent it finds, which it then lowers by one.
-    Returns (multiplicity, slot modes, mode sum, remaining monomial) tuples.
-    A pure function of its arguments; `MonomialTable.match` memoizes it.
-    One and two slots, the families almost every operator term has, run as
-    direct loops; three or more slots run the general product.
+    Returns (multiplicity, slot modes, mode sum, remaining monomial) tuples,
+    built slot by slot from the one empty match (1, (), 0, mono): slot i
+    extends each match so far by each variable (a, n, e) of family
+    `families[i]` in its remaining monomial, in monomial order, multiplying
+    it by -e and lowering that exponent by one.  A remaining monomial keeps
+    monomial order and drops only exhausted variables, so the assignments
+    come in the order of nested loops over the slots.  A pure function of its
+    arguments; `MonomialTable.match` memoizes it.
     """
-    if not families:
-        return ((1, (), 0, mono),)
-    if len(families) == 1:
-        a = families[0]
-        return tuple([(-e, (n,), n, _lowered(mono, p))
-                      for p, (b, n, e) in enumerate(mono) if b == a])
-    if len(families) == 2:
-        first = [p for p, v in enumerate(mono) if v[0] == families[0]]
-        second = [q for q, v in enumerate(mono) if v[0] == families[1]]
-        out = []
-        for p in first:
-            _, n, e = mono[p]
-            for q in second:
-                _, n2, e2 = mono[q]
-                if p != q:
-                    out.append((e * e2, (n, n2), n + n2,
-                                _lowered(_lowered(mono, max(p, q)), min(p, q))))
-                elif e > 1:
-                    out.append((e * (e - 1), (n, n), 2 * n,
-                                _lowered(_lowered(mono, p), p)))
-        return tuple(out)
-    positions: dict[int, list[int]] = {}
-    for p, (a, _n, _e) in enumerate(mono):
-        positions.setdefault(a, []).append(p)
-    out = []
-    for combo in product(*[positions.get(a, ()) for a in families]):
-        rem = list(mono)
-        mult = 1
-        for p in combo:
-            a, n, e = rem[p]
-            if not e:
-                break
-            mult *= -e
-            rem[p] = (a, n, e - 1)
-        else:
-            modes = tuple([mono[p][1] for p in combo])
-            out.append((mult, modes, sum(modes), tuple([v for v in rem if v[2]])))
-    return tuple(out)
+    matches = [(1, (), 0, mono)]
+    for a in families:
+        matches = [(-e * mult, modes + (n,), msum + n, _lowered(rem, p))
+                   for mult, modes, msum, rem in matches
+                   for p, (b, n, e) in enumerate(rem) if b == a]
+    return tuple(matches)
 
 
 def _lowered(mono: Monomial, p: int) -> Monomial:
@@ -135,10 +103,11 @@ class MonomialTable:
     `monos[i]` is the monomial of id i and `ids` the inverse map; ids count up
     from 0 in order of first interning and are stable until `clear`.
     `times[(i, alpha, mode)]` is the id of `mono_mul_var(monos[i], alpha,
-    mode)`, and `matches[(families, i)]` is `mono_matches(families, monos[i])`
-    with each remaining monomial replaced by its id.  `kernels[id(terms)]` is
-    (terms, kernel), the kernel being what `InducingModule.kernel` compiles
-    from the terms, (D, kept terms, columns by monomial id; see `column`).
+    mode)`, and `matches[(families, i)]` is `mono_matches(families, monos[i])`,
+    one rule for any number of slots, with each remaining monomial replaced
+    by its id.  `kernels[id(terms)]` is (terms, kernel), the kernel being what
+    `InducingModule.kernel` compiles from the terms, (D, kept terms, columns
+    by monomial id; see `column`).
     All fill on a miss, so the apply kernel hashes small ints, not nested
     tuples, and computes each distinct product once.  Each inducing module
     owns one table (`InducingModule.monomials`); it grows with the distinct
@@ -234,11 +203,9 @@ class MonomialTable:
 
 def mono_d_var(mono: Monomial, alpha: int, mode: int) -> tuple[int, Monomial] | None:
     """Partial derivative data: (old exponent, reduced monomial), or None."""
-    for idx, (a, n, e) in enumerate(mono):
-        if (a, n) == (alpha, mode):
-            if e == 1:
-                return e, mono[:idx] + mono[idx + 1:]
-            return e, mono[:idx] + ((a, n, e - 1),) + mono[idx + 1:]
+    p = bisect_left(mono, (alpha, mode))
+    if p < len(mono) and mono[p][:2] == (alpha, mode):
+        return mono[p][2], _lowered(mono, p)
     return None
 
 

@@ -134,7 +134,12 @@ class InducingModule:
         added nothing, so the output keys and their order are unchanged.
         Memoized per terms tuple by identity in the module's table
         (`MonomialTable.kernels`), which holds the tuple, so its id is not
-        reused until `clear` forgets both.
+        reused until `clear` forgets both.  An element's operators at every
+        mode share its tuple and so one kernel; a flipped operator
+        (`with_flipped_term`) has a tuple, and so a kernel, of its own.  On
+        the sl(4) Sigma = {2, 3} character module of the `sweep-sl4`
+        benchmark one Levi head of the fifteen is kept, the center direction
+        H1.
         """
         kernels = self.monomials.kernels
         hit = kernels.get(id(terms))
@@ -373,8 +378,8 @@ class HeisenbergFockModule(InducingModule):
     V is the polynomial space on variables y(i, r) for Cartan direction i and
     depth r >= 1 (mode -r).  Basis monomials are interned in order of first
     use in the module's own `MonomialTable`, `vbasis`, which no sweep empties,
-    so indices are reproducible for a fixed computation; serialized states
-    carry an explicit basis table.
+    since a vector index must keep its monomial, so indices are reproducible
+    for a fixed computation; serialized states carry an explicit basis table.
     """
 
     kind = "heisenberg_fock"

@@ -61,7 +61,9 @@ def as_scalar(x) -> Fraction:
 
 def add_to(acc: dict, key, c) -> None:
     """acc[key] += c on a sparse dict, dropping the key when the sum is zero.
-    An absent key stores c itself, which keeps its type, as 0 + c would."""
+    An absent key stores c itself, which keeps its type, as 0 + c would.
+    The one accumulator of sparse exact sums: Lie elements, states, Laurent
+    polynomials and module vectors."""
     s = acc.get(key)
     if s is None:
         if c:
@@ -76,7 +78,8 @@ def add_to(acc: dict, key, c) -> None:
 
 def scale_to_integers(pairs) -> tuple[int, list]:
     """(L, [(key, L * c)]) for (key, exact scalar) pairs, L the LCM of their
-    denominators, so every L * c is an integer; the pairs keep their order."""
+    denominators, so every L * c is an integer; the pairs keep their order.
+    The one conversion of exact scalars to integers over one denominator."""
     den = lcm(*[c.denominator for _, c in pairs])
     return den, [(k, c.numerator * (den // c.denominator)) for k, c in pairs]
 
@@ -189,10 +192,6 @@ def _raw(n: int, entries: dict) -> LieElement:
     el.entries = entries
     el._hash = None
     return el
-
-
-def zero(n: int) -> LieElement:
-    return LieElement(n, {})
 
 
 def matrix_unit(n: int, i: int, j: int) -> LieElement:

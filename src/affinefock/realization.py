@@ -40,7 +40,10 @@ as an int over one LCM L (`_series_table`), and sums the series once,
 straight into the operator's canonical terms: a D entry goes to the creator
 of its f_alpha, an A sum to its coordinates over the canonical basis (read in
 ints), a C coordinate to its sorted slots.  Each term's coefficient is one
-Fraction over L*d, built with the term.
+Fraction over L*d, built with the term.  Integer construction took the cold
+build of the 24 sl(5) Borel operators from a median of 0.109 s to 0.062 s (14
+fresh processes pinned to one CPU each side, 2-core Xeon VM, Python 3.11.7;
+`BENCH_19.json` has the benchmark runs).
 
 The ubar part needs only each word's first step into ubar.  Every f letter
 has positive Sigma-height, so the prefixes ad(w_j)...ad(w_1) a of a word lose
@@ -226,7 +229,12 @@ def _ad_multisets(pd: ParabolicData, base: LieElement, depth: int = 0,
     entries with gcd 1 and a positive entry at its smallest (i, j), every
     nonzero element is k*p for exactly one such p, and each p is bracketed
     with each f_beta only once per parabolic.  A sum over brackets of p
-    carries each bracket's factor k into its `add_to`.
+    carries each bracket's factor k into its `add_to`.  Over the 24 sl(5)
+    Borel operators the recursion meets 174 distinct nonzero elements in 30
+    primitive classes, so `lie.bracket` runs 300 times instead of 1,740
+    (`BENCH_27.json`).  Keeping only the heads of a p-class cut the series'
+    word additions over the same operators from 3,062 to 1,316
+    (`BENCH_28.json`).
 
     Every W(S) is a bracket of matrix units, so the recursion runs on
     integers: k is the gcd of base's numerators over the LCM of its
@@ -797,19 +805,17 @@ def bracket_sweep(real: Realization, max_mode: int, states, on_check=None):
              for _name, elem, _h in basis]
         inputs = [table.scaled(s) for s in states]
 
-        # minus the basis coordinates of each bracket [a, b], by basis position
+        # minus the basis coordinates of each bracket [a, b], by basis position,
+        # as (k, numerator, denominator) ints that each cell merges
         alg = pd.algebra
-        btab = [[tuple((k, -c) for k, c in alg.coords(bracket(a, b))) for b in alg.basis]
-                for a in alg.basis]
+        btab = [[tuple((k, -c.numerator, c.denominator) for k, c in alg.coords(bracket(a, b)))
+                 for b in alg.basis] for a in alg.basis]
         for i, row in enumerate(btab):
             for j in range(i + 1):
-                if btab[j][i] != tuple((k, -c) for k, c in row[j]):
+                if btab[j][i] != tuple((k, -num, den) for k, num, den in row[j]):
                     x, y = alg.names[i], alg.names[j]
                     raise AssertionError(f"the bracket coordinates of ({x}, {y}) and "
                                          f"({y}, {x}) are not opposite")
-        # the same table as (k, numerator, denominator) ints, merged per cell
-        btab = [[tuple((k, c.numerator, c.denominator) for k, c in cell) for cell in row]
-                for row in btab]
 
         checks = 0
         passes = [True] * len(states)

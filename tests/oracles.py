@@ -4,11 +4,13 @@ Nothing in the package, the CLI or the benchmark runs this code.  Most of it
 is a plainly written second route to a value the package computes its own
 way; the rest are helpers that only tests need:
 
-* Lie theory: a basis element by name, the Killing form over the canonical
-  basis, and the centrally extended loop algebra with its bracket.
+* Lie theory: the zero element, a basis element by name, the Killing form
+  over the canonical basis, and the centrally extended loop algebra with its
+  bracket.
 * Fock states: creation and annihilation one variable at a time, the slot
-  matches of a monomial by one product loop, the PBW degree and its
-  components, and the common total mode and h-weight of a state.
+  matches of a monomial by one product loop over the slots' positions, the
+  PBW degree and its components, and the common total mode and h-weight of
+  a state.
 * Sampling: random V-vectors for inducing-module axiom checks.
 * The adjoint series: word-level sums of the iterated adjoint action, the
   D, A and C series of one element by the direct formula, with no memo, and
@@ -61,6 +63,10 @@ Q = Fraction
 
 
 # --- Lie theory ---------------------------------------------------------------
+
+def zero(n: int) -> LieElement:
+    return LieElement(n, {})
+
 
 def element(alg: SimpleAlgebra, name: str) -> LieElement:
     try:
@@ -175,10 +181,11 @@ def apply_annihilation(state: FockState, alpha: int, mode: int) -> FockState:
 
 
 def mono_matches_reference(families: tuple[int, ...], mono: Monomial) -> tuple[tuple, ...]:
-    """`fock.mono_matches` as one product loop over the slots' positions,
-    with no special case for one or two slots: each slot contributes minus
-    the exponent it finds, which it then lowers by one, and an assignment
-    that finds a zero exponent is dropped."""
+    """`fock.mono_matches` as one product loop over the positions of the
+    slots' families in `mono`, not slot by slot over remaining monomials:
+    each slot contributes minus the exponent it finds at its position, which
+    it then lowers by one, and an assignment that finds a zero exponent is
+    dropped."""
     if not families:
         return ((1, (), 0, mono),)
     positions: dict[int, list[int]] = {}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from affinefock.fock import (
     FockState,
     MonomialTable,
+    mono_d_var,
     mono_from_pairs,
     mono_matches,
     mono_mul_var,
@@ -245,12 +246,24 @@ def test_mono_matches_lowers_exponents_in_slot_order():
     assert mono_matches((2,), mono) == ()
 
 
-@given(st.lists(st.integers(0, 2), max_size=3).map(tuple), monomials)
+@given(st.lists(st.integers(0, 2), max_size=6).map(tuple), monomials)
 @settings(max_examples=300, deadline=None)
 def test_mono_matches_agrees_with_the_product_loop(families, mono):
-    # the one- and two-slot loops return the general loop's tuples, in order,
-    # also when a family repeats or a slot finds an exponent it lowered to 0
+    # extending matches slot by slot over remaining monomials gives the product
+    # loop's tuples over the original positions, in order, for up to 6 slots
+    # (the sl(3) Borel's terms have as many), also when a family repeats or a
+    # slot meets a variable that earlier slots exhausted
     assert mono_matches(families, mono) == mono_matches_reference(families, mono)
+
+
+@given(monomials, st.integers(0, 2), st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_mono_d_var_is_the_one_slot_match_at_its_mode(mono, alpha, mode):
+    # d/db(alpha, mode) is one annihilator slot held at one mode, sign undone
+    found = [(-mult, rem) for mult, modes, _msum, rem in mono_matches((alpha,), mono)
+             if modes == (mode,)]
+    assert len(found) <= 1
+    assert mono_d_var(mono, alpha, mode) == (found[0] if found else None)
 
 
 def test_monomial_table_scaled_round_trips_a_state_in_order():

@@ -24,10 +24,9 @@ from affinefock.lie import (
     matrix_unit,
     parabolic_decompose,
     unit_name,
-    zero,
 )
 from affinefock.sampling import Sampler
-from oracles import element, killing_form, loop, loop_bracket, loop_central
+from oracles import element, killing_form, loop, loop_bracket, loop_central, zero
 
 Q = Fraction
 

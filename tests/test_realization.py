@@ -37,7 +37,6 @@ from affinefock.lie import (
     matrix_unit,
     parabolic_decompose,
     unit_name,
-    zero as zero_element,
 )
 import affinefock.realization as rz
 from affinefock.realization import (
@@ -67,6 +66,7 @@ from oracles import (
     series_terms_reference,
     summed_per_multiset,
     vacuum_expected,
+    zero as zero_element,
 )
 from test_acceptance import sweep_configs
 
@@ -563,8 +563,7 @@ def test_general_f_in_depth_two_has_correction():
 
 
 def test_zero_element_gives_zero_operator():
-    from affinefock.lie import zero
-    op = build_operator_general(PD_SL2, zero(1), 0)
+    op = build_operator_general(PD_SL2, zero_element(1), 0)
     assert op.terms == ()
 
 
